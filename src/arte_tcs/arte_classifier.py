@@ -25,6 +25,7 @@ RAW_DIM = 20
 FAMILIES = ((0, 10, 3), (10, 15, 2), (15, 20, 2))
 HIDDEN_SIZES = (4, 3, 2)
 LOSS_TARGET = 1e-3
+LEARNING_RATE = 1.0
 VAR_FLOOR = 1e-9
 
 
@@ -224,7 +225,7 @@ def one_hot(labels):
     return out
 
 
-def train_mlp(ds, mask, seed=0, max_epochs=5000, learning_rate=1.0):
+def train_mlp(ds, mask, seed=0, max_epochs=5000):
     """Full-batch MSE backprop; stops when the loss drops below 1e-3.
 
     mask=None trains on all 20 raw features instead of the pruned 7.
@@ -266,8 +267,8 @@ def train_mlp(ds, mask, seed=0, max_epochs=5000, learning_rate=1.0):
             grad_b = delta.sum(axis=0)
             if i > 0:
                 delta = (delta @ model.weights[i]) * (1.0 - acts[i] ** 2)
-            model.weights[i] -= learning_rate * grad_w
-            model.biases[i] -= learning_rate * grad_b
+            model.weights[i] -= LEARNING_RATE * grad_w
+            model.biases[i] -= LEARNING_RATE * grad_b
     return model
 
 

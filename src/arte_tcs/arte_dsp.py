@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_toeplitz
-from scipy.signal import firwin
 
 from .errors import (
     AudioFormatError,
@@ -28,7 +27,6 @@ N_BANDS = 5
 N_CEPSTRA = 5
 EPS_FLOOR = 1e-10
 BAND_LOW_HZ = 50.0
-DENOISE_TAPS = 255
 
 
 @dataclass
@@ -46,9 +44,6 @@ class AudioClip:
         if not np.all(np.isfinite(self.samples)):
             raise AudioFormatError("clip contains non-finite samples")
         return self
-
-    def duration(self):
-        return len(self.samples) / self.sample_rate
 
 
 @dataclass
@@ -228,19 +223,3 @@ def mix_noise(clip, noise, snr_db):
         mixed = mixed / peak
     return AudioClip(mixed, clip.sample_rate, clip.label)
 
-
-def denoise(clip, low_hz, high_hz):
-    """Zero out content outside [low_hz, high_hz] with a linear-phase FIR."""
-    nyq = clip.sample_rate / 2.0
-    if not (0.0 <= low_hz < high_hz <= nyq):
-        raise ConfigError("band must satisfy 0 <= low < high <= Nyquist")
-    if low_hz == 0.0:
-        taps = firwin(DENOISE_TAPS, high_hz, fs=clip.sample_rate)
-    elif high_hz == nyq:
-        taps = firwin(DENOISE_TAPS, low_hz, pass_zero=False,
-                      fs=clip.sample_rate)
-    else:
-        taps = firwin(DENOISE_TAPS, [low_hz, high_hz], pass_zero=False,
-                      fs=clip.sample_rate)
-    filtered = np.convolve(clip.samples, taps, mode="same")
-    return AudioClip(filtered, clip.sample_rate, clip.label)

@@ -37,12 +37,10 @@ MaxTransmissibleTorque
     limit, which it can only do after slip has developed.
 """
 
-import math
-
 from .errors import ConfigError
 from .vehicle_plant import VehicleParams, first_order_lag, slip_ratio
 
-MFC_GAIN_DEFAULT = 50.0
+MFC_GAIN = 50.0
 SRC_SATURATION_DEFAULT = 300.0
 SRC_KP_DEFAULT = 50.0
 SRC_KI_DEFAULT = 100.0
@@ -72,13 +70,10 @@ class HighPassFilter:
 
 
 class ModelFollowingControl:
-    def __init__(self, params=None, gain=MFC_GAIN_DEFAULT,
-                 hp_tau=None, lambda_nominal=0.1):
+    def __init__(self, params=None, lambda_nominal=0.1):
         self.params = VehicleParams() if params is None else params
-        if gain <= 0.0:
-            raise ConfigError("MFC gain must be positive")
-        self.gain = gain
-        self.hpf = HighPassFilter(self.params.tau_hp if hp_tau is None else hp_tau)
+        self.gain = MFC_GAIN
+        self.hpf = HighPassFilter(self.params.tau_hp)
         self.w_model = 0.0
         self.j_model = self._inertia(lambda_nominal)
 
@@ -177,9 +172,6 @@ class MaxTransmissibleTorque:
             raise ConfigError("peak driving force must be positive")
         self.set_alpha(alpha)
         self.fd_peak = fd_peak
-
-    def clear_road_estimate(self):
-        self.fd_peak = None
 
     def reset(self, fd_hat0=0.0):
         self.fd_hat = fd_hat0

@@ -7,6 +7,7 @@ propagates into the torque path.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from .controllers import (MaxTransmissibleTorque, ModelFollowingControl,
 from .errors import ConfigError, SimulationDiverged
 from .robustness import nu_gap, plant_family
 from .synth_corpus import class_clip
-from .tire_road import DEFAULT_CURVES, RoadType, optimal_lambda, peak_friction
+from .tire_road import DEFAULT_CURVES, RoadType, peak_friction
 from .vehicle_plant import VehicleParams, plant_step, slip_ratio
 
 CONTROLLER_TAGS = ("mfc", "src", "mtte", "open")
@@ -35,6 +36,8 @@ ALPHA_BY_ROAD = {
 }
 
 TRACE_HEADER = "t,V,Vw,lambda,T_cmd,T_applied,mu,road_true,road_est"
+SCENARIO_FLOAT_KEYS = ("duration_s", "dt", "torque_demand", "arte_period_s",
+                       "v0", "fd_hat0")
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,9 @@ class ScenarioConfig:
     params: VehicleParams = field(default_factory=VehicleParams)
 
     def validate(self):
+        for name in SCENARIO_FLOAT_KEYS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError("scenario %s must be finite" % name)
         if self.duration_s <= 0.0:
             raise ConfigError("scenario duration must be positive")
         if not 0.0 < self.dt <= 5e-3:
@@ -63,6 +69,8 @@ class ScenarioConfig:
             raise ConfigError("torque demand must be non-negative")
         if self.v0 < 0.0:
             raise ConfigError("initial speed must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("scenario seed must be non-negative")
         if self.controller not in CONTROLLER_TAGS:
             raise ConfigError("unknown controller %r" % (self.controller,))
         if self.arte_mode not in ARTE_MODES:
@@ -77,6 +85,8 @@ class ScenarioConfig:
         if sched[0][0] != 0.0:
             raise ConfigError("road schedule must start at t = 0")
         times = [t for t, _ in sched]
+        if not all(math.isfinite(t) for t in times):
+            raise ConfigError("road schedule times must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("road schedule times must strictly increase")
         for _, road in sched:
@@ -279,47 +289,47 @@ def write_compare_csv(path, rows):
         fh.write("\n".join(compare_lines(rows)) + "\n")
 
 
-def _parse_road(name):
+def _number(convert, section, key, text):
     try:
-        return RoadType(name.strip().lower())
-    except ValueError as exc:
-        raise ConfigError("unknown road type %r" % (name,)) from exc
+        return convert(text)
+    except ValueError:
+        raise ConfigError("[%s] %s = %r is not a number"
+                          % (section, key, text)) from None
 
 
 def load_scenario(path):
     """Scenario from a key = value file; see ScenarioConfig for defaults."""
     parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot parse scenario file %s: %s"
+                          % (path, exc)) from None
     kwargs = {}
-    if parser.has_section("scenario"):
-        sec = parser["scenario"]
-        float_keys = {"duration_s", "dt", "torque_demand", "arte_period_s",
-                      "v0", "fd_hat0"}
-        for key in sec:
-            if key in float_keys:
-                kwargs[key] = sec.getfloat(key)
-            elif key == "seed":
-                kwargs[key] = sec.getint(key)
-            elif key in ("controller", "arte_mode"):
-                kwargs[key] = sec.get(key).strip().lower()
-            elif key == "model":
-                kwargs["model_path"] = sec.get(key).strip()
-            else:
-                raise ConfigError("unknown scenario key %r" % key)
-    if parser.has_section("schedule"):
-        entries = [(float(t), _parse_road(road))
-                   for t, road in parser["schedule"].items()]
+    for key, text in sections.get("scenario", {}).items():
+        if key in SCENARIO_FLOAT_KEYS:
+            kwargs[key] = _number(float, "scenario", key, text)
+        elif key == "seed":
+            kwargs[key] = _number(int, "scenario", key, text)
+        elif key in ("controller", "arte_mode"):
+            kwargs[key] = text.strip().lower()
+        elif key == "model":
+            kwargs["model_path"] = text.strip()
+        else:
+            raise ConfigError("unknown scenario key %r" % key)
+    if "schedule" in sections:
+        entries = [(_number(float, "schedule", t, t),
+                    RoadType.from_name(road))
+                   for t, road in sections["schedule"].items()]
         entries.sort(key=lambda item: item[0])
         kwargs["road_schedule"] = tuple(entries)
-    if parser.has_section("vehicle"):
-        fields = {key: parser["vehicle"].getfloat(key)
-                  for key in parser["vehicle"]}
+    if "vehicle" in sections:
+        fields = {key: _number(float, "vehicle", key, text)
+                  for key, text in sections["vehicle"].items()}
         try:
             kwargs["params"] = replace(VehicleParams(), **fields)
         except TypeError as exc:
             raise ConfigError("unknown vehicle parameter") from exc
-    try:
-        return ScenarioConfig(**kwargs).validate()
-    except TypeError as exc:
-        raise ConfigError("bad scenario configuration") from exc
+    return ScenarioConfig(**kwargs).validate()

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PoleOnAxisError
-from .vehicle_plant import VehicleParams
 
 GRID_LO = 1e-3
 GRID_HI = 1e4
@@ -62,26 +61,6 @@ def make_tf(num, den):
     return TransferFunction(num=np.atleast_1d(np.asarray(num, np.float64)),
                             den=np.atleast_1d(np.asarray(den, np.float64))
                             ).validate()
-
-
-def mtte_tzw(params, gain, tau2=None):
-    """Closed-loop torque sensitivity of the observer-limited controller.
-
-    Second order in s; tau2 defaults to the high-pass constant carried by
-    the vehicle parameters and stays overridable.
-    """
-    if gain == 0.0:
-        raise ConfigError("loop gain must be nonzero")
-    t1 = params.tau_motor
-    t2 = params.tau_hp if tau2 is None else tau2
-    jn = params.jw + params.m_vehicle * params.r ** 2
-    r = params.r
-    den = np.array([jn * r * t1 * t2,
-                    jn * (r * t2 - gain * t1 + r * t1),
-                    jn * r - params.m_vehicle * r ** 2 * gain])
-    if abs(den[0]) < 1e-12:
-        raise ConfigError("degenerate plant: vanishing leading coefficient")
-    return make_tf([-params.jw * gain], den)
 
 
 def eval_freq(tf, omega):

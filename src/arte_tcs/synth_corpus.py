@@ -17,7 +17,7 @@ from .arte_classifier import FeatureDataset
 from .errors import ConfigError
 from .tire_road import RoadType
 
-DEFAULT_SAMPLE_RATE = 16000
+SAMPLE_RATE = 16000
 DEFAULT_DURATION_S = 3.5
 FRAMES_PER_CLASS = 30
 OVERLAP_SNR_DB = 10.0
@@ -45,8 +45,8 @@ class ClassSpec:
         return self
 
 
-def _pair(freq_hz, radius, sample_rate=DEFAULT_SAMPLE_RATE):
-    theta = 2.0 * np.pi * freq_hz / sample_rate
+def _pair(freq_hz, radius):
+    theta = 2.0 * np.pi * freq_hz / SAMPLE_RATE
     p = radius * np.exp(1j * theta)
     return (p, np.conj(p))
 
@@ -69,17 +69,16 @@ DEFAULT_SPECS = {
 }
 
 
-def synth_clip(spec, duration_s=DEFAULT_DURATION_S,
-               sample_rate=DEFAULT_SAMPLE_RATE, seed=0):
+def synth_clip(spec, duration_s=DEFAULT_DURATION_S, seed=0):
     """AR-filtered excitation, peak-normalized to 0.9, labeled."""
     spec.validate()
     if duration_s < 0.5:
         raise ConfigError("clip duration must be at least 0.5 s")
-    n = int(round(duration_s * sample_rate))
+    n = int(round(duration_s * SAMPLE_RATE))
     rng = np.random.default_rng(seed)
     drive = spec.gain * rng.standard_normal(n)
     if spec.excitation == "impulsive":
-        hits = rng.random(n) < spec.impulse_rate / sample_rate
+        hits = rng.random(n) < spec.impulse_rate / SAMPLE_RATE
         count = int(hits.sum())
         drive[hits] += (rng.uniform(3.0, 6.0, count)
                         * rng.choice((-1.0, 1.0), count))
@@ -88,39 +87,31 @@ def synth_clip(spec, duration_s=DEFAULT_DURATION_S,
         raise ConfigError("AR poles must come in conjugate pairs")
     x = lfilter([1.0], a.real, drive)
     x *= 0.9 / np.max(np.abs(x))
-    return AudioClip(samples=x, sample_rate=sample_rate,
+    return AudioClip(samples=x, sample_rate=SAMPLE_RATE,
                      label=spec.road).validate()
 
 
-def overlap_noise(n, sample_rate=DEFAULT_SAMPLE_RATE, seed=0):
+def overlap_noise(n, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     x *= 0.9 / np.max(np.abs(x))
-    return AudioClip(samples=x, sample_rate=sample_rate)
+    return AudioClip(samples=x, sample_rate=SAMPLE_RATE)
 
 
-def class_clip(road, seed=0, duration_s=DEFAULT_DURATION_S,
-               sample_rate=DEFAULT_SAMPLE_RATE, specs=None,
-               snr_db=OVERLAP_SNR_DB):
+def class_clip(road, seed=0, duration_s=DEFAULT_DURATION_S):
     """One noisy labeled clip for a road class, deterministic in seed."""
-    specs = DEFAULT_SPECS if specs is None else specs
     k = list(RoadType).index(road)
-    clip = synth_clip(specs[road], duration_s, sample_rate,
-                      seed=1000 * seed + k)
-    noise = overlap_noise(len(clip.samples), sample_rate,
-                          seed=1000 * seed + 999)
-    return mix_noise(clip, noise, snr_db)
+    clip = synth_clip(DEFAULT_SPECS[road], duration_s, seed=1000 * seed + k)
+    noise = overlap_noise(len(clip.samples), seed=1000 * seed + 999)
+    return mix_noise(clip, noise, OVERLAP_SNR_DB)
 
 
-def build_corpus(seed=0, frames_per_class=FRAMES_PER_CLASS,
-                 duration_s=DEFAULT_DURATION_S,
-                 sample_rate=DEFAULT_SAMPLE_RATE, specs=None,
-                 snr_db=OVERLAP_SNR_DB):
-    """Labeled 20-dim feature rows, frames_per_class per road."""
+def build_corpus(seed=0):
+    """Labeled 20-dim feature rows, FRAMES_PER_CLASS per road."""
     rows, labels = [], []
     for k, road in enumerate(RoadType):
-        clip = class_clip(road, seed, duration_s, sample_rate, specs, snr_db)
-        frames = sample_frames(clip, frames_per_class,
+        clip = class_clip(road, seed)
+        frames = sample_frames(clip, FRAMES_PER_CLASS,
                                seed=1000 * seed + 500 + k)
         for frame in frames:
             rows.append(extract_raw(frame))
@@ -129,19 +120,14 @@ def build_corpus(seed=0, frames_per_class=FRAMES_PER_CLASS,
     return ds.fit_normalization()
 
 
-def export_wavs(root, seed=0, clips_per_class=1,
-                duration_s=DEFAULT_DURATION_S,
-                sample_rate=DEFAULT_SAMPLE_RATE, specs=None,
-                snr_db=OVERLAP_SNR_DB):
+def export_wavs(root, seed=0, clips_per_class=1):
     """Write `<root>/<road>/<seed>_<index>.wav` files; returns the paths."""
-    specs = DEFAULT_SPECS if specs is None else specs
     paths = []
     for road in RoadType:
         sub = os.path.join(root, road.name.lower())
         os.makedirs(sub, exist_ok=True)
         for i in range(clips_per_class):
-            clip = class_clip(road, seed + i, duration_s, sample_rate,
-                              specs, snr_db)
+            clip = class_clip(road, seed + i)
             path = os.path.join(sub, "%d_%d.wav" % (seed, i))
             write_wav(path, clip)
             paths.append(path)

@@ -6,13 +6,15 @@ four-parameter magic formula
     mu(lambda) = D * sin(C * atan(B*lambda - E*(B*lambda - atan(B*lambda))))
 
 with one (B, C, D, E) set per road surface.  D is the peak friction
-level, B*C*D the stiffness at zero slip.  The module also provides
-sampled-lookup tables and a config-file override path so curve sets can
-be swapped without code changes.
+level, B*C*D the stiffness at zero slip.  The module also provides the
+peak (lambda_opt, mu_peak) of each curve, computed once per road, and a
+config-file override path so curve sets can be swapped without code
+changes.
 """
 
 import configparser
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,51 +81,29 @@ DEFAULT_CURVES = {
     RoadType.SNOW: MuLambdaCurve(b=45.0, c=2.0, d=0.28, e=1.00),
 }
 
+# slip samples on [0, 1] for the peak search
+PEAK_GRID_POINTS = 4096
 
-def resolve_curve(road_or_curve, curves=None):
-    """Accept a RoadType (looked up in `curves`/defaults) or a curve itself."""
+
+def resolve_curve(road_or_curve):
+    """Accept a RoadType (looked up in the defaults) or a curve itself."""
     if isinstance(road_or_curve, MuLambdaCurve):
         return road_or_curve
-    table = DEFAULT_CURVES if curves is None else curves
-    return table[road_or_curve]
+    return DEFAULT_CURVES[road_or_curve]
 
 
-@dataclass(frozen=True)
-class MuLambdaTable:
-    """Curve sampled on a uniform slip grid over [0, 1]."""
-
-    lambda_grid: np.ndarray
-    mu_values: np.ndarray
-    lambda_opt: float
-    mu_peak: float
-
-    def lookup(self, lam):
-        return np.interp(lam, self.lambda_grid, self.mu_values)
-
-
-def build_table(road_or_curve, n=256, curves=None):
-    if n < 64:
-        raise ConfigError("lookup table needs at least 64 samples, got %d" % n)
-    curve = resolve_curve(road_or_curve, curves).validate()
-    grid = np.linspace(0.0, 1.0, n)
-    vals = curve.mu(grid)
-    i = int(np.argmax(vals))
-    return MuLambdaTable(lambda_grid=grid, mu_values=vals,
-                         lambda_opt=float(grid[i]), mu_peak=float(vals[i]))
-
-
-def optimal_lambda(road_or_curve, n=4096, curves=None):
+def optimal_lambda(road_or_curve):
     """Peak-friction slip ratio, found on a dense grid then refined.
 
     One parabolic refinement step around the grid argmax; the curves
     here are smooth and unimodal on [0, 1] so this lands within ~1e-6
     of the true peak.
     """
-    curve = resolve_curve(road_or_curve, curves)
-    grid = np.linspace(0.0, 1.0, n)
+    curve = resolve_curve(road_or_curve)
+    grid = np.linspace(0.0, 1.0, PEAK_GRID_POINTS)
     vals = curve.mu(grid)
     i = int(np.argmax(vals))
-    if i == 0 or i == n - 1:
+    if i == 0 or i == PEAK_GRID_POINTS - 1:
         return float(grid[i])
     # parabola through the three bracketing samples
     x0, x1, x2 = grid[i - 1], grid[i], grid[i + 1]
@@ -134,10 +114,11 @@ def optimal_lambda(road_or_curve, n=4096, curves=None):
     return float(x1 + 0.5 * (x1 - x0) * (y0 - y2) / denom)
 
 
-def peak_friction(road_or_curve, n=4096, curves=None):
-    """(lambda_opt, mu_peak) pair for a road or curve."""
-    curve = resolve_curve(road_or_curve, curves)
-    lam = optimal_lambda(curve, n=n)
+@functools.cache
+def peak_friction(road_or_curve):
+    """(lambda_opt, mu_peak) pair for a road or curve, computed once each."""
+    curve = resolve_curve(road_or_curve)
+    lam = optimal_lambda(curve)
     return lam, float(curve.mu(lam))
 
 

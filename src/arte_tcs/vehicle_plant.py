@@ -16,12 +16,14 @@ so the ratio stays defined through launch from rest.  Motor torque
 follows the command through a first-order lag with time constant
 tau_motor; the lag is advanced by its exact solution each step, and the
 mechanical pair (V, w) by classic RK4 with the lagged torque evaluated
-at the stage times.  States are clamped non-negative (forward driving
-only).
+at the stage times.  `derivs` is the single right-hand side: every RK4
+stage calls it, and it is built from `drive_force` and
+`driving_resistance`, so each formula above exists once.  States are
+clamped non-negative (forward driving only).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, SimulationDiverged
 
@@ -41,6 +43,10 @@ class VehicleParams:
     torque_limit: float = 700.0
 
     def validate(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError("vehicle parameter %s must be finite"
+                                  % f.name)
         for name in ("m_vehicle", "m_wheel", "jw", "r", "tau_motor",
                      "tau_hp", "rho_air", "g", "torque_limit"):
             if not (getattr(self, name) > 0.0):
@@ -111,26 +117,11 @@ def plant_step(v, w, t_applied, t_cmd, dt, curve, params):
     t_half = t_cmd + (t_applied - t_cmd) * decay
     t_full = t_cmd + (t_applied - t_cmd) * decay * decay
 
-    n_load = (p.m_vehicle / 4.0 + p.m_wheel) * p.g
-    roll = p.mu_roll * p.m_vehicle * p.g
-    drag_k = 0.5 * p.rho_air * p.cda
-    r, jw, mv = p.r, p.jw, p.m_vehicle
-    mu = curve.mu_scalar
-
-    def f(vv, ww, torque):
-        vw = r * ww
-        denom = vw if vw > vv else vv
-        if denom < 0.1:
-            denom = 0.1
-        fd = mu((vw - vv) / denom) * n_load
-        fdr = roll + drag_k * vv * vv if vv > 0.0 else 0.0
-        return (4.0 * fd - fdr) / mv, (torque - r * fd) / jw
-
     h = dt
-    k1v, k1w = f(v, w, t_applied)
-    k2v, k2w = f(v + 0.5 * h * k1v, w + 0.5 * h * k1w, t_half)
-    k3v, k3w = f(v + 0.5 * h * k2v, w + 0.5 * h * k2w, t_half)
-    k4v, k4w = f(v + h * k3v, w + h * k3w, t_full)
+    k1v, k1w = derivs(v, w, t_applied, curve, p)
+    k2v, k2w = derivs(v + 0.5 * h * k1v, w + 0.5 * h * k1w, t_half, curve, p)
+    k3v, k3w = derivs(v + 0.5 * h * k2v, w + 0.5 * h * k2w, t_half, curve, p)
+    k4v, k4w = derivs(v + h * k3v, w + h * k3w, t_full, curve, p)
     v2 = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     w2 = w + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
 

@@ -10,7 +10,6 @@ from arte_tcs.arte_dsp import (
     band_edges,
     band_energies,
     cepstrum,
-    denoise,
     extract_raw,
     frame_length,
     lpc,
@@ -280,30 +279,3 @@ def test_mix_noise_errors():
     with pytest.raises(ConfigError):
         mix_noise(sig, tone(1000.0), float("-inf"))
 
-
-def test_denoise_band_selectivity():
-    inband = tone(800.0)
-    outband = tone(4000.0)
-    mid = slice(2000, 14000)
-
-    def rms_db(before, after):
-        r = np.sqrt(np.mean(after.samples[mid] ** 2) /
-                    np.mean(before.samples[mid] ** 2))
-        return 20.0 * math.log10(r)
-
-    assert abs(rms_db(inband, denoise(inband, 300.0, 2000.0))) < 1.0
-    assert rms_db(outband, denoise(outband, 300.0, 2000.0)) < -40.0
-
-
-def test_denoise_lowpass_when_low_edge_is_zero():
-    out = denoise(tone(6000.0), 0.0, 2000.0)
-    assert len(out.samples) == SR
-    assert np.sqrt(np.mean(out.samples[2000:14000] ** 2)) < 0.01 * 0.5
-
-
-def test_denoise_invalid_band():
-    clip = tone(440.0)
-    with pytest.raises(ConfigError):
-        denoise(clip, 2000.0, 300.0)
-    with pytest.raises(ConfigError):
-        denoise(clip, 100.0, 9000.0)

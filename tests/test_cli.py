@@ -149,6 +149,31 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+BAD_SCENARIOS = {
+    "schedule_time_not_a_number": b"[schedule]\nzero = snow\n",
+    "no_section_header": b"duration_s = 8\n",
+    "duration_not_a_number": b"[scenario]\nduration_s = abc\n",
+    "duration_nan": b"[scenario]\nduration_s = nan\n",
+    "torque_demand_nan": b"[scenario]\ntorque_demand = nan\n",
+    "initial_speed_inf": b"[scenario]\nv0 = inf\n",
+    "unknown_road": b"[schedule]\n0.0 = ice\n",
+    "vehicle_not_a_number": b"[vehicle]\njw = heavy\n",
+    "vehicle_nan": b"[vehicle]\nmu_roll = nan\n",
+    "seed_negative": b"[scenario]\nseed = -1\n",
+    "not_text": b"[scenario]\n\xff\xfe\n",
+}
+
+
+@pytest.mark.parametrize("body", BAD_SCENARIOS.values(), ids=BAD_SCENARIOS)
+def test_simulate_bad_scenario_exits_two(tmp_path, capsys, body):
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_bytes(body)
+    out = str(tmp_path / "trace.csv")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         cli.main(["warp"])

@@ -183,9 +183,6 @@ def test_mtte_grip_ceiling():
     m.set_road_estimate(0.9, 1000.0)
     tc = m.update(0.0, 0.0, 0.0, 700.0, 1e-3)
     assert tc == pytest.approx(0.9 * P.r * 1000.0, rel=1e-12)
-    m.clear_road_estimate()
-    tc = m.update(0.0, 0.0, 0.0, 700.0, 1e-3)
-    assert tc == 700.0  # observer cap now far above the demand
 
 
 def test_mtte_validation():

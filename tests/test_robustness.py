@@ -5,7 +5,7 @@ import pytest
 
 from arte_tcs.errors import ConfigError, PoleOnAxisError
 from arte_tcs.robustness import (chordal_distance, eval_freq, make_tf,
-                                 mtte_tzw, nu_gap, plant_family)
+                                 nu_gap, plant_family)
 from arte_tcs.vehicle_plant import VehicleParams
 
 PARAMS = VehicleParams()
@@ -23,26 +23,6 @@ def brute_force_gap(tf1, tf2, points=1000000):
     sup = np.max(chordal_distance(eval_freq(tf1, omega), eval_freq(tf2, omega)))
     at_zero = chordal_distance(eval_freq(tf1, 0.0), eval_freq(tf2, 0.0))
     return max(float(sup), float(at_zero))
-
-
-def test_sensitivity_dc_gain():
-    tf = mtte_tzw(PARAMS, 1.0)
-    dc = eval_freq(tf, 0.0)
-    assert dc.real == pytest.approx(-0.6 / (110.36 * 0.28 - 1400 * 0.0784),
-                                    rel=1e-9)
-    assert dc.imag == 0.0
-    assert tf.num[0] == pytest.approx(-0.6)
-    # leading coefficient carries both lag constants
-    assert tf.den[0] == pytest.approx(110.36 * 0.28 * 0.05 * 1000.0)
-
-
-def test_sensitivity_tau_override_and_guards():
-    tf = mtte_tzw(PARAMS, 1.0, tau2=0.05)
-    assert tf.den[0] == pytest.approx(110.36 * 0.28 * 0.05 * 0.05)
-    with pytest.raises(ConfigError):
-        mtte_tzw(PARAMS, 0.0)
-    with pytest.raises(ConfigError):
-        mtte_tzw(PARAMS, 1.0, tau2=0.0)
 
 
 def test_eval_freq_closed_forms():

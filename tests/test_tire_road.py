@@ -1,5 +1,3 @@
-import configparser
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from arte_tcs.tire_road import (
     DEFAULT_CURVES,
     MuLambdaCurve,
     RoadType,
-    build_table,
     load_curve_overrides,
     optimal_lambda,
     peak_friction,
@@ -84,39 +81,6 @@ def test_mu_stays_positive_and_bounded_on_drive_side():
         vals = curve.mu(grid)
         assert np.all(vals > 0.0)
         assert np.all(vals <= curve.d + 1e-12)
-
-
-def test_table_interpolates_curve():
-    table = build_table(RoadType.GRAVEL, n=256)
-    assert table.lambda_grid[0] == 0.0
-    assert table.lambda_grid[-1] == 1.0
-    assert np.all(np.diff(table.lambda_grid) > 0)
-    lam = np.linspace(0.0, 1.0, 511)
-    exact = DEFAULT_CURVES[RoadType.GRAVEL].mu(lam)
-    np.testing.assert_allclose(table.lookup(lam), exact, atol=2e-4)
-
-
-def test_coarse_and_fine_table_agree_on_peak():
-    for road in RoadType:
-        coarse = build_table(road, n=64)
-        fine = build_table(road, n=4096)
-        assert abs(coarse.lambda_opt - fine.lambda_opt) <= 2.0 / 64.0
-        assert coarse.mu_peak <= fine.mu_peak + 1e-12
-
-
-def test_table_rejects_too_few_points():
-    with pytest.raises(ConfigError):
-        build_table(RoadType.ASPHALT, n=32)
-
-
-def test_table_peak_fields_scale_with_curve_gain():
-    # halving D moves mu_peak proportionally without shifting lambda_opt
-    base = DEFAULT_CURVES[RoadType.STONE]
-    half = MuLambdaCurve(base.b, base.c, base.d / 2.0, base.e)
-    t1 = build_table(base, n=512)
-    t2 = build_table(half, n=512)
-    assert t2.lambda_opt == t1.lambda_opt
-    assert t2.mu_peak == pytest.approx(t1.mu_peak / 2.0, rel=1e-12)
 
 
 def test_curve_validation_rejects_bad_params():
