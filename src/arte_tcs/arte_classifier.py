@@ -191,6 +191,12 @@ class MlpModel:
                                           (self.sizes[i + 1], self.sizes[i])))
             if b.shape != (self.sizes[i + 1],):
                 raise ModelFormatError("bias %d has wrong length" % i)
+        # a NaN anywhere makes argmax pick the first road, asphalt
+        values = [self.norm_mean, self.norm_scale, *self.weights, *self.biases]
+        if not all(np.all(np.isfinite(v)) for v in values if v is not None):
+            raise ModelFormatError("model holds non-finite values")
+        if self.norm_scale is not None and np.any(self.norm_scale <= 0.0):
+            raise ModelFormatError("normalization scales must be positive")
         return self
 
 

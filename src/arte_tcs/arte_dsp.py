@@ -4,12 +4,12 @@ A mono clip is cut into 0.1 s frames; each frame yields a 20-element
 raw feature vector ordered [lpc 1..10, band 1..5, cep 1..5].
 """
 
+import functools
 import math
 import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
 from .errors import (
     AudioFormatError,
@@ -107,24 +107,25 @@ def sample_frames(clip, n, seed):
             for s in starts]
 
 
-def _autocorr(x, order):
-    return np.array([np.dot(x[: len(x) - k], x[k:]) for k in range(order + 1)])
-
-
 def lpc(frame, order=LPC_ORDER):
     """Autocorrelation-method predictor coefficients.
 
     Returns a with x[t] ~ a[0]*x[t-1] + ... + a[order-1]*x[t-order].
     """
+    # imported here so that runs without the estimator never load scipy
+    from scipy.linalg import solve_toeplitz
     x = np.asarray(frame.samples, dtype=np.float64)
     if len(x) <= 2 * order:
         raise ConfigError("frame too short for LPC order %d" % order)
-    r = _autocorr(x, order)
+    r = np.array([np.dot(x[: len(x) - k], x[k:]) for k in range(order + 1)])
+    if not math.isfinite(r[0]):
+        raise AudioFormatError("frame energy is not finite")
     if r[0] <= 0.0:
         raise DegenerateSignalError("all-zero frame has no LPC model")
     r = r / r[0]
     r[0] *= 1.0 + 1e-9  # keeps the normal equations strictly positive definite
-    return solve_toeplitz((r[:order], r[:order]), r[1:order + 1])
+    return solve_toeplitz((r[:order], r[:order]), r[1:order + 1],
+                          check_finite=False)  # finite r[0] bounds all r[k]
 
 
 def reflection_coefficients(coeffs):
@@ -143,25 +144,38 @@ def reflection_coefficients(coeffs):
     return np.array(ks[::-1])
 
 
-def _hann(n):
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def _windowed_spectrum(frame):
-    x = np.asarray(frame.samples, dtype=np.float64)
-    xw = x * _hann(len(x))
-    nfft = 1 << (len(x) - 1).bit_length()
-    return xw, np.fft.rfft(xw, nfft), nfft
-
-
 def band_edges(sample_rate):
     return np.logspace(math.log10(BAND_LOW_HZ),
                        math.log10(sample_rate / 2.0), N_BANDS + 1)
 
 
-def _frame_rate(frame):
-    # frames are 0.1 s by construction, so the rate is ten times the length
-    return 10 * len(frame.samples)
+@functools.lru_cache(maxsize=8)  # one plan per rate in use; bounded
+def _spectral_plan(n):
+    """nfft, Hann window and band masks for an n-sample 0.1 s frame."""
+    nfft = 1 << (n - 1).bit_length()
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    freqs = np.fft.rfftfreq(nfft, 1.0 / (10 * n))
+    edges = band_edges(10 * n)
+    # boolean masks, not slices: a band that holds no bin sums to 0
+    masks = [(freqs >= lo) & (freqs < hi) for lo, hi in zip(edges, edges[1:])]
+    masks[-1] |= freqs == edges[-1]  # the top band includes Nyquist
+    for arr in (window, *masks):
+        arr.flags.writeable = False
+    return nfft, window, tuple(masks)
+
+
+def _spectral_features(frame, count):
+    """Band log-energies and cepstrum c[1..count] from one |rfft|."""
+    x = np.asarray(frame.samples, dtype=np.float64)
+    nfft, window, masks = _spectral_plan(len(x))
+    mag = np.abs(np.fft.rfft(x * window, nfft))
+    psd = mag ** 2 / nfft
+    psd[1:] *= 2.0
+    if nfft % 2 == 0:
+        psd[-1] /= 2.0
+    bands = np.array([math.log10(psd[mask].sum() + EPS_FLOOR)
+                      for mask in masks])
+    return bands, np.fft.irfft(np.log(mag + EPS_FLOOR), nfft)[1:count + 1]
 
 
 def band_energies(frame):
@@ -170,34 +184,20 @@ def band_energies(frame):
     One-sided scaling is chosen so the linear band energies sum to the
     windowed time-domain energy (minus the portion below 50 Hz).
     """
-    sample_rate = _frame_rate(frame)
-    xw, spec, nfft = _windowed_spectrum(frame)
-    psd = np.abs(spec) ** 2 / nfft
-    psd[1:] *= 2.0
-    if nfft % 2 == 0:
-        psd[-1] /= 2.0
-    freqs = np.fft.rfftfreq(nfft, 1.0 / sample_rate)
-    edges = band_edges(sample_rate)
-    out = np.empty(N_BANDS)
-    for i in range(N_BANDS):
-        if i < N_BANDS - 1:
-            mask = (freqs >= edges[i]) & (freqs < edges[i + 1])
-        else:
-            mask = (freqs >= edges[i]) & (freqs <= edges[i + 1])
-        out[i] = math.log10(psd[mask].sum() + EPS_FLOOR)
-    return out
+    return _spectral_features(frame, N_CEPSTRA)[0]
 
 
 def cepstrum(frame, count=N_CEPSTRA):
     """Real cepstrum coefficients c[1..count]; c[0] (pure gain) dropped."""
-    _, spec, nfft = _windowed_spectrum(frame)
-    c = np.fft.irfft(np.log(np.abs(spec) + EPS_FLOOR), nfft)
-    return c[1:count + 1]
+    return _spectral_features(frame, count)[1]
 
 
 def extract_raw(frame):
     """[lpc 1..10, band 1..5, cep 1..5] as a length-20 vector."""
-    return np.concatenate([lpc(frame), band_energies(frame), cepstrum(frame)])
+    raw = np.concatenate([lpc(frame), *_spectral_features(frame, N_CEPSTRA)])
+    if not np.all(np.isfinite(raw)):  # finite energy, overflowing spectrum
+        raise AudioFormatError("frame features are not finite")
+    return raw
 
 
 def mix_noise(clip, noise, snr_db):

@@ -10,7 +10,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .arte_dsp import AudioClip, extract_raw, mix_noise, sample_frames, write_wav
 from .arte_classifier import FeatureDataset
@@ -71,6 +70,8 @@ DEFAULT_SPECS = {
 
 def synth_clip(spec, duration_s=DEFAULT_DURATION_S, seed=0):
     """AR-filtered excitation, peak-normalized to 0.9, labeled."""
+    # imported here so that runs without the estimator never load scipy
+    from scipy.signal import lfilter
     spec.validate()
     if duration_s < 0.5:
         raise ConfigError("clip duration must be at least 0.5 s")

@@ -178,6 +178,30 @@ def test_lpc_errors():
         lpc(Frame(np.ones(15), 0))
 
 
+NON_FINITE_FRAMES = {
+    "nan": lambda: Frame(np.where(np.arange(1600) == 7, np.nan, 0.1), 0),
+    "inf": lambda: Frame(np.where(np.arange(1600) == 7, -np.inf, 0.1), 0),
+    "energy_overflows": lambda: Frame(np.full(1600, 1e200), 0),
+}
+
+
+@pytest.mark.parametrize("make", NON_FINITE_FRAMES.values(),
+                         ids=NON_FINITE_FRAMES)
+def test_non_finite_frame_is_an_audio_format_error(make):
+    with pytest.raises(AudioFormatError):
+        lpc(make())
+    with pytest.raises(AudioFormatError):
+        extract_raw(make())
+
+
+def test_overflowing_spectrum_is_an_audio_format_error():
+    # finite energy (4410 * 4e304 < 1.8e308), but |rfft|**2 overflows
+    frame = Frame(2e152 * np.random.default_rng(1).standard_normal(4410), 0)
+    assert np.all(np.isfinite(lpc(frame)))
+    with pytest.raises(AudioFormatError):
+        extract_raw(frame)
+
+
 def test_band_energy_sine_dominates_its_band():
     # 600 Hz sits inside the third of the five log-spaced bands
     edges = band_edges(SR)

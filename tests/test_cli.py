@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 
+import arte_tcs
 import arte_tcs.cli as cli
 from arte_tcs.errors import SimulationDiverged
 from arte_tcs.tire_road import RoadType, peak_friction
@@ -149,6 +152,49 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+# (line, value): the first number on that line of a trained model file
+BAD_MODELS = {
+    "norm_mean_nan": (1, "nan"),
+    "norm_scale_inf": (2, "inf"),
+    "norm_scale_zero": (2, "0"),
+    "norm_scale_negative": (2, "-1.5"),
+    "weight_nan": (4, "nan"),
+    "bias_inf": (8, "-inf"),
+}
+
+
+def bad_model(tmp_path, line, value):
+    with open(model_path()) as fh:
+        lines = fh.read().splitlines()
+    lines[line] = " ".join([value] + lines[line].split()[1:])
+    path = tmp_path / "bad_model.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("line,value", BAD_MODELS.values(), ids=BAD_MODELS)
+def test_classify_rejects_non_finite_model(tmp_path, capsys, line, value):
+    model = bad_model(tmp_path, line, value)
+    wav = os.path.join(wav_tree(), "snow", "0_0.wav")
+    capsys.readouterr()
+    assert cli.main(["classify", "--model", model, wav]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("line,value", BAD_MODELS.values(), ids=BAD_MODELS)
+def test_simulate_classifier_rejects_non_finite_model(tmp_path, capsys,
+                                                      line, value):
+    model = bad_model(tmp_path, line, value)
+    cfg = scen_file(tmp_path, "[scenario]\nduration_s = 0.5\n"
+                              "arte_mode = classifier\nmodel = %s\n" % model)
+    out = str(tmp_path / "trace.csv")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 4
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert not os.path.exists(out)
+
+
 BAD_SCENARIOS = {
     "schedule_time_not_a_number": b"[schedule]\nzero = snow\n",
     "no_section_header": b"duration_s = 8\n",
@@ -178,3 +224,17 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         cli.main(["warp"])
     assert err.value.code == 2
+
+
+def test_cli_import_loads_no_scipy_submodule():
+    # scipy is imported where the audio path first needs it, so runs
+    # without the estimator never pay for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arte_tcs.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, arte_tcs.cli; print(' '.join(m for m in sys.modules"
+             " if m.startswith(('scipy.signal', 'scipy.linalg'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == []

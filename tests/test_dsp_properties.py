@@ -1,0 +1,79 @@
+"""Property tests for the acoustic front end.
+
+Frames have random lengths between the shortest one LPC accepts (21
+samples) and a 44.1 kHz frame (4410), so the per-length spectral plan
+is built and reused across many lengths, interleaved.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from arte_tcs.arte_dsp import (EPS_FLOOR, N_BANDS, BAND_LOW_HZ, Frame,
+                               band_energies, cepstrum, extract_raw, lpc)
+from arte_tcs.errors import AudioFormatError, DegenerateSignalError
+
+MIN_LEN, MAX_LEN = 21, 4410
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def noise_frames(draw):
+    """Seeded Gaussian noise over 400 decades of amplitude."""
+    n = draw(st.integers(MIN_LEN, MAX_LEN))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = 10.0 ** draw(st.floats(-200.0, 200.0))
+    return Frame(scale * np.random.default_rng(seed).standard_normal(n), 0)
+
+
+@st.composite
+def any_frames(draw):
+    """Arbitrary finite samples, or noise of any amplitude."""
+    if draw(st.booleans()):
+        return draw(noise_frames())
+    n = draw(st.integers(MIN_LEN, MAX_LEN))
+    return Frame(draw(arrays(np.float64, n, elements=FINITE)), 0)
+
+
+def raw_or_error(frame):
+    """extract_raw's row, or None when it raises a documented error."""
+    try:
+        return extract_raw(frame)
+    except (AudioFormatError, DegenerateSignalError):
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(any_frames(), min_size=2, max_size=4))
+def test_extract_raw_is_its_parts_or_a_documented_error(frames):
+    first = [raw_or_error(f) for f in frames]
+    # a second pass in reverse order reuses every cached plan
+    again = [raw_or_error(f) for f in reversed(frames)][::-1]
+    for frame, raw, raw2 in zip(frames, first, again):
+        if raw is None:
+            assert raw2 is None
+            continue
+        np.testing.assert_array_equal(raw, raw2)
+        assert raw.shape == (20,)
+        assert np.all(np.isfinite(raw))
+        parts = np.concatenate([lpc(frame), band_energies(frame),
+                                cepstrum(frame)])
+        assert raw.tobytes() == parts.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("n", (1600, 4410))
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-3.0, 3.0))
+def test_band_energy_parseval_on_any_noise(n, seed, exponent):
+    # bands plus the part below 50 Hz hold all the windowed energy
+    x = 10.0 ** exponent * np.random.default_rng(seed).standard_normal(n)
+    lin = np.sum(10.0 ** band_energies(Frame(x, 0))) - N_BANDS * EPS_FLOOR
+    xw = x * (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n))
+    nfft = 1 << (n - 1).bit_length()
+    low = np.fft.rfftfreq(nfft, 1.0 / (10 * n)) < BAND_LOW_HZ
+    below = 2.0 * np.sum(np.abs(np.fft.rfft(xw, nfft)[low]) ** 2) / nfft
+    below -= np.abs(np.sum(xw)) ** 2 / nfft  # the DC bin is not doubled
+    assert lin + below == pytest.approx(np.sum(xw ** 2), rel=1e-9)
+

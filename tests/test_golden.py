@@ -1,4 +1,5 @@
-"""Golden SHA-256 digests of the default 8 s snow launch.
+"""Golden SHA-256 digests of the default 8 s snow launch and of the
+acoustic features.
 
 `golden/snow_launch.sha256` pins the bytes of the `simulate` trace CSV
 for mfc, src and mtte with the estimator off and oracle, and of the
@@ -11,11 +12,15 @@ import hashlib
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import arte_tcs.harness as harness
+from arte_tcs.arte_dsp import AudioClip, extract_raw, sample_frames
 from arte_tcs.harness import (ScenarioConfig, compare, compare_lines,
                               run_scenario, write_trace_csv)
+from arte_tcs.synth_corpus import build_corpus, class_clip
+from arte_tcs.tire_road import RoadType
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "snow_launch.sha256")
@@ -23,8 +28,8 @@ CONTROLLERS = ("mfc", "src", "mtte")
 MODES = ("off", "oracle")
 
 
-def golden(name):
-    with open(GOLDEN) as fh:
+def golden(name, path=GOLDEN):
+    with open(path) as fh:
         table = dict(reversed(line.split()) for line in fh if line.strip())
     return table[name]
 
@@ -55,3 +60,50 @@ def test_compare_table_digest(traces, monkeypatch):
     text = "\n".join(compare_lines(rows)) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == golden("compare.csv")
+
+
+# --- acoustic front end -------------------------------------------------
+#
+# `golden/acoustic.sha256` pins the bytes of the 20-element raw feature
+# rows: the whole seed-1 training corpus, and frames sampled from every
+# road class at 16 kHz (1600-sample frames) and, resampled, at 44.1 kHz
+# (4410-sample frames, a second FFT size).  Taken before the front end
+# was reworked; a change to one is a change to every trained model.
+
+ACOUSTIC = os.path.join(os.path.dirname(__file__), "golden",
+                        "acoustic.sha256")
+FRAMES_PER_ROAD = 6
+
+
+def sha(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def road_clips(rate):
+    """One 16 kHz class clip per road, linearly resampled to `rate`."""
+    clips = []
+    for road in RoadType:
+        clip = class_clip(road, seed=2, duration_s=1.0)
+        t_in = np.arange(len(clip.samples)) / clip.sample_rate
+        t_out = np.arange(int(round(t_in[-1] * rate)) + 1) / rate
+        clips.append(AudioClip(np.interp(t_out, t_in, clip.samples), rate))
+    return clips
+
+
+def frame_rows(rate):
+    rows = [extract_raw(frame)
+            for k, clip in enumerate(road_clips(rate))
+            for frame in sample_frames(clip, FRAMES_PER_ROAD, seed=30 + k)]
+    return np.vstack(rows)
+
+
+def test_corpus_features_digest():
+    assert sha(build_corpus(seed=1).features) == golden(
+        "corpus_seed1_features", ACOUSTIC)
+
+
+@pytest.mark.parametrize("rate", (16000, 44100))
+def test_frame_features_digest(rate):
+    rows = frame_rows(rate)
+    assert rows.shape == (len(RoadType) * FRAMES_PER_ROAD, 20)
+    assert sha(rows) == golden("extract_raw_%d" % rate, ACOUSTIC)
