@@ -107,6 +107,9 @@ def sample_frames(clip, n, seed):
             for s in starts]
 
 
+# a non-finite or overflowing frame is rejected by the finiteness checks
+# below, not warned of; the decorator form costs a third of a `with` block
+@np.errstate(over="ignore", invalid="ignore")
 def lpc(frame, order=LPC_ORDER):
     """Autocorrelation-method predictor coefficients.
 
@@ -164,6 +167,7 @@ def _spectral_plan(n):
     return nfft, window, tuple(masks)
 
 
+@np.errstate(over="ignore")  # extract_raw rejects a spectrum that overflows
 def _spectral_features(frame, count):
     """Band log-energies and cepstrum c[1..count] from one |rfft|."""
     x = np.asarray(frame.samples, dtype=np.float64)

@@ -4,6 +4,17 @@ A scenario wires one controller to the quarter-vehicle plant over a road
 schedule. Road estimation can be off, fed the true road (oracle), or run
 a trained classifier on per-window synthetic audio so misclassification
 propagates into the torque path.
+
+`run_scenario`'s step loop keeps only what feeds back into the dynamics:
+it records V, w, T_cmd and T_applied per step, and the steps at which the
+true road or the estimate changes.  The other trace columns are derived
+after the loop with the same IEEE operations as their per-step
+definitions: t = k*dt, Vw = w*r, lambda as `slip_ratio`, and mu by
+mapping the true road's `mu_scalar` over each road segment, so every
+column is bit-identical to what a per-step recording would hold.  The road
+columns are int8 indices into `ROADS`, with -1 for "no estimate";
+`SimTrace.road_true`/`road_est` decode them to `RoadType`/None and
+`write_trace_csv` maps them to names.
 """
 
 import configparser
@@ -20,7 +31,7 @@ from .errors import ConfigError, SimulationDiverged
 from .robustness import nu_gap, plant_family
 from .synth_corpus import class_clip
 from .tire_road import DEFAULT_CURVES, RoadType, peak_friction
-from .vehicle_plant import VehicleParams, plant_step, slip_ratio
+from .vehicle_plant import VehicleParams, plant_step
 
 CONTROLLER_TAGS = ("mfc", "src", "mtte", "open")
 ARTE_MODES = ("off", "oracle", "classifier")
@@ -36,6 +47,16 @@ ALPHA_BY_ROAD = {
 }
 
 TRACE_HEADER = "t,V,Vw,lambda,T_cmd,T_applied,mu,road_true,road_est"
+TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s\n"
+# rows formatted per write: bounds the writer's temporary Python objects
+TRACE_CHUNK_ROWS = 4096
+
+# road index <-> road; index -1 (no estimate) selects the last entry
+ROADS = tuple(RoadType)
+ROAD_INDEX = {road: k for k, road in enumerate(ROADS)}
+NO_ESTIMATE = -1
+_ROAD_OBJECTS = np.array(ROADS + (None,), dtype=object)
+_ROAD_NAMES = tuple(road.value for road in ROADS) + ("none",)
 SCENARIO_FLOAT_KEYS = ("duration_s", "dt", "torque_demand", "arte_period_s",
                        "v0", "fd_hat0")
 
@@ -98,6 +119,8 @@ class ScenarioConfig:
 
 @dataclass
 class SimTrace:
+    """Per-step columns; the roads as int8 indices into `ROADS`."""
+
     t: np.ndarray
     v: np.ndarray
     vw: np.ndarray
@@ -105,9 +128,17 @@ class SimTrace:
     t_cmd: np.ndarray
     t_applied: np.ndarray
     mu: np.ndarray
-    road_true: list
-    road_est: list
+    road_true_idx: np.ndarray
+    road_est_idx: np.ndarray  # NO_ESTIMATE where the estimator is off
     dt: float
+
+    @property
+    def road_true(self):
+        return _ROAD_OBJECTS[self.road_true_idx].tolist()
+
+    @property
+    def road_est(self):
+        return _ROAD_OBJECTS[self.road_est_idx].tolist()
 
 
 @dataclass(frozen=True)
@@ -151,6 +182,21 @@ def _classifier_window(road, cfg, invocation):
     return AudioClip(samples=clip.samples[:n], sample_rate=clip.sample_rate)
 
 
+def _spans(changes, n):
+    """(first step, end step, value) of each (step, value) change, held
+    until the next change or step n."""
+    ends = [k for k, _ in changes[1:]] + [n]
+    return [(lo, hi, value) for (lo, value), hi in zip(changes, ends)]
+
+
+def _held_column(changes, n):
+    """int8 column of road indices; NO_ESTIMATE before the first change."""
+    col = np.full(n, NO_ESTIMATE, dtype=np.int8)
+    for lo, hi, index in _spans(changes, n):
+        col[lo:hi] = index
+    return col
+
+
 def run_scenario(cfg):
     cfg.validate()
     p = cfg.params
@@ -161,60 +207,71 @@ def run_scenario(cfg):
         mask = SelectionMask(indices=model.mask_indices)
 
     sched = tuple(cfg.road_schedule)
-    n_steps = int(round(cfg.duration_s / cfg.dt))
-    t_arr = np.empty(n_steps)
+    dt = cfg.dt
+    n_steps = int(round(cfg.duration_s / dt))
     v_arr = np.empty(n_steps)
-    vw_arr = np.empty(n_steps)
-    lam_arr = np.empty(n_steps)
+    w_arr = np.empty(n_steps)
     cmd_arr = np.empty(n_steps)
     app_arr = np.empty(n_steps)
-    mu_arr = np.empty(n_steps)
-    road_true, road_est = [], []
+    segments = []  # (first step, road index) of each schedule entry
+    estimates = []  # (first step, road index) of each installed estimate
 
     v, w, t_applied = cfg.v0, cfg.v0 / p.r, 0.0
-    sched_i = 0
+    sched_i = -1
+    next_switch = 0.0
     next_arte = 0.0
+    arte_due = -1e-12 if cfg.arte_mode != "off" else math.inf
     invocation = 0
-    estimate = None
     for k in range(n_steps):
-        t = k * cfg.dt
-        while sched_i + 1 < len(sched) and t >= sched[sched_i + 1][0]:
-            sched_i += 1
-        road = sched[sched_i][1]
+        t = k * dt
+        if t >= next_switch:
+            while sched_i + 1 < len(sched) and t >= sched[sched_i + 1][0]:
+                sched_i += 1
+            road = sched[sched_i][1]
+            curve = DEFAULT_CURVES[road]
+            segments.append((k, ROAD_INDEX[road]))
+            next_switch = (sched[sched_i + 1][0] if sched_i + 1 < len(sched)
+                           else math.inf)
 
-        if cfg.arte_mode != "off" and t >= next_arte - 1e-12:
+        if t >= arte_due:
             if cfg.arte_mode == "oracle":
                 estimate = road
             else:
                 window = _classifier_window(road, cfg, invocation)
                 estimate, _, _ = arte_estimate(model, mask, window)
             _apply_estimate(ctrl, cfg, estimate)
+            estimates.append((k, ROAD_INDEX[estimate]))
             invocation += 1
             next_arte += cfg.arte_period_s
+            arte_due = next_arte - 1e-12
 
-        lam = slip_ratio(v, w, p.r)
-        curve = DEFAULT_CURVES[road]
-        t_cmd = ctrl.update(v, w, t_applied, cfg.torque_demand, cfg.dt)
-
-        t_arr[k] = t
+        t_cmd = ctrl.update(v, w, t_applied, cfg.torque_demand, dt)
         v_arr[k] = v
-        vw_arr[k] = w * p.r
-        lam_arr[k] = lam
+        w_arr[k] = w
         cmd_arr[k] = t_cmd
         app_arr[k] = t_applied
-        mu_arr[k] = curve.mu_scalar(lam)
-        road_true.append(road)
-        road_est.append(estimate)
 
         try:
-            v, w, t_applied = plant_step(v, w, t_applied, t_cmd, cfg.dt,
+            v, w, t_applied = plant_step(v, w, t_applied, t_cmd, dt,
                                          curve, p)
         except SimulationDiverged as exc:
             raise SimulationDiverged(str(exc), t=t, step=k) from exc
 
-    return SimTrace(t=t_arr, v=v_arr, vw=vw_arr, lam=lam_arr, t_cmd=cmd_arr,
-                    t_applied=app_arr, mu=mu_arr, road_true=road_true,
-                    road_est=road_est, dt=cfg.dt)
+    # derived columns, each with the operations of its per-step definition
+    vw_arr = w_arr * p.r
+    denom = np.maximum(np.where(vw_arr > v_arr, vw_arr, v_arr), 0.1)
+    lam_arr = (vw_arr - v_arr) / denom  # slip_ratio
+    # mu_scalar, not the vectorized mu: np.arctan is not libm's atan, and
+    # the recorded mu would move by up to several ulp
+    mu_arr = np.empty(n_steps)
+    for lo, hi, index in _spans(segments, n_steps):
+        mu_scalar = DEFAULT_CURVES[ROADS[index]].mu_scalar
+        mu_arr[lo:hi] = np.fromiter(map(mu_scalar, lam_arr[lo:hi].tolist()),
+                                    float, hi - lo)
+    return SimTrace(t=np.arange(n_steps) * dt, v=v_arr, vw=vw_arr,
+                    lam=lam_arr, t_cmd=cmd_arr, t_applied=app_arr, mu=mu_arr,
+                    road_true_idx=_held_column(segments, n_steps),
+                    road_est_idx=_held_column(estimates, n_steps), dt=dt)
 
 
 def slip_deviation(trace):
@@ -262,15 +319,17 @@ def compare(tcs_list, arte_modes, base_cfg):
 
 
 def write_trace_csv(path, trace):
+    columns = (trace.t, trace.v, trace.vw, trace.lam, trace.t_cmd,
+               trace.t_applied, trace.mu)
+    roads = (trace.road_true_idx, trace.road_est_idx)
+    names = _ROAD_NAMES.__getitem__
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for k in range(len(trace.t)):
-            est = trace.road_est[k]
-            fh.write("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s\n" % (
-                trace.t[k], trace.v[k], trace.vw[k], trace.lam[k],
-                trace.t_cmd[k], trace.t_applied[k], trace.mu[k],
-                trace.road_true[k].value,
-                "none" if est is None else est.value))
+        for lo in range(0, len(trace.t), TRACE_CHUNK_ROWS):
+            part = slice(lo, lo + TRACE_CHUNK_ROWS)
+            cells = [col[part].tolist() for col in columns]
+            cells += [map(names, col[part].tolist()) for col in roads]
+            fh.write("".join(map(TRACE_ROW.__mod__, zip(*cells))))
 
 
 def compare_lines(rows):

@@ -1,4 +1,5 @@
 import math
+import warnings
 import wave
 
 import numpy as np
@@ -194,12 +195,29 @@ def test_non_finite_frame_is_an_audio_format_error(make):
         extract_raw(make())
 
 
-def test_overflowing_spectrum_is_an_audio_format_error():
+def overflowing_spectrum_frame():
     # finite energy (4410 * 4e304 < 1.8e308), but |rfft|**2 overflows
-    frame = Frame(2e152 * np.random.default_rng(1).standard_normal(4410), 0)
+    return Frame(2e152 * np.random.default_rng(1).standard_normal(4410), 0)
+
+
+def test_overflowing_spectrum_is_an_audio_format_error():
+    frame = overflowing_spectrum_frame()
     assert np.all(np.isfinite(lpc(frame)))
     with pytest.raises(AudioFormatError):
         extract_raw(frame)
+
+
+REJECTED_FRAMES = dict(NON_FINITE_FRAMES,
+                       spectrum_overflows=overflowing_spectrum_frame)
+
+
+@pytest.mark.parametrize("make", REJECTED_FRAMES.values(),
+                         ids=REJECTED_FRAMES)
+def test_rejected_frame_emits_no_warning(make):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AudioFormatError):
+            extract_raw(make())
 
 
 def test_band_energy_sine_dominates_its_band():

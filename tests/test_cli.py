@@ -1,7 +1,8 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
-import tempfile
 
 import pytest
 
@@ -10,24 +11,27 @@ import arte_tcs.cli as cli
 from arte_tcs.errors import SimulationDiverged
 from arte_tcs.tire_road import RoadType, peak_friction
 
-_state = {}
+
+@pytest.fixture(scope="session")
+def wav_tree(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("arte_wavs"))
+    assert cli.main(["synth", "--out", root, "--seed", "0"]) == 0
+    return root
 
 
-def wav_tree():
-    if "tree" not in _state:
-        root = tempfile.mkdtemp(prefix="arte_wavs_")
-        assert cli.main(["synth", "--out", root, "--seed", "0"]) == 0
-        _state["tree"] = root
-    return _state["tree"]
-
-
-def model_path():
-    if "model" not in _state:
-        path = os.path.join(tempfile.mkdtemp(prefix="arte_model_"),
-                            "model.txt")
+@pytest.fixture(scope="session")
+def trained(tmp_path_factory):
+    """`arte-tcs train`, once per session: the model path and its stdout."""
+    path = str(tmp_path_factory.mktemp("arte_model") / "model.txt")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
         assert cli.main(["train", "--out", path]) == 0
-        _state["model"] = path
-    return _state["model"]
+    return path, printed.getvalue()
+
+
+@pytest.fixture(scope="session")
+def model_path(trained):
+    return trained[0]
 
 
 def scen_file(tmp_path, body):
@@ -36,14 +40,13 @@ def scen_file(tmp_path, body):
     return str(path)
 
 
-def test_synth_writes_road_tree():
-    root = wav_tree()
+def test_synth_writes_road_tree(wav_tree):
     for road in RoadType:
-        assert os.path.exists(os.path.join(root, road.value, "0_0.wav"))
+        assert os.path.exists(os.path.join(wav_tree, road.value, "0_0.wav"))
 
 
-def test_features_rows_and_label_inference(capsys):
-    wav = os.path.join(wav_tree(), "snow", "0_0.wav")
+def test_features_rows_and_label_inference(capsys, wav_tree):
+    wav = os.path.join(wav_tree, "snow", "0_0.wav")
     assert cli.main(["features", wav, "--frames", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "label," + ",".join("f%d" % k for k in range(20))
@@ -57,15 +60,14 @@ def test_features_rows_and_label_inference(capsys):
     assert out[1].startswith("probe,")
 
 
-def test_train_reports_holdout_accuracy(capsys):
-    model_path()
-    acc = float(capsys.readouterr().out.split("accuracy=")[1])
+def test_train_reports_holdout_accuracy(trained):
+    acc = float(trained[1].split("accuracy=")[1])
     assert acc >= 0.85
 
 
-def test_classify_recovers_friction_point(capsys):
-    wav = os.path.join(wav_tree(), "snow", "0_0.wav")
-    assert cli.main(["classify", "--model", model_path(), wav]) == 0
+def test_classify_recovers_friction_point(capsys, wav_tree, model_path):
+    wav = os.path.join(wav_tree, "snow", "0_0.wav")
+    assert cli.main(["classify", "--model", model_path, wav]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "path,road,lambda_opt,mu_peak"
     _, road, lam, mu = lines[1].split(",")
@@ -130,7 +132,7 @@ def test_compare_rerun_is_byte_identical(tmp_path):
     assert len(data.splitlines()) == 3
 
 
-def test_exit_codes(tmp_path, capsys, monkeypatch):
+def test_exit_codes(tmp_path, capsys, monkeypatch, wav_tree):
     missing = str(tmp_path / "nope.ini")
     out = str(tmp_path / "x.csv")
     assert cli.main(["simulate", "--config", missing, "--out", out]) == 4
@@ -140,7 +142,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
     garbage = tmp_path / "model.txt"
     garbage.write_text("not a model\n")
-    wav = os.path.join(wav_tree(), "snow", "0_0.wav")
+    wav = os.path.join(wav_tree, "snow", "0_0.wav")
     assert cli.main(["classify", "--model", str(garbage), wav]) == 4
 
     def boom(cfg):
@@ -163,8 +165,8 @@ BAD_MODELS = {
 }
 
 
-def bad_model(tmp_path, line, value):
-    with open(model_path()) as fh:
+def bad_model(tmp_path, model_path, line, value):
+    with open(model_path) as fh:
         lines = fh.read().splitlines()
     lines[line] = " ".join([value] + lines[line].split()[1:])
     path = tmp_path / "bad_model.txt"
@@ -173,9 +175,10 @@ def bad_model(tmp_path, line, value):
 
 
 @pytest.mark.parametrize("line,value", BAD_MODELS.values(), ids=BAD_MODELS)
-def test_classify_rejects_non_finite_model(tmp_path, capsys, line, value):
-    model = bad_model(tmp_path, line, value)
-    wav = os.path.join(wav_tree(), "snow", "0_0.wav")
+def test_classify_rejects_non_finite_model(tmp_path, capsys, wav_tree,
+                                           model_path, line, value):
+    model = bad_model(tmp_path, model_path, line, value)
+    wav = os.path.join(wav_tree, "snow", "0_0.wav")
     capsys.readouterr()
     assert cli.main(["classify", "--model", model, wav]) == 4
     captured = capsys.readouterr()
@@ -185,8 +188,8 @@ def test_classify_rejects_non_finite_model(tmp_path, capsys, line, value):
 
 @pytest.mark.parametrize("line,value", BAD_MODELS.values(), ids=BAD_MODELS)
 def test_simulate_classifier_rejects_non_finite_model(tmp_path, capsys,
-                                                      line, value):
-    model = bad_model(tmp_path, line, value)
+                                                      model_path, line, value):
+    model = bad_model(tmp_path, model_path, line, value)
     cfg = scen_file(tmp_path, "[scenario]\nduration_s = 0.5\n"
                               "arte_mode = classifier\nmodel = %s\n" % model)
     out = str(tmp_path / "trace.csv")

@@ -1,5 +1,5 @@
-"""Golden SHA-256 digests of the default 8 s snow launch and of the
-acoustic features.
+"""Golden SHA-256 digests of the default 8 s snow launch, of a launch
+over four roads, and of the acoustic features.
 
 `golden/snow_launch.sha256` pins the bytes of the `simulate` trace CSV
 for mfc, src and mtte with the estimator off and oracle, and of the
@@ -107,3 +107,28 @@ def test_frame_features_digest(rate):
     rows = frame_rows(rate)
     assert rows.shape == (len(RoadType) * FRAMES_PER_ROAD, 20)
     assert sha(rows) == golden("extract_raw_%d" % rate, ACOUSTIC)
+
+
+# --- road switching -----------------------------------------------------
+#
+# `golden/switch_launch.sha256` pins the `simulate` trace CSV of src and
+# mtte with the oracle estimator over an 8 s asphalt -> snow -> gravel ->
+# stone launch whose switch times lie off the 1e-4 s step grid.  It covers
+# what the snow launch cannot: the friction column across several curves
+# and the mapping of road indices back to names.  Taken before the trace
+# recording was reworked.
+
+SWITCH = os.path.join(os.path.dirname(__file__), "golden",
+                      "switch_launch.sha256")
+SWITCH_SCHEDULE = ((0.0, RoadType.ASPHALT), (2.03, RoadType.SNOW),
+                   (4.1, RoadType.GRAVEL), (6.0, RoadType.STONE))
+
+
+@pytest.mark.parametrize("tag", ("src", "mtte"))
+def test_switch_launch_trace_digest(tmp_path, tag):
+    cfg = ScenarioConfig(road_schedule=SWITCH_SCHEDULE, controller=tag,
+                         arte_mode="oracle")
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), run_scenario(cfg))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == golden("trace_%s_oracle.csv" % tag, SWITCH)

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 from arte_tcs.arte_classifier import prune_features, split_dataset, train_mlp, save_model
 from arte_tcs.errors import ConfigError
-from arte_tcs.harness import (ScenarioConfig, SimTrace, _apply_estimate,
+from arte_tcs.harness import (NO_ESTIMATE, ROAD_INDEX, ScenarioConfig,
+                              SimTrace, _apply_estimate,
                               _build_controller, compare, load_scenario,
                               max_torque, metrics, run_scenario,
                               slip_deviation, torque_area, write_compare_csv,
@@ -30,8 +31,10 @@ def hand_trace(lam, torque, dt=0.1):
                     lam=np.asarray(lam, float),
                     t_cmd=np.asarray(torque, float),
                     t_applied=np.asarray(torque, float),
-                    mu=np.zeros(n), road_true=[RoadType.SNOW] * n,
-                    road_est=[None] * n, dt=dt)
+                    mu=np.zeros(n),
+                    road_true_idx=np.full(n, ROAD_INDEX[RoadType.SNOW],
+                                          np.int8),
+                    road_est_idx=np.full(n, NO_ESTIMATE, np.int8), dt=dt)
 
 
 def test_slip_deviation_hand_values():
