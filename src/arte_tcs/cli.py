@@ -46,6 +46,14 @@ def _wav_label(path, override):
         return "unknown"
 
 
+def _at_least(lo, **options):
+    """ConfigError unless every named integer option is at least lo."""
+    for name, value in options.items():
+        if value < lo:
+            raise ConfigError("--%s must be at least %d, got %d"
+                              % (name.replace("_", "-"), lo, value))
+
+
 def _emit(lines, out):
     text = "\n".join(lines) + "\n"
     if out is None:
@@ -76,6 +84,9 @@ def cmd_compare(args):
 
 
 def cmd_train(args):
+    _at_least(0, corpus_seed=args.corpus_seed, split_seed=args.split_seed,
+              seed=args.seed)
+    _at_least(1, epochs=args.epochs)
     ds = build_corpus(seed=args.corpus_seed)
     train, test = split_dataset(ds, seed=args.split_seed)
     mask = None if args.full_features else prune_features(train)
@@ -100,6 +111,7 @@ def cmd_classify(args):
 
 
 def cmd_features(args):
+    _at_least(0, seed=args.seed)
     lines = ["label," + ",".join("f%d" % k for k in range(20))]
     for path in args.wav:
         label = _wav_label(path, args.label)
@@ -133,6 +145,8 @@ def cmd_gap(args):
 
 
 def cmd_synth(args):
+    _at_least(0, seed=args.seed)
+    _at_least(1, clips=args.clips)
     paths = export_wavs(args.out, seed=args.seed,
                         clips_per_class=args.clips)
     print("wrote %d files under %s" % (len(paths), args.out))

@@ -97,7 +97,8 @@ class ModelFollowingControl:
         self.w_model += dt * t_dem / self.j_model
         err = self.hpf.step(w - self.w_model, dt)
         t_cmd = t_dem - self.gain * err
-        return min(max(t_cmd, 0.0), lim)
+        # a nan command (from an overflowed filter state) maps to 0
+        return min(t_cmd, lim) if t_cmd >= 0.0 else 0.0
 
 
 class SlipRatioControl:
@@ -192,7 +193,9 @@ class MaxTransmissibleTorque:
             t_grip = self.alpha * p.r * self.fd_peak
             if t_grip < t_max:
                 t_max = t_grip
-        if t_max < self.t_floor:
+        # not `t_max < self.t_floor`, so that a nan ceiling (from an
+        # overflowed observer) falls to the floor
+        if not t_max >= self.t_floor:
             t_max = self.t_floor
         t_dem = min(max(t_demand, 0.0), p.torque_limit)
         return t_dem if t_dem < t_max else t_max

@@ -5,16 +5,17 @@ schedule. Road estimation can be off, fed the true road (oracle), or run
 a trained classifier on per-window synthetic audio so misclassification
 propagates into the torque path.
 
-`run_scenario`'s step loop keeps only what feeds back into the dynamics:
-it records V, w, T_cmd and T_applied per step, and the steps at which the
-true road or the estimate changes.  The other trace columns are derived
-after the loop with the same IEEE operations as their per-step
-definitions: t = k*dt, Vw = w*r, lambda as `slip_ratio`, and mu by
-mapping the true road's `mu_scalar` over each road segment, so every
-column is bit-identical to what a per-step recording would hold.  The road
-columns are int8 indices into `ROADS`, with -1 for "no estimate";
-`SimTrace.road_true`/`road_est` decode them to `RoadType`/None and
-`write_trace_csv` maps them to names.
+`run_scenario` builds the plant step once per road segment
+(`make_plant_step`).  Its step loop keeps only what feeds back into the
+dynamics: it records V, w, T_cmd and T_applied per step, mu as the step
+returns it (the friction at the start state, from its first RK4 stage),
+and the steps at which the true road or the estimate changes.  The other
+trace columns are derived after the loop with the same IEEE operations as
+their per-step definitions: t = k*dt, Vw = w*r and lambda as
+`slip_ratio`, so every column is bit-identical to what a per-step
+recording would hold.  The road columns are int8 indices into `ROADS`,
+with -1 for "no estimate"; `SimTrace.road_true`/`road_est` decode them to
+`RoadType`/None and `write_trace_csv` maps them to names.
 """
 
 import configparser
@@ -31,7 +32,9 @@ from .errors import ConfigError, SimulationDiverged
 from .robustness import nu_gap, plant_family
 from .synth_corpus import class_clip
 from .tire_road import DEFAULT_CURVES, RoadType, peak_friction
-from .vehicle_plant import VehicleParams, plant_step
+from .vehicle_plant import VehicleParams, make_plant_step
+# not called here: bench/layertrace.py looks this name up in this module
+from .vehicle_plant import plant_step
 
 CONTROLLER_TAGS = ("mfc", "src", "mtte", "open")
 ARTE_MODES = ("off", "oracle", "classifier")
@@ -86,6 +89,9 @@ class ScenarioConfig:
             raise ConfigError("scenario duration must be positive")
         if not 0.0 < self.dt <= 5e-3:
             raise ConfigError("scenario dt must lie in (0, 5e-3] s")
+        # run_scenario rounds duration/dt half to even: 0.5 is 0 steps
+        if self.duration_s / self.dt <= 0.5:
+            raise ConfigError("scenario duration must cover at least one step")
         if self.torque_demand < 0.0:
             raise ConfigError("torque demand must be non-negative")
         if self.v0 < 0.0:
@@ -182,17 +188,12 @@ def _classifier_window(road, cfg, invocation):
     return AudioClip(samples=clip.samples[:n], sample_rate=clip.sample_rate)
 
 
-def _spans(changes, n):
-    """(first step, end step, value) of each (step, value) change, held
-    until the next change or step n."""
-    ends = [k for k, _ in changes[1:]] + [n]
-    return [(lo, hi, value) for (lo, value), hi in zip(changes, ends)]
-
-
 def _held_column(changes, n):
-    """int8 column of road indices; NO_ESTIMATE before the first change."""
+    """int8 column of road indices from (first step, road index) changes,
+    each held until the next; NO_ESTIMATE before the first change."""
     col = np.full(n, NO_ESTIMATE, dtype=np.int8)
-    for lo, hi, index in _spans(changes, n):
+    ends = [k for k, _ in changes[1:]] + [n]
+    for (lo, index), hi in zip(changes, ends):
         col[lo:hi] = index
     return col
 
@@ -213,6 +214,7 @@ def run_scenario(cfg):
     w_arr = np.empty(n_steps)
     cmd_arr = np.empty(n_steps)
     app_arr = np.empty(n_steps)
+    mu_arr = np.empty(n_steps)
     segments = []  # (first step, road index) of each schedule entry
     estimates = []  # (first step, road index) of each installed estimate
 
@@ -228,7 +230,7 @@ def run_scenario(cfg):
             while sched_i + 1 < len(sched) and t >= sched[sched_i + 1][0]:
                 sched_i += 1
             road = sched[sched_i][1]
-            curve = DEFAULT_CURVES[road]
+            step = make_plant_step(DEFAULT_CURVES[road], p, dt)
             segments.append((k, ROAD_INDEX[road]))
             next_switch = (sched[sched_i + 1][0] if sched_i + 1 < len(sched)
                            else math.inf)
@@ -252,8 +254,7 @@ def run_scenario(cfg):
         app_arr[k] = t_applied
 
         try:
-            v, w, t_applied = plant_step(v, w, t_applied, t_cmd, dt,
-                                         curve, p)
+            v, w, t_applied, mu_arr[k] = step(v, w, t_applied, t_cmd)
         except SimulationDiverged as exc:
             raise SimulationDiverged(str(exc), t=t, step=k) from exc
 
@@ -261,13 +262,6 @@ def run_scenario(cfg):
     vw_arr = w_arr * p.r
     denom = np.maximum(np.where(vw_arr > v_arr, vw_arr, v_arr), 0.1)
     lam_arr = (vw_arr - v_arr) / denom  # slip_ratio
-    # mu_scalar, not the vectorized mu: np.arctan is not libm's atan, and
-    # the recorded mu would move by up to several ulp
-    mu_arr = np.empty(n_steps)
-    for lo, hi, index in _spans(segments, n_steps):
-        mu_scalar = DEFAULT_CURVES[ROADS[index]].mu_scalar
-        mu_arr[lo:hi] = np.fromiter(map(mu_scalar, lam_arr[lo:hi].tolist()),
-                                    float, hi - lo)
     return SimTrace(t=np.arange(n_steps) * dt, v=v_arr, vw=vw_arr,
                     lam=lam_arr, t_cmd=cmd_arr, t_applied=app_arr, mu=mu_arr,
                     road_true_idx=_held_column(segments, n_steps),

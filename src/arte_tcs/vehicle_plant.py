@@ -16,10 +16,17 @@ so the ratio stays defined through launch from rest.  Motor torque
 follows the command through a first-order lag with time constant
 tau_motor; the lag is advanced by its exact solution each step, and the
 mechanical pair (V, w) by classic RK4 with the lagged torque evaluated
-at the stage times.  `derivs` is the single right-hand side: every RK4
-stage calls it, and it is built from `drive_force` and
-`driving_resistance`, so each formula above exists once.  States are
-clamped non-negative (forward driving only).
+at the stage times.  States are clamped non-negative (forward driving
+only).
+
+`make_plant_step(curve, params, dt)` is the one kernel.  It is built once
+per road segment: the curve's B/C/D/E, the normal load, the resistance
+coefficients, the torque limit and the lag decay are bound once, and its
+right-hand side inlines `slip_ratio`, `mu_scalar`, `drive_force` and
+`driving_resistance` with the same IEEE operations in the same order, so
+its results are bit-identical to theirs.  Besides the new state it
+returns mu at the start state, which its first RK4 stage computes anyway.
+`plant_step` is its single-step form.
 """
 
 import math
@@ -88,47 +95,76 @@ def drive_force(v, w, curve, params):
     return curve.mu_scalar(lam) * params.normal_load()
 
 
-def derivs(v, w, torque, curve, params):
-    """(dV/dt, dw/dt) at the given state and applied torque."""
-    fd = drive_force(v, w, curve, params)
-    fdr = driving_resistance(v, params) if v > 0.0 else 0.0
-    dv = (4.0 * fd - fdr) / params.m_vehicle
-    dw = (torque - params.r * fd) / params.jw
-    return dv, dw
+def make_plant_step(curve, params, dt):
+    """Plant step for one road curve, vehicle and step size.
+
+    Returns step(v, w, t_applied, t_cmd) -> (v, w, t_applied, mu): the
+    state at t + dt and the friction coefficient at the start state.
+    """
+    if not 0.0 < dt <= 5e-3:
+        raise ConfigError("plant step size must lie in (0, 5e-3] s")
+    b, c, d, e = curve.b, curve.c, curve.d, curve.e
+    r, m, jw = params.r, params.m_vehicle, params.jw
+    load = params.normal_load()
+    roll = params.mu_roll * params.m_vehicle * params.g
+    aero = 0.5 * params.rho_air * params.cda
+    lim = params.torque_limit
+    # exact first-order lag at the half and full step
+    decay = math.exp(-0.5 * dt / params.tau_motor)
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    atan, sin, isfinite = math.atan, math.sin, math.isfinite
+
+    def derivs(v, w, torque):
+        """(dV/dt, dw/dt, mu) at the given state and applied torque."""
+        # slip_ratio
+        vw = r * w
+        denom = vw if vw > v else v
+        if denom < 0.1:
+            denom = 0.1
+        lam = (vw - v) / denom
+        # mu_scalar
+        if lam > 1.0:
+            lam = 1.0
+        elif lam < -1.0:
+            lam = -1.0
+        bl = b * lam
+        mu = d * sin(c * atan(bl - e * (bl - atan(bl))))
+        # drive_force, driving_resistance
+        fd = mu * load
+        fdr = roll + aero * v * v if v > 0.0 else 0.0
+        return (4.0 * fd - fdr) / m, (torque - r * fd) / jw, mu
+
+    def step(v, w, t_applied, t_cmd):
+        if not (isfinite(t_cmd) and isfinite(v) and isfinite(w)
+                and isfinite(t_applied)):
+            raise SimulationDiverged(
+                "non-finite state or command entering step")
+        if t_cmd > lim:
+            t_cmd = lim
+        elif t_cmd < -lim:
+            t_cmd = -lim
+        lag = (t_applied - t_cmd) * decay
+        t_half = t_cmd + lag
+        t_full = t_cmd + lag * decay
+
+        k1v, k1w, mu = derivs(v, w, t_applied)
+        k2v, k2w, _ = derivs(v + half_dt * k1v, w + half_dt * k1w, t_half)
+        k3v, k3w, _ = derivs(v + half_dt * k2v, w + half_dt * k2w, t_half)
+        k4v, k4w, _ = derivs(v + dt * k3v, w + dt * k3w, t_full)
+        v2 = v + sixth_dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        w2 = w + sixth_dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+
+        if not (isfinite(v2) and isfinite(w2)):
+            raise SimulationDiverged("state became non-finite during step")
+        if v2 < 0.0:
+            v2 = 0.0
+        if w2 < 0.0:
+            w2 = 0.0
+        return v2, w2, t_full, mu
+
+    return step
 
 
 def plant_step(v, w, t_applied, t_cmd, dt, curve, params):
     """Advance one step; returns (v, w, t_applied) at t + dt."""
-    p = params
-    if not 0.0 < dt <= 5e-3:
-        raise ConfigError("plant step size must lie in (0, 5e-3] s")
-    if not (math.isfinite(t_cmd) and math.isfinite(v) and math.isfinite(w)
-            and math.isfinite(t_applied)):
-        raise SimulationDiverged("non-finite state or command entering step")
-
-    lim = p.torque_limit
-    if t_cmd > lim:
-        t_cmd = lim
-    elif t_cmd < -lim:
-        t_cmd = -lim
-
-    # exact first-order lag at the half and full step
-    decay = math.exp(-0.5 * dt / p.tau_motor)
-    t_half = t_cmd + (t_applied - t_cmd) * decay
-    t_full = t_cmd + (t_applied - t_cmd) * decay * decay
-
-    h = dt
-    k1v, k1w = derivs(v, w, t_applied, curve, p)
-    k2v, k2w = derivs(v + 0.5 * h * k1v, w + 0.5 * h * k1w, t_half, curve, p)
-    k3v, k3w = derivs(v + 0.5 * h * k2v, w + 0.5 * h * k2w, t_half, curve, p)
-    k4v, k4w = derivs(v + h * k3v, w + h * k3w, t_full, curve, p)
-    v2 = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    w2 = w + h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-
-    if not (math.isfinite(v2) and math.isfinite(w2)):
-        raise SimulationDiverged("state became non-finite during step")
-    if v2 < 0.0:
-        v2 = 0.0
-    if w2 < 0.0:
-        w2 = 0.0
-    return v2, w2, t_full
+    return make_plant_step(curve, params, dt)(v, w, t_applied, t_cmd)[:3]

@@ -210,6 +210,7 @@ BAD_SCENARIOS = {
     "vehicle_nan": b"[vehicle]\nmu_roll = nan\n",
     "seed_negative": b"[scenario]\nseed = -1\n",
     "not_text": b"[scenario]\n\xff\xfe\n",
+    "duration_under_one_step": b"[scenario]\nduration_s = 0.00004\n",
 }
 
 
@@ -221,6 +222,31 @@ def test_simulate_bad_scenario_exits_two(tmp_path, capsys, body):
     assert cli.main(["simulate", "--config", str(cfg), "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not os.path.exists(out)
+
+
+BAD_OPTIONS = {
+    "synth_seed_negative": ["synth", "--out", "{out}", "--seed", "-1"],
+    "synth_no_clips": ["synth", "--out", "{out}", "--clips", "0"],
+    "features_seed_negative": ["features", "--out", "{out}", "--seed", "-1",
+                               "{wav}"],
+    "train_corpus_seed_negative": ["train", "--out", "{out}",
+                                   "--corpus-seed", "-1"],
+    "train_split_seed_negative": ["train", "--out", "{out}",
+                                  "--split-seed", "-1"],
+    "train_seed_negative": ["train", "--out", "{out}", "--seed", "-1"],
+    "train_epochs_negative": ["train", "--out", "{out}", "--epochs", "-5"],
+    "train_no_epochs": ["train", "--out", "{out}", "--epochs", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_OPTIONS.values(), ids=BAD_OPTIONS)
+def test_bad_option_exits_two(tmp_path, capsys, wav_tree, argv):
+    out = tmp_path / "out"
+    wav = os.path.join(wav_tree, "snow", "0_0.wav")
+    argv = [arg.format(out=out, wav=wav) for arg in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --")
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_two():

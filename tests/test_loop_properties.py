@@ -1,24 +1,29 @@
 """Property tests of the closed loop: the plant step, the controllers, and
 the trace columns that `run_scenario` derives after its step loop.
 
-The derived columns are checked for exact (bit) equality with their
-per-step definitions, not to a tolerance: t[k] == k*dt, lambda[k] ==
-slip_ratio at (V[k], Vw[k]), road_true[k] is the schedule's road at t[k],
-and mu[k] == mu_scalar(lambda[k]) of that road.
+The plant kernel is checked bit for bit against a reference RK4 written
+here from the public formulas, and the derived columns for exact (bit)
+equality with their per-step definitions, not to a tolerance: t[k] ==
+k*dt, lambda[k] == slip_ratio at (V[k], Vw[k]), road_true[k] is the
+schedule's road at t[k], and mu[k] == mu_scalar(lambda[k]) of that road.
 """
 
 import bisect
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arte_tcs.errors import ConfigError, SimulationDiverged
 from arte_tcs.harness import (CONTROLLER_TAGS, ScenarioConfig,
                               _apply_estimate, _build_controller,
                               run_scenario)
-from arte_tcs.tire_road import DEFAULT_CURVES, RoadType
-from arte_tcs.vehicle_plant import VehicleParams, plant_step, slip_ratio
+from arte_tcs.tire_road import DEFAULT_CURVES, MuLambdaCurve, RoadType
+from arte_tcs.vehicle_plant import (VehicleParams, drive_force,
+                                    driving_resistance, make_plant_step,
+                                    plant_step, slip_ratio)
 
 PARAMS = VehicleParams()
 LIMIT = PARAMS.torque_limit
@@ -35,6 +40,88 @@ def finite(lo, hi):
 speeds = finite(0.0, 100.0)
 wheel_speeds = finite(0.0, 400.0)
 step_sizes = finite(1e-6, 5e-3)
+# any finite float, for inputs a physical run never produces
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+# the default curves, and any curve that MuLambdaCurve.validate accepts
+curves = st.sampled_from(tuple(DEFAULT_CURVES.values())) | st.builds(
+    MuLambdaCurve,
+    b=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    c=st.floats(1.0, 3.0, exclude_min=True, exclude_max=True),
+    d=st.floats(0.0, 1.5, exclude_min=True),
+    e=any_finite).map(MuLambdaCurve.validate)
+
+# the default vehicle, and vehicles far from it: light, drag-dominated or
+# with a small wheel inertia, where each rounding reaches the state
+positive = finite(1e-3, 1e3)
+vehicles = st.just(PARAMS) | st.builds(
+    VehicleParams, m_vehicle=positive, m_wheel=positive, jw=positive,
+    r=finite(0.05, 1.0), tau_motor=positive, mu_roll=finite(0.0, 1.0),
+    cda=finite(0.0, 10.0), rho_air=positive, g=positive,
+    torque_limit=positive).map(VehicleParams.validate)
+
+
+def reference_step(v, w, t_applied, t_cmd, dt, curve, params):
+    """Classic RK4 of the model, from drive_force, driving_resistance and
+    the exact lag, written out without any of the kernel's bindings."""
+    lim = params.torque_limit
+    t_cmd = min(max(t_cmd, -lim), lim)
+    decay = math.exp(-0.5 * dt / params.tau_motor)
+    t_half = t_cmd + (t_applied - t_cmd) * decay
+    t_full = t_cmd + (t_applied - t_cmd) * decay * decay
+
+    def f(v, w, torque):
+        fd = drive_force(v, w, curve, params)
+        fdr = driving_resistance(v, params) if v > 0.0 else 0.0
+        return ((4.0 * fd - fdr) / params.m_vehicle,
+                (torque - params.r * fd) / params.jw)
+
+    k1v, k1w = f(v, w, t_applied)
+    k2v, k2w = f(v + 0.5 * dt * k1v, w + 0.5 * dt * k1w, t_half)
+    k3v, k3w = f(v + 0.5 * dt * k2v, w + 0.5 * dt * k2w, t_half)
+    k4v, k4w = f(v + dt * k3v, w + dt * k3w, t_full)
+    v2 = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    w2 = w + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+    return max(v2, 0.0), max(w2, 0.0), t_full
+
+
+def bits(values):
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(v=speeds, w=wheel_speeds, t_applied=finite(0.0, LIMIT),
+       t_cmd=finite(-3.0 * LIMIT, 3.0 * LIMIT), dt=step_sizes, curve=curves,
+       params=vehicles)
+def test_plant_kernel_matches_reference_rk4_bit_for_bit(v, w, t_applied,
+                                                        t_cmd, dt, curve,
+                                                        params):
+    step = make_plant_step(curve, params, dt)
+    expected = reference_step(v, w, t_applied, t_cmd, dt, curve, params)
+    if not all(map(math.isfinite, expected)):
+        with pytest.raises(SimulationDiverged):
+            step(v, w, t_applied, t_cmd)
+        return
+    *state, mu = step(v, w, t_applied, t_cmd)
+    assert bits(state) == bits(expected)
+    assert bits([mu]) == bits([curve.mu_scalar(slip_ratio(v, w, params.r))])
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-4, 5.000001e-3, 1.0, math.nan,
+                                math.inf])
+def test_plant_kernel_rejects_bad_step_size_when_built(dt):
+    with pytest.raises(ConfigError):
+        make_plant_step(DEFAULT_CURVES[RoadType.SNOW], PARAMS, dt)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", range(4))
+def test_plant_kernel_rejects_non_finite_input(bad, position):
+    step = make_plant_step(DEFAULT_CURVES[RoadType.SNOW], PARAMS, 1e-4)
+    args = [1.0, 4.0, 100.0, 200.0]
+    args[position] = bad
+    with pytest.raises(SimulationDiverged):
+        step(*args)
 
 
 @settings(max_examples=300, deadline=None)
@@ -47,12 +134,18 @@ def test_plant_step_keeps_state_finite_and_non_negative(v, w, t_applied,
     assert out[2] <= LIMIT
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(tag=st.sampled_from(CONTROLLER_TAGS), estimate=st.none() | roads,
-       inputs=st.lists(st.tuples(speeds, wheel_speeds, finite(0.0, LIMIT),
-                                 finite(0.0, 3.0 * LIMIT), step_sizes),
+       inputs=st.lists(st.tuples(speeds | any_finite,
+                                 wheel_speeds | any_finite,
+                                 finite(0.0, LIMIT) | any_finite,
+                                 finite(0.0, 3.0 * LIMIT) | any_finite,
+                                 step_sizes | st.floats(0.0, 5e-3,
+                                                        exclude_min=True)),
                        min_size=1, max_size=20))
 def test_controller_output_within_torque_limit(tag, estimate, inputs):
+    # physical inputs, or any finite ones: an overflowed observer or
+    # filter state must not turn into a nan command
     cfg = ScenarioConfig(controller=tag)
     ctrl = _build_controller(cfg)
     if estimate is not None:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arte_tcs.errors import ConfigError, PoleOnAxisError
 from arte_tcs.robustness import (chordal_distance, eval_freq, make_tf,
@@ -80,6 +82,31 @@ def test_gap_symmetry_and_bounds_on_battery():
         rev = nu_gap(tf2, tf1)
         assert abs(fwd.value - rev.value) < 1e-9
         assert 0.0 <= fwd.value <= 1.0
+
+
+# coefficients bounded away from zero keep every pole off the imaginary
+# axis, where the frequency response is undefined
+nonzero = st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
+
+
+@st.composite
+def proper_plants(draw):
+    """First- or second-order plant with a numerator of at most its order."""
+    order = draw(st.integers(1, 2))
+    den = draw(st.lists(nonzero, min_size=order + 1, max_size=order + 1))
+    num = draw(st.lists(st.floats(-10.0, 10.0), min_size=1,
+                        max_size=order + 1))
+    return make_tf(num, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tf1=proper_plants(), tf2=proper_plants())
+def test_gap_is_symmetric_and_bounded_on_random_plants(tf1, tf2):
+    fwd = nu_gap(tf1, tf2)
+    rev = nu_gap(tf2, tf1)
+    assert fwd.value == rev.value
+    assert fwd.winding_ok == rev.winding_ok
+    assert 0.0 <= fwd.value <= 1.0
 
 
 def test_gap_stable_under_grid_doubling():
