@@ -21,5 +21,5 @@ for road in RoadType:
 print()
 print("peak operating points:")
 for road in RoadType:
-    lam, mu = peak_friction(road)
+    lam, mu = peak_friction(DEFAULT_CURVES[road])
     print("  %-8s lambda_opt=%.4f mu_peak=%.3f" % (road.value, lam, mu))

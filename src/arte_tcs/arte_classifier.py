@@ -17,7 +17,7 @@ from .errors import (
     ModelFormatError,
     TrainingDiverged,
 )
-from .tire_road import RoadType, peak_friction
+from .tire_road import DEFAULT_CURVES, RoadType, peak_friction
 
 ROAD_ORDER = tuple(RoadType)
 RAW_DIM = 20
@@ -27,6 +27,10 @@ HIDDEN_SIZES = (4, 3, 2)
 LOSS_TARGET = 1e-3
 LEARNING_RATE = 1.0
 VAR_FLOOR = 1e-9
+# normalized features are clipped here: far beyond anything a trained model
+# sees, and near enough that any finite feature vector keeps the first
+# layer finite (for weights up to ~1e290)
+Z_LIMIT = 1e12
 
 
 @dataclass
@@ -205,12 +209,18 @@ def _logistic(z):
 
 
 def _forward(model, x):
-    a = x
+    """Activations of every layer, the input first and the output last.
+
+    exp in `_logistic` overflows to inf below z = -709.78, where
+    1 / (1 + inf) is exactly 0: `classify` ignores that overflow, and
+    training lets it warn, as a sign of runaway weights.
+    """
+    acts = [x]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        a = _logistic(z) if i == last else np.tanh(z)
-    return a
+        z = acts[-1] @ w.T + b
+        acts.append(_logistic(z) if i == last else np.tanh(z))
+    return acts
 
 
 def _init_model(n_in, seed):
@@ -238,29 +248,20 @@ def train_mlp(ds, mask, seed=0, max_epochs=5000):
     """
     if ds.norm_mean is None:
         ds.fit_normalization()
-    xall = ds.normalized()
-    if mask is not None:
-        xall = xall[:, mask.indices]
+    indices = (np.arange(ds.features.shape[1]) if mask is None
+               else np.array(mask.indices, dtype=int))
+    xall = ds.normalized()[:, indices]
     y = one_hot(ds.labels)
-    model = _init_model(xall.shape[1], seed)
-    if mask is not None:
-        model.norm_mean = ds.norm_mean[mask.indices]
-        model.norm_scale = ds.norm_scale[mask.indices]
-        model.mask_indices = np.array(mask.indices, dtype=int)
-    else:
-        model.norm_mean = ds.norm_mean.copy()
-        model.norm_scale = ds.norm_scale.copy()
-        model.mask_indices = np.arange(xall.shape[1])
+    model = _init_model(len(indices), seed)
+    model.norm_mean = ds.norm_mean[indices]
+    model.norm_scale = ds.norm_scale[indices]
+    model.mask_indices = indices
 
     n = xall.shape[0]
     last = len(model.weights) - 1
     for epoch in range(max_epochs):
-        acts = [xall]
-        a = xall
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            z = a @ w.T + b
-            a = _logistic(z) if i == last else np.tanh(z)
-            acts.append(a)
+        acts = _forward(model, xall)
+        a = acts[-1]
         loss = float(np.mean((a - y) ** 2))
         if not np.isfinite(loss):
             raise TrainingDiverged("loss became non-finite at epoch %d"
@@ -279,14 +280,23 @@ def train_mlp(ds, mask, seed=0, max_epochs=5000):
 
 
 def classify(model, features):
-    """(road, confidence); confidence from outputs normalized to sum 1."""
+    """(road, confidence); confidence from outputs normalized to sum 1.
+
+    Outputs that all saturate to 0 give the first road at confidence
+    1 / len(ROAD_ORDER).
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.shape != (model.sizes[0],):
         raise ConfigError("expected %d features, got %r"
                           % (model.sizes[0], x.shape))
-    z = (x - model.norm_mean) / model.norm_scale
-    out = _forward(model, z[None, :])[0]
-    probs = out / out.sum()
+    with np.errstate(over="ignore"):
+        z = (x - model.norm_mean) / model.norm_scale
+        z = np.minimum(np.maximum(z, -Z_LIMIT), Z_LIMIT)
+        out = _forward(model, z[None, :])[-1][0]
+    total = out.sum()
+    if total == 0.0:
+        return ROAD_ORDER[0], 1.0 / len(ROAD_ORDER)
+    probs = out / total
     k = int(np.argmax(probs))
     return ROAD_ORDER[k], float(probs[k])
 
@@ -312,8 +322,7 @@ def arte_estimate(model, mask, clip_window):
                   origin_offset=0)
     raw = extract_raw(frame)
     road, _ = classify(model, raw[mask.indices])
-    lam, mu = peak_friction(road)
-    return road, lam, mu
+    return (road,) + peak_friction(DEFAULT_CURVES[road])
 
 
 def save_model(path, model):

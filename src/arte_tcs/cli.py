@@ -18,15 +18,13 @@ from .arte_dsp import extract_raw, load_wav, sample_frames
 from .errors import (AudioFormatError, ConfigError, DegenerateSignalError,
                      InsufficientAudioError, ModelFormatError,
                      SimulationDiverged)
-from .harness import (ScenarioConfig, compare, compare_lines, load_scenario,
-                      metrics, run_scenario, write_compare_csv,
-                      write_trace_csv)
-from .robustness import make_tf, nu_gap, plant_family
+from .controllers import CONTROLLERS
+from .harness import (ARTE_MODES, ScenarioConfig, compare, compare_lines,
+                      load_scenario, metrics, run_scenario, write_trace_csv)
+from .robustness import FAMILY_BOXES, make_tf, nu_gap, plant_family
 from .synth_corpus import build_corpus, export_wavs
 from .tire_road import RoadType
 from .vehicle_plant import VehicleParams
-
-CONTROLLER_CHOICES = ("mfc", "src", "mtte")
 
 
 def _coeffs(text):
@@ -76,10 +74,7 @@ def cmd_simulate(args):
 def cmd_compare(args):
     base = load_scenario(args.config) if args.config else ScenarioConfig()
     rows = compare(tuple(args.controllers), tuple(args.modes), base)
-    if args.out is None:
-        _emit(compare_lines(rows), None)
-    else:
-        write_compare_csv(args.out, rows)
+    _emit(compare_lines(rows), args.out)
     return 0
 
 
@@ -169,10 +164,10 @@ def build_parser():
                        help="metric table over controllers and ARTE modes")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--controllers", nargs="+", default=CONTROLLER_CHOICES,
-                   choices=CONTROLLER_CHOICES + ("open",))
+    p.add_argument("--controllers", nargs="+", default=tuple(FAMILY_BOXES),
+                   choices=CONTROLLERS)
     p.add_argument("--modes", nargs="+", default=("off", "oracle"),
-                   choices=("off", "oracle", "classifier"))
+                   choices=ARTE_MODES)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("train", help="fit the road classifier, save to file")
@@ -203,7 +198,7 @@ def build_parser():
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("gap", help="nu-gap between two plants")
-    p.add_argument("--controller", choices=CONTROLLER_CHOICES, default=None,
+    p.add_argument("--controller", choices=tuple(FAMILY_BOXES), default=None,
                    help="use the uncertainty family of this controller")
     p.add_argument("--arte", action="store_true",
                    help="shrink the family to the estimator-on box")

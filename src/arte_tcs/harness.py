@@ -3,7 +3,10 @@
 A scenario wires one controller to the quarter-vehicle plant over a road
 schedule. Road estimation can be off, fed the true road (oracle), or run
 a trained classifier on per-window synthetic audio so misclassification
-propagates into the torque path.
+propagates into the torque path.  At each estimator tick the loop forms
+one belief, (road, lambda_opt, mu_peak) -- the oracle's from the true
+road's curve, the classifier's as `arte_estimate` returns it -- and hands
+it to the controller's `set_estimate`.
 
 `run_scenario` builds the plant step once per road segment
 (`make_plant_step`).  Its step loop keeps only what feeds back into the
@@ -26,28 +29,20 @@ import numpy as np
 
 from .arte_classifier import SelectionMask, arte_estimate, load_model
 from .arte_dsp import AudioClip, frame_length
-from .controllers import (MaxTransmissibleTorque, ModelFollowingControl,
-                          OpenLoop, SlipRatioControl)
+from .controllers import (CONTROLLERS, MaxTransmissibleTorque,
+                          ModelFollowingControl, OpenLoop, SlipRatioControl)
 from .errors import ConfigError, SimulationDiverged
-from .robustness import nu_gap, plant_family
+from .robustness import FAMILY_BOXES, nu_gap, plant_family
 from .synth_corpus import class_clip
 from .tire_road import DEFAULT_CURVES, RoadType, peak_friction
 from .vehicle_plant import VehicleParams, make_plant_step
 # not called here: bench/layertrace.py looks this name up in this module
 from .vehicle_plant import plant_step
 
-CONTROLLER_TAGS = ("mfc", "src", "mtte", "open")
 ARTE_MODES = ("off", "oracle", "classifier")
 ARTE_PERIOD_MIN = 0.1
-
-# surface-matched relaxation: the slipperier the surface, the closer the
-# torque bound tracks the estimated transferable force
-ALPHA_BY_ROAD = {
-    RoadType.ASPHALT: 0.75,
-    RoadType.STONE: 0.80,
-    RoadType.GRAVEL: 0.85,
-    RoadType.SNOW: 0.90,
-}
+# longest run, in steps: 1000 s at the default dt
+MAX_STEPS = 10_000_000
 
 TRACE_HEADER = "t,V,Vw,lambda,T_cmd,T_applied,mu,road_true,road_est"
 TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s\n"
@@ -92,13 +87,16 @@ class ScenarioConfig:
         # run_scenario rounds duration/dt half to even: 0.5 is 0 steps
         if self.duration_s / self.dt <= 0.5:
             raise ConfigError("scenario duration must cover at least one step")
+        if self.duration_s / self.dt > MAX_STEPS:
+            raise ConfigError("scenario duration must not exceed %d steps"
+                              % MAX_STEPS)
         if self.torque_demand < 0.0:
             raise ConfigError("torque demand must be non-negative")
         if self.v0 < 0.0:
             raise ConfigError("initial speed must be non-negative")
         if self.seed < 0:
             raise ConfigError("scenario seed must be non-negative")
-        if self.controller not in CONTROLLER_TAGS:
+        if self.controller not in CONTROLLERS:
             raise ConfigError("unknown controller %r" % (self.controller,))
         if self.arte_mode not in ARTE_MODES:
             raise ConfigError("unknown arte mode %r" % (self.arte_mode,))
@@ -164,21 +162,8 @@ def _build_controller(cfg):
     if cfg.controller == "src":
         return SlipRatioControl(p)
     if cfg.controller == "mtte":
-        ctrl = MaxTransmissibleTorque(p)
-        ctrl.reset(fd_hat0=cfg.fd_hat0)
-        return ctrl
+        return MaxTransmissibleTorque(p, fd_hat0=cfg.fd_hat0)
     return OpenLoop(p)
-
-
-def _apply_estimate(ctrl, cfg, road):
-    lam, mu = peak_friction(road)
-    if cfg.controller == "mfc":
-        ctrl.set_slip_estimate(lam)
-    elif cfg.controller == "src":
-        ctrl.set_reference(lam, mu)
-    elif cfg.controller == "mtte":
-        ctrl.set_road_estimate(ALPHA_BY_ROAD[road],
-                               mu * cfg.params.normal_load())
 
 
 def _classifier_window(road, cfg, invocation):
@@ -237,12 +222,12 @@ def run_scenario(cfg):
 
         if t >= arte_due:
             if cfg.arte_mode == "oracle":
-                estimate = road
+                belief = (road,) + peak_friction(DEFAULT_CURVES[road])
             else:
                 window = _classifier_window(road, cfg, invocation)
-                estimate, _, _ = arte_estimate(model, mask, window)
-            _apply_estimate(ctrl, cfg, estimate)
-            estimates.append((k, ROAD_INDEX[estimate]))
+                belief = arte_estimate(model, mask, window)
+            ctrl.set_estimate(*belief)
+            estimates.append((k, ROAD_INDEX[belief[0]]))
             invocation += 1
             next_arte += cfg.arte_period_s
             arte_due = next_arte - 1e-12
@@ -303,7 +288,7 @@ def compare(tcs_list, arte_modes, base_cfg):
             cfg = replace(base_cfg, controller=tag, arte_mode=mode)
             trace = run_scenario(cfg)
             gap = None
-            if tag in ("mfc", "src", "mtte"):
+            if tag in FAMILY_BOXES:
                 nominal, worst = plant_family(tag, cfg.params,
                                               arte_on=(mode != "off"))
                 gap = nu_gap(nominal, worst)
@@ -335,11 +320,6 @@ def compare_lines(rows):
             tag, mode, rep.slip_deviation, rep.max_torque,
             rep.torque_area, gap))
     return lines
-
-
-def write_compare_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("\n".join(compare_lines(rows)) + "\n")
 
 
 def _number(convert, section, key, text):

@@ -23,12 +23,13 @@ GAIN_REF = 50.0
 NOMINAL_SLIP = 0.10
 NOMINAL_SCALE = 0.90
 
-# (slip, gain-scale) uncertainty boxes per controller; each box contains
-# the narrower ones, so the worst-case gaps inherit the same ordering
+# (slip, gain-scale) uncertainty boxes of the controllers that have a
+# family; each box contains the narrower ones (mfc in mtte in src), so the
+# worst-case gaps inherit the same ordering
 FAMILY_BOXES = {
     "mfc": ((0.05, 0.15), (0.75, 1.00)),
-    "mtte": ((0.00, 0.55), (0.40, 1.00)),
     "src": ((0.00, 0.90), (0.19, 1.00)),
+    "mtte": ((0.00, 0.55), (0.40, 1.00)),
 }
 ARTE_SHRINK = 0.10
 

@@ -7,7 +7,7 @@ four-parameter magic formula
 
 with one (B, C, D, E) set per road surface.  D is the peak friction
 level, B*C*D the stiffness at zero slip.  The module also provides the
-peak (lambda_opt, mu_peak) of each curve, computed once per road, and a
+peak (lambda_opt, mu_peak) of each curve, computed once per curve, and a
 config-file override path so curve sets can be swapped without code
 changes.
 """
@@ -85,40 +85,25 @@ DEFAULT_CURVES = {
 PEAK_GRID_POINTS = 4096
 
 
-def resolve_curve(road_or_curve):
-    """Accept a RoadType (looked up in the defaults) or a curve itself."""
-    if isinstance(road_or_curve, MuLambdaCurve):
-        return road_or_curve
-    return DEFAULT_CURVES[road_or_curve]
+@functools.cache
+def peak_friction(curve):
+    """(lambda_opt, mu_peak) of a curve, computed once per curve.
 
-
-def optimal_lambda(road_or_curve):
-    """Peak-friction slip ratio, found on a dense grid then refined.
-
-    One parabolic refinement step around the grid argmax; the curves
-    here are smooth and unimodal on [0, 1] so this lands within ~1e-6
-    of the true peak.
+    lambda_opt is the grid argmax on [0, 1] plus one parabolic
+    refinement step through the bracketing samples; the curves here are
+    smooth and unimodal on [0, 1] so this lands within ~1e-6 of the true
+    peak.
     """
-    curve = resolve_curve(road_or_curve)
     grid = np.linspace(0.0, 1.0, PEAK_GRID_POINTS)
     vals = curve.mu(grid)
     i = int(np.argmax(vals))
-    if i == 0 or i == PEAK_GRID_POINTS - 1:
-        return float(grid[i])
-    # parabola through the three bracketing samples
-    x0, x1, x2 = grid[i - 1], grid[i], grid[i + 1]
-    y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
-    denom = (y0 - 2.0 * y1 + y2)
-    if denom == 0.0:
-        return float(x1)
-    return float(x1 + 0.5 * (x1 - x0) * (y0 - y2) / denom)
-
-
-@functools.cache
-def peak_friction(road_or_curve):
-    """(lambda_opt, mu_peak) pair for a road or curve, computed once each."""
-    curve = resolve_curve(road_or_curve)
-    lam = optimal_lambda(curve)
+    lam = float(grid[i])
+    if 0 < i < PEAK_GRID_POINTS - 1:
+        x0, x1 = grid[i - 1], grid[i]
+        y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
+        denom = (y0 - 2.0 * y1 + y2)
+        if denom != 0.0:
+            lam = float(x1 + 0.5 * (x1 - x0) * (y0 - y2) / denom)
     return lam, float(curve.mu(lam))
 
 

@@ -10,7 +10,7 @@ from arte_tcs.arte_dsp import AudioClip
 from arte_tcs.errors import (ConfigError, InsufficientAudioError,
                              ModelFormatError, TrainingDiverged)
 from arte_tcs.synth_corpus import build_corpus, class_clip
-from arte_tcs.tire_road import RoadType, peak_friction
+from arte_tcs.tire_road import DEFAULT_CURVES, RoadType, peak_friction
 
 A, S = RoadType.ASPHALT, RoadType.SNOW
 
@@ -199,7 +199,7 @@ def test_estimate_recovers_snow_peaks():
     window = AudioClip(samples=clip.samples[:1600], sample_rate=16000)
     road, lam, mu = arte_estimate(model, mask, window)
     assert road is RoadType.SNOW
-    assert (lam, mu) == peak_friction(RoadType.SNOW)
+    assert (lam, mu) == peak_friction(DEFAULT_CURVES[RoadType.SNOW])
 
 
 def test_estimate_rejects_short_window():

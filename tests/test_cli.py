@@ -9,7 +9,7 @@ import pytest
 import arte_tcs
 import arte_tcs.cli as cli
 from arte_tcs.errors import SimulationDiverged
-from arte_tcs.tire_road import RoadType, peak_friction
+from arte_tcs.tire_road import DEFAULT_CURVES, RoadType, peak_friction
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +72,7 @@ def test_classify_recovers_friction_point(capsys, wav_tree, model_path):
     assert lines[0] == "path,road,lambda_opt,mu_peak"
     _, road, lam, mu = lines[1].split(",")
     assert road == "snow"
-    lam_ref, mu_ref = peak_friction(RoadType.SNOW)
+    lam_ref, mu_ref = peak_friction(DEFAULT_CURVES[RoadType.SNOW])
     assert float(lam) == pytest.approx(lam_ref, rel=1e-6)
     assert float(mu) == pytest.approx(mu_ref, rel=1e-6)
 
@@ -130,6 +130,18 @@ def test_compare_rerun_is_byte_identical(tmp_path):
     assert data.splitlines()[0] == (b"controller,arte_mode,slip_deviation,"
                                     b"max_torque,torque_area,gap")
     assert len(data.splitlines()) == 3
+
+
+def test_compare_stdout_matches_out_file(tmp_path, capsys):
+    cfg = scen_file(tmp_path, "[scenario]\nduration_s = 0.2\n")
+    out = tmp_path / "cmp.csv"
+    argv = ["compare", "--config", cfg, "--controllers", "src", "open",
+            "--modes", "off", "oracle"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode()
+    assert len(printed.splitlines()) == 5
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch, wav_tree):
@@ -211,6 +223,7 @@ BAD_SCENARIOS = {
     "seed_negative": b"[scenario]\nseed = -1\n",
     "not_text": b"[scenario]\n\xff\xfe\n",
     "duration_under_one_step": b"[scenario]\nduration_s = 0.00004\n",
+    "duration_unbounded": b"[scenario]\nduration_s = 1e300\n",
 }
 
 

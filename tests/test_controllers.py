@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from arte_tcs.controllers import (
+    MTTE_ROAD_ALPHA,
     HighPassFilter,
     MaxTransmissibleTorque,
     ModelFollowingControl,
@@ -40,15 +41,16 @@ def test_high_pass_rejects_bad_tau():
 
 
 def test_mfc_model_inertia_pins():
+    # MFC reads only the slip of the estimate
     ctrl = ModelFollowingControl(P)
-    ctrl.set_slip_estimate(0.0)
+    ctrl.set_estimate(RoadType.SNOW, 0.0, 0.28)
     assert ctrl.j_model == pytest.approx(110.36, abs=1e-9)
-    ctrl.set_slip_estimate(0.2)
+    ctrl.set_estimate(RoadType.SNOW, 0.2, 0.28)
     assert ctrl.j_model == pytest.approx(88.408, abs=1e-9)
-    ctrl.set_slip_estimate(1.0)
+    ctrl.set_estimate(RoadType.SNOW, 1.0, 0.28)
     assert ctrl.j_model == pytest.approx(0.6, abs=1e-12)
     with pytest.raises(ConfigError):
-        ctrl.set_slip_estimate(1.5)
+        ctrl.set_estimate(RoadType.SNOW, 1.5, 0.28)
 
 
 def test_mfc_passes_demand_when_model_matches():
@@ -103,12 +105,13 @@ def test_src_output_bounds():
 
 def test_src_reference_updates_feedforward():
     src = SlipRatioControl(P)
-    src.set_reference(0.05, 0.28)
+    src.set_estimate(RoadType.SNOW, 0.05, 0.28)
+    assert src.lambda_ref == 0.05
     assert src.base == pytest.approx(0.28 * P.r * P.normal_load())
     with pytest.raises(ConfigError):
-        src.set_reference(0.0, 0.3)
+        src.set_estimate(RoadType.SNOW, 0.0, 0.3)
     with pytest.raises(ConfigError):
-        src.set_reference(0.1, 2.0)
+        src.set_estimate(RoadType.SNOW, 0.1, 2.0)
 
 
 def test_src_integrator_freezes_only_when_pushed_past_limit():
@@ -118,7 +121,7 @@ def test_src_integrator_freezes_only_when_pushed_past_limit():
         src.update(0.0, 0.0, 0.0, 400.0, 1e-3)
     assert src.integ == 0.0
     # inside the limits the integrator moves
-    src.set_reference(0.1, 0.28)
+    src.set_estimate(RoadType.SNOW, 0.1, 0.28)
     src.update(10.0, 10.0 / P.r, 0.0, 400.0, 1e-3)  # lam = 0, err > 0
     assert src.integ > 0.0
     # negative error integrates down while unsaturated
@@ -128,9 +131,9 @@ def test_src_integrator_freezes_only_when_pushed_past_limit():
 
 
 def test_src_holds_near_target_slip_on_snow():
-    lam_opt, mu_pk = peak_friction(RoadType.SNOW)
+    lam_opt, mu_pk = peak_friction(DEFAULT_CURVES[RoadType.SNOW])
     src = SlipRatioControl(P)
-    src.set_reference(lam_opt, mu_pk)
+    src.set_estimate(RoadType.SNOW, lam_opt, mu_pk)
     curve = DEFAULT_CURVES[RoadType.SNOW]
     v, w, ta = 1.0, 1.0 / P.r, 0.0
     dt = 1e-4
@@ -179,20 +182,22 @@ def test_mtte_observer_settles_in_five_time_constants():
 
 
 def test_mtte_grip_ceiling():
+    # snow: relaxation 0.9, and a peak friction that carries 1000 N
     m = MaxTransmissibleTorque(P, tau_obs=1e12, fd_hat0=1e6)
-    m.set_road_estimate(0.9, 1000.0)
+    m.set_estimate(RoadType.SNOW, 0.05, 1000.0 / P.normal_load())
+    assert m.alpha == MTTE_ROAD_ALPHA[RoadType.SNOW] == 0.9
     tc = m.update(0.0, 0.0, 0.0, 700.0, 1e-3)
     assert tc == pytest.approx(0.9 * P.r * 1000.0, rel=1e-12)
 
 
 def test_mtte_validation():
+    with pytest.raises(ConfigError):
+        MaxTransmissibleTorque(P, alpha=0.0)
+    with pytest.raises(ConfigError):
+        MaxTransmissibleTorque(P, alpha=1.2)
     m = MaxTransmissibleTorque(P)
     with pytest.raises(ConfigError):
-        m.set_alpha(0.0)
-    with pytest.raises(ConfigError):
-        m.set_alpha(1.2)
-    with pytest.raises(ConfigError):
-        m.set_road_estimate(0.9, -5.0)
+        m.set_estimate(RoadType.SNOW, 0.05, -5.0 / P.normal_load())
 
 
 def test_mtte_acceleration_ratio_tracks_alpha():
@@ -259,3 +264,5 @@ def test_open_loop_passes_demand():
     ctrl = OpenLoop(P)
     assert ctrl.update(0.0, 0.0, 0.0, 250.0, 1e-3) == 250.0
     assert ctrl.update(0.0, 0.0, 0.0, 900.0, 1e-3) == P.torque_limit
+    ctrl.set_estimate(RoadType.SNOW, 0.05, 0.28)
+    assert ctrl.update(0.0, 0.0, 0.0, 250.0, 1e-3) == 250.0

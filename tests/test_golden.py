@@ -1,5 +1,6 @@
 """Golden SHA-256 digests of the default 8 s snow launch, of a launch
-over four roads, and of the acoustic features.
+over four roads (oracle and classifier estimates), and of the acoustic
+features.
 
 `golden/snow_launch.sha256` pins the bytes of the `simulate` trace CSV
 for mfc, src and mtte with the estimator off and oracle, and of the
@@ -15,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import arte_tcs.cli as cli
 import arte_tcs.harness as harness
 from arte_tcs.arte_dsp import AudioClip, extract_raw, sample_frames
 from arte_tcs.harness import (ScenarioConfig, compare, compare_lines,
@@ -132,3 +134,34 @@ def test_switch_launch_trace_digest(tmp_path, tag):
     write_trace_csv(str(path), run_scenario(cfg))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == golden("trace_%s_oracle.csv" % tag, SWITCH)
+
+
+# --- classifier in the loop ---------------------------------------------
+#
+# `golden/switch_classifier.sha256` pins the same src and mtte launch over
+# four roads with the trained classifier in the loop: the model that
+# `arte-tcs train` writes with its default seeds.  It covers the hand-off
+# of each estimate (road, lambda_opt, mu_peak) from the classifier to the
+# controller, which the oracle goldens reach only from the true road.
+# Taken before that hand-off was reworked.  ROADMAP item 3 (a causal
+# estimator fed by streamed audio) will change these bytes on purpose.
+
+CLASSIFIER = os.path.join(os.path.dirname(__file__), "golden",
+                          "switch_classifier.sha256")
+
+
+@pytest.fixture(scope="module")
+def default_model(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("model") / "model.txt")
+    assert cli.main(["train", "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("tag", ("src", "mtte"))
+def test_switch_launch_classifier_trace_digest(tmp_path, default_model, tag):
+    cfg = ScenarioConfig(road_schedule=SWITCH_SCHEDULE, controller=tag,
+                         arte_mode="classifier", model_path=default_model)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), run_scenario(cfg))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == golden("trace_%s_classifier.csv" % tag, CLASSIFIER)

@@ -4,14 +4,13 @@ from dataclasses import replace
 
 from arte_tcs.arte_classifier import prune_features, split_dataset, train_mlp, save_model
 from arte_tcs.errors import ConfigError
-from arte_tcs.harness import (NO_ESTIMATE, ROAD_INDEX, ScenarioConfig,
-                              SimTrace, _apply_estimate,
-                              _build_controller, compare, load_scenario,
+from arte_tcs.harness import (MAX_STEPS, NO_ESTIMATE, ROAD_INDEX,
+                              ScenarioConfig, SimTrace, _build_controller,
+                              compare, compare_lines, load_scenario,
                               max_torque, metrics, run_scenario,
-                              slip_deviation, torque_area, write_compare_csv,
-                              write_trace_csv)
+                              slip_deviation, torque_area, write_trace_csv)
 from arte_tcs.synth_corpus import build_corpus
-from arte_tcs.tire_road import RoadType
+from arte_tcs.tire_road import DEFAULT_CURVES, RoadType, peak_friction
 from arte_tcs.vehicle_plant import VehicleParams
 
 _cache = {}
@@ -112,7 +111,7 @@ def test_wrong_road_estimates_never_crash_controllers():
     for tag in ("mfc", "src", "mtte"):
         ctrl = _build_controller(replace(cfg, controller=tag))
         for road in RoadType:
-            _apply_estimate(ctrl, replace(cfg, controller=tag), road)
+            ctrl.set_estimate(road, *peak_friction(DEFAULT_CURVES[road]))
             out = ctrl.update(1.0, 4.0, 50.0, 200.0, 1e-4)
             assert np.isfinite(out) and out >= 0.0
 
@@ -133,7 +132,7 @@ def test_trace_csv_layout(tmp_path):
     assert path.read_text().splitlines()[1].split(",")[8] == "none"
 
 
-def test_compare_rows_and_csv(tmp_path):
+def test_compare_rows_and_csv():
     base = ScenarioConfig(duration_s=1.0)
     rows = compare(("src", "mtte"), ("off", "oracle"), base)
     assert [(tag, mode) for tag, mode, _ in rows] == [
@@ -142,9 +141,7 @@ def test_compare_rows_and_csv(tmp_path):
     for _, _, rep in rows:
         assert rep.gap is not None
         assert 0.0 <= rep.gap.value <= 1.0
-    path = tmp_path / "cmp.csv"
-    write_compare_csv(path, rows)
-    lines = path.read_text().splitlines()
+    lines = compare_lines(rows)
     assert lines[0] == ("controller,arte_mode,slip_deviation,max_torque,"
                        "torque_area,gap")
     assert len(lines) == 5
@@ -185,6 +182,14 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         ScenarioConfig(road_schedule=((0.0, RoadType.SNOW),
                                       (0.0, RoadType.ASPHALT),)).validate()
+
+
+def test_step_limit_is_inclusive():
+    # a binary dt keeps duration / dt exact
+    dt = 1.0 / 1024.0
+    ScenarioConfig(duration_s=MAX_STEPS * dt, dt=dt).validate()
+    with pytest.raises(ConfigError, match="%d steps" % MAX_STEPS):
+        ScenarioConfig(duration_s=(MAX_STEPS + 1) * dt, dt=dt).validate()
 
 
 def test_load_scenario_round_trip(tmp_path):

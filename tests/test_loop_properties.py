@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arte_tcs.errors import ConfigError, SimulationDiverged
-from arte_tcs.harness import (CONTROLLER_TAGS, ScenarioConfig,
-                              _apply_estimate, _build_controller,
-                              run_scenario)
-from arte_tcs.tire_road import DEFAULT_CURVES, MuLambdaCurve, RoadType
+from arte_tcs.controllers import CONTROLLERS
+from arte_tcs.harness import ScenarioConfig, _build_controller, run_scenario
+from arte_tcs.tire_road import (DEFAULT_CURVES, MuLambdaCurve, RoadType,
+                                peak_friction)
 from arte_tcs.vehicle_plant import (VehicleParams, drive_force,
                                     driving_resistance, make_plant_step,
                                     plant_step, slip_ratio)
@@ -135,7 +135,7 @@ def test_plant_step_keeps_state_finite_and_non_negative(v, w, t_applied,
 
 
 @settings(max_examples=400, deadline=None)
-@given(tag=st.sampled_from(CONTROLLER_TAGS), estimate=st.none() | roads,
+@given(tag=st.sampled_from(CONTROLLERS), estimate=st.none() | roads,
        inputs=st.lists(st.tuples(speeds | any_finite,
                                  wheel_speeds | any_finite,
                                  finite(0.0, LIMIT) | any_finite,
@@ -149,7 +149,8 @@ def test_controller_output_within_torque_limit(tag, estimate, inputs):
     cfg = ScenarioConfig(controller=tag)
     ctrl = _build_controller(cfg)
     if estimate is not None:
-        _apply_estimate(ctrl, cfg, estimate)
+        ctrl.set_estimate(estimate,
+                          *peak_friction(DEFAULT_CURVES[estimate]))
     for v, w, t_applied, demand, dt in inputs:
         assert 0.0 <= ctrl.update(v, w, t_applied, demand, dt) <= LIMIT
 
@@ -167,7 +168,7 @@ def scenarios(draw):
                          draw(st.lists(roads, min_size=len(times) + 1,
                                        max_size=len(times) + 1))))
     return ScenarioConfig(duration_s=duration, dt=dt, road_schedule=schedule,
-                          controller=draw(st.sampled_from(CONTROLLER_TAGS)),
+                          controller=draw(st.sampled_from(CONTROLLERS)),
                           arte_mode=draw(st.sampled_from(("off", "oracle"))),
                           v0=draw(finite(0.0, 30.0)),
                           torque_demand=draw(finite(0.0, LIMIT)))

@@ -6,7 +6,13 @@ classifies every feature vector as the original does, and a second save
 writes the same bytes. A WAV file holds 16-bit samples, so a clip read
 back lies within one PCM16 step of the written one, and a second write
 reads back bit for bit.
+
+Whatever model the loader accepts, `classify` stays total: on any finite
+features it names a road with a confidence in [0, 1], and numpy warns of
+nothing, even when every output unit saturates to 0.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ from arte_tcs.arte_classifier import (HIDDEN_SIZES, RAW_DIM, ROAD_ORDER,
                                       save_model)
 from arte_tcs.arte_dsp import (SUPPORTED_RATES, AudioClip, load_wav,
                                write_wav)
+from arte_tcs.tire_road import RoadType
 
 PCM16_STEP = 1.0 / 32768.0
 
@@ -85,3 +92,52 @@ def test_wav_write_load_round_trip(scratch, samples, rate):
 
     write_wav(path, back)
     assert np.array_equal(load_wav(path).samples, back.samples)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+up_to_1e4 = st.floats(-1e4, 1e4)
+
+
+@st.composite
+def extreme_models(draw):
+    """Any model that validate accepts, weights and biases up to 1e4."""
+    n_in = draw(st.integers(1, RAW_DIM))
+    sizes = (n_in,) + HIDDEN_SIZES + (len(ROAD_ORDER),)
+    weights = [draw(arrays(np.float64, (n_out, fan_in), elements=up_to_1e4))
+               for fan_in, n_out in zip(sizes, sizes[1:])]
+    biases = [draw(arrays(np.float64, n_out, elements=up_to_1e4))
+              for n_out in sizes[1:]]
+    scales = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    return MlpModel(sizes=sizes, weights=weights, biases=biases, seed=0,
+                    norm_mean=draw(arrays(np.float64, n_in, elements=finite)),
+                    norm_scale=draw(arrays(np.float64, n_in,
+                                           elements=scales)),
+                    mask_indices=np.arange(n_in)).validate()
+
+
+def classify_quietly(model, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return classify(model, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=extreme_models(), data=st.data())
+def test_classify_is_total_on_any_valid_model(model, data):
+    x = data.draw(arrays(np.float64, model.sizes[0], elements=finite))
+    road, confidence = classify_quietly(model, x)
+    assert isinstance(road, RoadType)
+    assert 0.0 <= confidence <= 1.0
+
+
+def test_classify_with_every_output_saturated():
+    sizes = (RAW_DIM,) + HIDDEN_SIZES + (len(ROAD_ORDER),)
+    model = MlpModel(sizes=sizes,
+                     weights=[np.zeros((n_out, n_in))
+                              for n_in, n_out in zip(sizes, sizes[1:])],
+                     biases=[np.zeros(n) for n in sizes[1:-1]]
+                     + [np.full(len(ROAD_ORDER), -1e4)],
+                     seed=0, norm_mean=np.zeros(RAW_DIM),
+                     norm_scale=np.ones(RAW_DIM)).validate()
+    assert classify_quietly(model, np.ones(RAW_DIM)) == (
+        ROAD_ORDER[0], 1.0 / len(ROAD_ORDER))

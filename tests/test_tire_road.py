@@ -7,7 +7,6 @@ from arte_tcs.tire_road import (
     MuLambdaCurve,
     RoadType,
     load_curve_overrides,
-    optimal_lambda,
     peak_friction,
 )
 
@@ -41,18 +40,17 @@ def test_initial_slope_is_bcd():
 
 def test_peak_locations_match_dense_scan():
     for road, (lam_exp, mu_exp) in EXPECTED_PEAKS.items():
-        lam, mu = peak_friction(road)
+        lam, mu = peak_friction(DEFAULT_CURVES[road])
         assert lam == pytest.approx(lam_exp, abs=2e-5)
         assert mu == pytest.approx(mu_exp, abs=1e-6)
-        assert optimal_lambda(road) == lam
 
 
 def test_asphalt_peak_in_plausible_band():
-    assert 0.1 <= optimal_lambda(RoadType.ASPHALT) <= 0.25
+    assert 0.1 <= peak_friction(DEFAULT_CURVES[RoadType.ASPHALT])[0] <= 0.25
 
 
 def test_peak_mu_ordering_across_roads():
-    peaks = {r: peak_friction(r)[1] for r in RoadType}
+    peaks = {r: peak_friction(DEFAULT_CURVES[r])[1] for r in RoadType}
     assert peaks[RoadType.ASPHALT] > peaks[RoadType.STONE]
     assert peaks[RoadType.STONE] > peaks[RoadType.GRAVEL]
     assert peaks[RoadType.GRAVEL] > peaks[RoadType.SNOW]
