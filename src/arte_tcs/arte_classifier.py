@@ -11,12 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arte_dsp import extract_raw, frame_length, Frame
-from .errors import (
-    ConfigError,
-    InsufficientAudioError,
-    ModelFormatError,
-    TrainingDiverged,
-)
+from .errors import ConfigError, ModelFormatError, SimulationDiverged
 from .tire_road import DEFAULT_CURVES, RoadType, peak_friction
 
 ROAD_ORDER = tuple(RoadType)
@@ -264,8 +259,8 @@ def train_mlp(ds, mask, seed=0, max_epochs=5000):
         a = acts[-1]
         loss = float(np.mean((a - y) ** 2))
         if not np.isfinite(loss):
-            raise TrainingDiverged("loss became non-finite at epoch %d"
-                                   % epoch, epoch=epoch)
+            raise SimulationDiverged("loss became non-finite at epoch %d"
+                                     % epoch)
         if loss < LOSS_TARGET:
             break
         delta = 2.0 * (a - y) / (n * y.shape[1]) * a * (1.0 - a)
@@ -317,7 +312,7 @@ def arte_estimate(model, mask, clip_window):
     """Window -> (road, lambda_opt, mu_peak) for the controllers."""
     length = frame_length(clip_window.sample_rate)
     if len(clip_window.samples) < length:
-        raise InsufficientAudioError("window shorter than one 0.1 s frame")
+        raise ConfigError("window shorter than one 0.1 s frame")
     frame = Frame(samples=np.asarray(clip_window.samples[:length]),
                   origin_offset=0)
     raw = extract_raw(frame)
@@ -381,6 +376,8 @@ def load_model(path):
     mask = take_vector(sizes[0])
     if np.any(mask != np.round(mask)) or np.any(mask < 0):
         raise ModelFormatError("mask line must hold non-negative integers")
+    if np.any(mask >= RAW_DIM):
+        raise ModelFormatError("mask indices must be below %d" % RAW_DIM)
     if np.any(np.diff(mask) <= 0):
         raise ModelFormatError("mask indices must strictly increase")
     weights, biases = [], []

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AudioFormatError,
-    ChannelLayoutError,
-    ConfigError,
-    DegenerateSignalError,
-    InsufficientAudioError,
-    UnsupportedSampleRateError,
-)
+from .errors import AudioFormatError, ConfigError
 
 SUPPORTED_RATES = (16000, 44100)
 FRAME_SECONDS = 0.1
@@ -37,7 +30,7 @@ class AudioClip:
 
     def validate(self):
         if self.sample_rate not in SUPPORTED_RATES:
-            raise UnsupportedSampleRateError(
+            raise AudioFormatError(
                 "sample rate %r not in %r" % (self.sample_rate, SUPPORTED_RATES))
         if len(self.samples) == 0:
             raise AudioFormatError("clip has no samples")
@@ -67,11 +60,11 @@ def load_wav(path):
     except wave.Error as exc:
         raise AudioFormatError("not a readable PCM wav: %s" % exc) from exc
     if n_ch != 1:
-        raise ChannelLayoutError("expected mono, got %d channels" % n_ch)
+        raise AudioFormatError("expected mono, got %d channels" % n_ch)
     if width != 2:
         raise AudioFormatError("expected 16-bit samples, got %d-byte" % width)
     if rate not in SUPPORTED_RATES:
-        raise UnsupportedSampleRateError(
+        raise AudioFormatError(
             "sample rate %d not in %r" % (rate, SUPPORTED_RATES))
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(samples=samples, sample_rate=rate).validate()
@@ -96,7 +89,7 @@ def sample_frames(clip, n, seed):
     length = frame_length(clip.sample_rate)
     total = len(clip.samples)
     if n * length > total:
-        raise InsufficientAudioError(
+        raise ConfigError(
             "need %d samples for %d frames, clip has %d"
             % (n * length, n, total))
     rng = np.random.default_rng(seed)
@@ -124,7 +117,7 @@ def lpc(frame, order=LPC_ORDER):
     if not math.isfinite(r[0]):
         raise AudioFormatError("frame energy is not finite")
     if r[0] <= 0.0:
-        raise DegenerateSignalError("all-zero frame has no LPC model")
+        raise ConfigError("all-zero frame has no LPC model")
     r = r / r[0]
     r[0] *= 1.0 + 1e-9  # keeps the normal equations strictly positive definite
     return solve_toeplitz((r[:order], r[:order]), r[1:order + 1],
@@ -219,7 +212,7 @@ def mix_noise(clip, noise, snr_db):
     p_sig = np.mean(clip.samples ** 2)
     p_noise = np.mean(tiled ** 2)
     if p_noise <= 0.0:
-        raise DegenerateSignalError("noise clip has zero power")
+        raise ConfigError("noise clip has zero power")
     gain = math.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))
     mixed = clip.samples + gain * tiled
     peak = np.max(np.abs(mixed))

@@ -3,8 +3,8 @@
 Subcommands cover the simulation harness (simulate, compare), the
 classifier pipeline (train, classify, features), the robustness metric
 (gap), and the synthetic corpus (synth).  Exit codes: 0 success, 2 bad
-configuration or parameter, 3 simulation divergence, 4 I/O or file
-format error.
+configuration or parameter, 3 numerical divergence, 4 I/O or file
+format error; each class in `errors` maps to one of them.
 """
 
 import argparse
@@ -15,8 +15,7 @@ from .arte_classifier import (SelectionMask, arte_estimate, confusion_matrix,
                               load_model, prune_features, save_model,
                               split_dataset, train_mlp)
 from .arte_dsp import extract_raw, load_wav, sample_frames
-from .errors import (AudioFormatError, ConfigError, DegenerateSignalError,
-                     InsufficientAudioError, ModelFormatError,
+from .errors import (AudioFormatError, ConfigError, ModelFormatError,
                      SimulationDiverged)
 from .controllers import CONTROLLERS
 from .harness import (ARTE_MODES, ScenarioConfig, compare, compare_lines,
@@ -222,8 +221,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DegenerateSignalError,
-            InsufficientAudioError) as exc:
+    except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except SimulationDiverged as exc:

@@ -1,54 +1,22 @@
 """Shared exception types.
 
-Kept in one place so the CLI can map them onto exit codes without
-importing every module.
+Each class is one exit code of the CLI, so the class a module raises
+alone decides how a failure ends: ConfigError 2, SimulationDiverged 3,
+AudioFormatError and ModelFormatError 4.
 """
 
 
 class ConfigError(ValueError):
-    """Bad parameter value, malformed config file, or invalid override."""
+    """Bad parameter, config file, override, coefficient list or signal."""
 
 
 class SimulationDiverged(RuntimeError):
-    """A state variable went non-finite during integration."""
-
-    def __init__(self, message, t=None, step=None):
-        super().__init__(message)
-        self.t = t
-        self.step = step
+    """A state variable or the training loss went non-finite."""
 
 
 class AudioFormatError(ValueError):
     """WAV container exists but cannot be used (encoding, channels, rate)."""
 
 
-class UnsupportedSampleRateError(AudioFormatError):
-    pass
-
-
-class ChannelLayoutError(AudioFormatError):
-    pass
-
-
-class DegenerateSignalError(ValueError):
-    """Signal has no usable content (all zeros / too short) for analysis."""
-
-
-class InsufficientAudioError(ValueError):
-    """Clip too short for the requested number of frames."""
-
-
 class ModelFormatError(ValueError):
     """Persisted classifier file is malformed or inconsistent."""
-
-
-class PoleOnAxisError(RuntimeError):
-    """Frequency-response evaluation landed on a pole."""
-
-
-class TrainingDiverged(RuntimeError):
-    """Classifier training produced a non-finite loss."""
-
-    def __init__(self, message, epoch=None):
-        super().__init__(message)
-        self.epoch = epoch

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arte_classifier import SelectionMask, arte_estimate, load_model
-from .arte_dsp import AudioClip, frame_length
 from .controllers import (CONTROLLERS, MaxTransmissibleTorque,
                           ModelFollowingControl, OpenLoop, SlipRatioControl)
 from .errors import ConfigError, SimulationDiverged
@@ -166,13 +165,6 @@ def _build_controller(cfg):
     return OpenLoop(p)
 
 
-def _classifier_window(road, cfg, invocation):
-    clip = class_clip(road, seed=cfg.seed * 1000 + invocation,
-                      duration_s=0.5)
-    n = frame_length(clip.sample_rate)
-    return AudioClip(samples=clip.samples[:n], sample_rate=clip.sample_rate)
-
-
 def _held_column(changes, n):
     """int8 column of road indices from (first step, road index) changes,
     each held until the next; NO_ESTIMATE before the first change."""
@@ -224,7 +216,8 @@ def run_scenario(cfg):
             if cfg.arte_mode == "oracle":
                 belief = (road,) + peak_friction(DEFAULT_CURVES[road])
             else:
-                window = _classifier_window(road, cfg, invocation)
+                window = class_clip(road, seed=cfg.seed * 1000 + invocation,
+                                    duration_s=0.5)
                 belief = arte_estimate(model, mask, window)
             ctrl.set_estimate(*belief)
             estimates.append((k, ROAD_INDEX[belief[0]]))
@@ -241,7 +234,8 @@ def run_scenario(cfg):
         try:
             v, w, t_applied, mu_arr[k] = step(v, w, t_applied, t_cmd)
         except SimulationDiverged as exc:
-            raise SimulationDiverged(str(exc), t=t, step=k) from exc
+            raise SimulationDiverged("%s at t = %.9g s (step %d)"
+                                     % (exc, t, k)) from exc
 
     # derived columns, each with the operations of its per-step definition
     vw_arr = w_arr * p.r

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PoleOnAxisError
+from .errors import ConfigError
 
 GRID_LO = 1e-3
 GRID_HI = 1e4
@@ -69,21 +69,22 @@ def eval_freq(tf, omega):
     s = 1j * np.asarray(omega, dtype=np.float64)
     den = np.polyval(tf.den, s)
     if np.any(np.abs(den) < 1e-300):
-        raise PoleOnAxisError("pole on the evaluation grid")
+        raise ConfigError("pole on the evaluation grid")
     return np.polyval(tf.num, s) / den
 
 
 def chordal_distance(p1, p2):
     p1 = np.asarray(p1, dtype=np.complex128)
     p2 = np.asarray(p2, dtype=np.complex128)
-    return np.abs(p1 - p2) / np.sqrt((1.0 + np.abs(p1) ** 2)
-                                     * (1.0 + np.abs(p2) ** 2))
+    # hypot keeps |p| near the float limit from overflowing when squared
+    return np.abs(p1 - p2) / (np.hypot(1.0, np.abs(p1))
+                              * np.hypot(1.0, np.abs(p2)))
 
 
 def _degree(coeffs):
     nz = np.flatnonzero(np.abs(coeffs) > 0.0)
-    if nz.size == 0:
-        return 0
+    if nz.size == 0:  # the zero polynomial: below every other degree
+        return -1
     return len(coeffs) - 1 - nz[0]
 
 

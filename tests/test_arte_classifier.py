@@ -7,8 +7,7 @@ from arte_tcs.arte_classifier import (FeatureDataset, ROAD_ORDER, SelectionMask,
                                       one_hot, prune_features, save_model,
                                       split_dataset, train_mlp)
 from arte_tcs.arte_dsp import AudioClip
-from arte_tcs.errors import (ConfigError, InsufficientAudioError,
-                             ModelFormatError, TrainingDiverged)
+from arte_tcs.errors import ConfigError, ModelFormatError
 from arte_tcs.synth_corpus import build_corpus, class_clip
 from arte_tcs.tire_road import DEFAULT_CURVES, RoadType, peak_friction
 
@@ -153,12 +152,6 @@ def test_mlp_zero_epochs_still_classifies():
     assert 0.0 < conf <= 1.0
 
 
-def test_training_diverged_carries_epoch():
-    err = TrainingDiverged("loss became non-finite at epoch 7", epoch=7)
-    assert isinstance(err, RuntimeError)
-    assert err.epoch == 7
-
-
 def test_classify_rejects_wrong_width():
     train, _, mask = canonical_split()
     model = train_mlp(train, mask, seed=0, max_epochs=50)
@@ -206,7 +199,8 @@ def test_estimate_rejects_short_window():
     train, _, mask = canonical_split()
     model = train_mlp(train, mask, seed=0, max_epochs=50)
     window = AudioClip(samples=np.zeros(1599) + 0.01, sample_rate=16000)
-    with pytest.raises(InsufficientAudioError):
+    with pytest.raises(ConfigError,
+                       match="window shorter than one 0.1 s frame"):
         arte_estimate(model, mask, window)
 
 
@@ -258,6 +252,12 @@ def test_load_rejects_malformed_files(tmp_path):
     mangled[2] = mangled[2].replace(mangled[2].split()[0], "x", 1)
     bad.write_text("\n".join(mangled) + "\n")
     with pytest.raises(ModelFormatError):
+        load_model(bad)
+
+    mangled = lines[:]
+    mangled[3] = " ".join(mangled[3].split()[:-1] + ["25"])  # mask index
+    bad.write_text("\n".join(mangled) + "\n")
+    with pytest.raises(ModelFormatError, match="mask indices must be below"):
         load_model(bad)
 
 

@@ -1,14 +1,18 @@
 import contextlib
+import inspect
 import io
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arte_tcs
 import arte_tcs.cli as cli
-from arte_tcs.errors import SimulationDiverged
+import arte_tcs.errors as errors
 from arte_tcs.tire_road import DEFAULT_CURVES, RoadType, peak_friction
 
 
@@ -96,6 +100,45 @@ def test_gap_coefficient_lists(capsys):
     line = capsys.readouterr().out.splitlines()[1]
     assert line.split(",")[:2] == ["1", "false"]
 
+    # the zero plant: its limit at infinity is 0, its gap to itself 0
+    assert cli.main(["gap", "--num1", "0", "--den1", "1",
+                     "--num2", "0", "--den2", "1"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.split(",")[:2] == ["0", "true"]
+
+    # |P1| near 1e300 must not overflow the chordal distance to 0
+    assert cli.main(["gap", "--num1", "1e300", "--den1", "1,1",
+                     "--num2", "1", "--den2", "1,1"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.split(",")[:2] == ["0.999999995", "true"]
+
+
+def coefficient_lists():
+    """1-4 comma-separated entries, each 0 (one in four) or of magnitude
+    in [1e-3, 1e3]."""
+    entry = st.tuples(st.sampled_from((0.0, 1.0, 1.0, 1.0)),
+                      st.sampled_from((-1.0, 1.0)), st.floats(1e-3, 1e3))
+    return st.lists(entry.map(lambda e: e[2] * e[1] if e[0] else 0.0),
+                    min_size=1, max_size=4).map(
+        lambda xs: ",".join(repr(x) for x in xs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(num1=coefficient_lists(), den1=coefficient_lists(),
+       num2=coefficient_lists(), den2=coefficient_lists())
+def test_gap_exits_zero_or_two_on_any_coefficients(num1, den1, num2, den2):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(["gap", "--num1=" + num1, "--den1=" + den1,
+                         "--num2=" + num2, "--den2=" + den2])
+    assert code in (0, 2)
+    if code == 0:
+        assert 0.0 <= float(out.getvalue().splitlines()[1].split(",")[0]) <= 1.0
+    else:
+        assert err.getvalue().startswith("error: ")
+
 
 def test_gap_argument_validation(capsys):
     assert cli.main(["gap"]) == 2
@@ -144,7 +187,7 @@ def test_compare_stdout_matches_out_file(tmp_path, capsys):
     assert len(printed.splitlines()) == 5
 
 
-def test_exit_codes(tmp_path, capsys, monkeypatch, wav_tree):
+def test_exit_codes(tmp_path, capsys, wav_tree, model_path):
     missing = str(tmp_path / "nope.ini")
     out = str(tmp_path / "x.csv")
     assert cli.main(["simulate", "--config", missing, "--out", out]) == 4
@@ -156,14 +199,43 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, wav_tree):
     garbage.write_text("not a model\n")
     wav = os.path.join(wav_tree, "snow", "0_0.wav")
     assert cli.main(["classify", "--model", str(garbage), wav]) == 4
+    capsys.readouterr()
 
+    mask = tmp_path / "mask25.txt"
+    with open(model_path) as fh:
+        lines = fh.read().splitlines()
+    lines[3] = " ".join(lines[3].split()[:-1] + ["25"])  # mask index >= 20
+    mask.write_text("\n".join(lines) + "\n")
+    assert cli.main(["classify", "--model", str(mask), wav]) == 4
+    assert capsys.readouterr().err == (
+        "i/o error: mask indices must be below 20\n")
+
+
+# the documented exit code of each exception class, and its stderr prefix
+EXIT_CODES = {"ConfigError": 2, "SimulationDiverged": 3,
+              "AudioFormatError": 4, "ModelFormatError": 4}
+PREFIXES = {2: "error: ", 3: "diverged: ", 4: "i/o error: "}
+
+
+def test_each_error_class_has_a_documented_exit_code():
+    defined = [name for name, cls in inspect.getmembers(errors, inspect.isclass)
+               if cls.__module__ == errors.__name__]
+    assert sorted(defined) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name,code", EXIT_CODES.items(), ids=EXIT_CODES)
+def test_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, name,
+                                         code):
     def boom(cfg):
-        raise SimulationDiverged("runaway", t=0.1, step=10)
+        raise getattr(errors, name)("probe")
 
     monkeypatch.setattr(cli, "run_scenario", boom)
     ok = scen_file(tmp_path, "[scenario]\nduration_s = 0.5\n")
-    assert cli.main(["simulate", "--config", ok, "--out", out]) == 3
-    capsys.readouterr()
+    out = str(tmp_path / "x.csv")
+    assert cli.main(["simulate", "--config", ok, "--out", out]) == code
+    captured = capsys.readouterr()
+    assert captured.err == PREFIXES[code] + "probe\n"
+    assert captured.out == ""
 
 
 # (line, value): the first number on that line of a trained model file
@@ -249,6 +321,8 @@ BAD_OPTIONS = {
     "train_seed_negative": ["train", "--out", "{out}", "--seed", "-1"],
     "train_epochs_negative": ["train", "--out", "{out}", "--epochs", "-5"],
     "train_no_epochs": ["train", "--out", "{out}", "--epochs", "0"],
+    "gap_pole_on_axis": ["gap", "--out", "{out}", "--num1", "1",
+                         "--den1", "1,0", "--num2", "1", "--den2", "1,1"],
 }
 
 
@@ -258,7 +332,10 @@ def test_bad_option_exits_two(tmp_path, capsys, wav_tree, argv):
     wav = os.path.join(wav_tree, "snow", "0_0.wav")
     argv = [arg.format(out=out, wav=wav) for arg in argv]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: --")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # an option check names its option; a rejected plant names its fault
+    assert err.startswith("error: --") or argv[0] == "gap"
     assert not out.exists()
 
 

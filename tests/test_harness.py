@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import arte_tcs.harness as harness
 from arte_tcs.arte_classifier import prune_features, split_dataset, train_mlp, save_model
-from arte_tcs.errors import ConfigError
+from arte_tcs.errors import ConfigError, SimulationDiverged
 from arte_tcs.harness import (MAX_STEPS, NO_ESTIMATE, ROAD_INDEX,
                               ScenarioConfig, SimTrace, _build_controller,
                               compare, compare_lines, load_scenario,
@@ -114,6 +115,26 @@ def test_wrong_road_estimates_never_crash_controllers():
             ctrl.set_estimate(road, *peak_friction(DEFAULT_CURVES[road]))
             out = ctrl.update(1.0, 4.0, 50.0, 200.0, 1e-4)
             assert np.isfinite(out) and out >= 0.0
+
+
+def test_divergence_names_time_and_step(monkeypatch):
+    real = harness.make_plant_step
+
+    def make_plant_step(curve, params, dt):
+        step = real(curve, params, dt)
+        calls = []
+
+        def diverging(*state):
+            calls.append(None)
+            if len(calls) > 5:
+                raise SimulationDiverged("state became non-finite")
+            return step(*state)
+        return diverging
+
+    monkeypatch.setattr(harness, "make_plant_step", make_plant_step)
+    with pytest.raises(SimulationDiverged, match=r"^state became non-finite "
+                       r"at t = 0\.0005 s \(step 5\)$"):
+        run_scenario(ScenarioConfig(duration_s=0.01))
 
 
 def test_trace_csv_layout(tmp_path):
