@@ -1,15 +1,22 @@
 """Traction control laws.
 
-Three anti-slip structures and an open-loop baseline that share two
+Three anti-slip structures and an open-loop baseline that share three
 calls,
 
-    update(v, w, t_applied, t_demand, dt) -> commanded torque
     set_estimate(road, lambda_opt, mu_peak)
+    law(dt, t_demand) -> law(v, w, t_applied) -> commanded torque
+    update(v, w, t_applied, t_demand, dt) -> commanded torque
 
 so the simulation loop can swap them freely.  `set_estimate` hands over
 the road estimator's belief: the recognized road and the peak
-(lambda_opt, mu_peak) of its friction curve.  Each controller takes what
-it uses of it:
+(lambda_opt, mu_peak) of its friction curve.  `law` binds the step size,
+the demand, the installed estimate and the constants derived from them
+(filter and observer coefficients, the demand clamp) once, and returns
+the per-step law that the plant kernel calls; it stays valid until the
+next `set_estimate`.  The controller's state (MFC's model speed and
+filter state, SRC's integrator, MTTE's `fd_hat` and previous wheel
+speed) stays on the object.  `update` is one step: `law(dt, t_demand)`
+applied once.  Each controller takes what it uses of the estimate:
 
 ModelFollowingControl
     Integrates a nominal wheel-speed model driven by the demand and
@@ -46,9 +53,11 @@ OpenLoop
     Passes the demand through and ignores the estimate.
 """
 
+import math
+
 from .errors import ConfigError
 from .tire_road import DEFAULT_CURVES, RoadType
-from .vehicle_plant import VehicleParams, first_order_lag, slip_ratio
+from .vehicle_plant import VehicleParams, slip_ratio
 
 # the controller tags a scenario can name
 CONTROLLERS = ("mfc", "src", "mtte", "open")
@@ -73,33 +82,23 @@ MTTE_ROAD_ALPHA = {
 }
 
 
-class HighPassFilter:
-    """First-order high-pass, bilinear discretization, tau in seconds."""
+class Controller:
+    """The shared single-step call: each subclass defines `law`."""
 
-    def __init__(self, tau):
-        if tau <= 0.0:
-            raise ConfigError("high-pass time constant must be positive")
-        self.tau = tau
-        self._s = 0.0
-
-    def reset(self):
-        self._s = 0.0
-
-    def step(self, x, dt):
-        a = 2.0 * self.tau / dt
-        b0 = a / (a + 1.0)
-        a1 = (1.0 - a) / (a + 1.0)
-        y = b0 * x + self._s
-        self._s = -b0 * x - a1 * y
-        return y
+    def update(self, v, w, t_applied, t_demand, dt):
+        """Commanded torque for one step: the law for (dt, t_demand),
+        applied once."""
+        return self.law(dt, t_demand)(v, w, t_applied)
 
 
-class ModelFollowingControl:
+class ModelFollowingControl(Controller):
     def __init__(self, params=None, lambda_nominal=0.1):
         self.params = VehicleParams() if params is None else params
+        if not self.params.tau_hp > 0.0:
+            raise ConfigError("high-pass time constant must be positive")
         self.gain = MFC_GAIN
-        self.hpf = HighPassFilter(self.params.tau_hp)
         self.w_model = 0.0
+        self.hp_state = 0.0
         self.j_model = self._inertia(lambda_nominal)
 
     def _inertia(self, lam):
@@ -114,19 +113,30 @@ class ModelFollowingControl:
 
     def reset(self, w0=0.0):
         self.w_model = w0
-        self.hpf.reset()
+        self.hp_state = 0.0
 
-    def update(self, v, w, t_applied, t_demand, dt):
+    def law(self, dt, t_demand):
         lim = self.params.torque_limit
         t_dem = min(max(t_demand, 0.0), lim)
-        self.w_model += dt * t_dem / self.j_model
-        err = self.hpf.step(w - self.w_model, dt)
-        t_cmd = t_dem - self.gain * err
-        # a nan command (from an overflowed filter state) maps to 0
-        return min(t_cmd, lim) if t_cmd >= 0.0 else 0.0
+        dw_model = dt * t_dem / self.j_model
+        gain = self.gain
+        # first-order high-pass of the speed error, bilinear discretization
+        a = 2.0 * self.params.tau_hp / dt
+        b0 = a / (a + 1.0)
+        a1 = (1.0 - a) / (a + 1.0)
+
+        def law(v, w, t_applied):
+            self.w_model = w_model = self.w_model + dw_model
+            x = w - w_model
+            y = b0 * x + self.hp_state
+            self.hp_state = -b0 * x - a1 * y
+            t_cmd = t_dem - gain * y
+            # a nan command (from an overflowed filter state) maps to 0
+            return min(t_cmd, lim) if t_cmd >= 0.0 else 0.0
+        return law
 
 
-class SlipRatioControl:
+class SlipRatioControl(Controller):
     def __init__(self, params=None):
         self.params = VehicleParams() if params is None else params
         self.integ = 0.0
@@ -145,23 +155,27 @@ class SlipRatioControl:
     def reset(self):
         self.integ = 0.0
 
-    def update(self, v, w, t_applied, t_demand, dt):
+    def law(self, dt, t_demand):
         p = self.params
+        r, lambda_ref, base = p.r, self.lambda_ref, self.base
         hi = min(max(t_demand, 0.0), p.torque_limit, SRC_SATURATION)
-        lam = slip_ratio(v, w, p.r)
-        err = self.lambda_ref - lam
-        u = self.base + SRC_KP * err + self.integ
-        # integrate unless saturated with the error pushing further out
-        if not ((u > hi and err > 0.0) or (u < 0.0 and err < 0.0)):
-            self.integ += SRC_KI * err * dt
-        if u > hi:
-            return hi
-        if u < 0.0:
-            return 0.0
-        return u
+        kp, ki = SRC_KP, SRC_KI
+
+        def law(v, w, t_applied):
+            err = lambda_ref - slip_ratio(v, w, r)
+            u = base + kp * err + self.integ
+            # integrate unless saturated with the error pushing further out
+            if not ((u > hi and err > 0.0) or (u < 0.0 and err < 0.0)):
+                self.integ += ki * err * dt
+            if u > hi:
+                return hi
+            if u < 0.0:
+                return 0.0
+            return u
+        return law
 
 
-class MaxTransmissibleTorque:
+class MaxTransmissibleTorque(Controller):
     def __init__(self, params=None, alpha=MTTE_ALPHA_DEFAULT, tau_obs=None,
                  fd_hat0=0.0):
         self.params = VehicleParams() if params is None else params
@@ -189,30 +203,41 @@ class MaxTransmissibleTorque:
         self.fd_hat = fd_hat0
         self._w_prev = None
 
-    def update(self, v, w, t_applied, t_demand, dt):
+    def law(self, dt, t_demand):
         p = self.params
-        if self._w_prev is None:
-            dw = 0.0
-        else:
-            dw = (w - self._w_prev) / dt
-        self._w_prev = w
-        fd_raw = (t_applied - p.jw * dw) / p.r
-        self.fd_hat = first_order_lag(self.fd_hat, fd_raw, self.tau_obs, dt)
+        tau = self.tau_obs
+        if dt > tau / 5.0:
+            raise ConfigError("step %g too coarse for time constant %g"
+                              % (dt, tau))
+        # the observer is the exact one-step solution of tau * x' = u - x
+        lag_gain = 1.0 - math.exp(-dt / tau)
+        jw, r = p.jw, p.r
+        scale = (1.0 + self.c / self.alpha) * r
+        t_grip = (math.inf if self.fd_peak is None
+                  else self.alpha * r * self.fd_peak)
+        t_dem = min(max(t_demand, 0.0), p.torque_limit)
+        floor = MTTE_TORQUE_FLOOR
 
-        t_max = (1.0 + self.c / self.alpha) * p.r * self.fd_hat
-        if self.fd_peak is not None:
-            t_grip = self.alpha * p.r * self.fd_peak
+        def law(v, w, t_applied):
+            w_prev = self._w_prev
+            dw = 0.0 if w_prev is None else (w - w_prev) / dt
+            self._w_prev = w
+            fd_raw = (t_applied - jw * dw) / r
+            fd_hat = self.fd_hat
+            self.fd_hat = fd_hat = fd_hat + lag_gain * (fd_raw - fd_hat)
+
+            t_max = scale * fd_hat
             if t_grip < t_max:
                 t_max = t_grip
-        # not `t_max < MTTE_TORQUE_FLOOR`, so that a nan ceiling (from an
-        # overflowed observer) falls to the floor
-        if not t_max >= MTTE_TORQUE_FLOOR:
-            t_max = MTTE_TORQUE_FLOOR
-        t_dem = min(max(t_demand, 0.0), p.torque_limit)
-        return t_dem if t_dem < t_max else t_max
+            # not `t_max < floor`, so that a nan ceiling (from an
+            # overflowed observer) falls to the floor
+            if not t_max >= floor:
+                t_max = floor
+            return t_dem if t_dem < t_max else t_max
+        return law
 
 
-class OpenLoop:
+class OpenLoop(Controller):
     """Pass the demand straight through (baseline, no slip control)."""
 
     def __init__(self, params=None):
@@ -221,6 +246,6 @@ class OpenLoop:
     def set_estimate(self, road, lambda_opt, mu_peak):
         """No slip control, so no use for a road estimate."""
 
-    def update(self, v, w, t_applied, t_demand, dt):
-        lim = self.params.torque_limit
-        return min(max(t_demand, 0.0), lim)
+    def law(self, dt, t_demand):
+        t_cmd = min(max(t_demand, 0.0), self.params.torque_limit)
+        return lambda v, w, t_applied: t_cmd

@@ -8,17 +8,20 @@ one belief, (road, lambda_opt, mu_peak) -- the oracle's from the true
 road's curve, the classifier's as `arte_estimate` returns it -- and hands
 it to the controller's `set_estimate`.
 
-`run_scenario` builds the plant step once per road segment
-(`make_plant_step`).  Its step loop keeps only what feeds back into the
-dynamics: it records V, w, T_cmd and T_applied per step, mu as the step
-returns it (the friction at the start state, from its first RK4 stage),
-and the steps at which the true road or the estimate changes.  The other
-trace columns are derived after the loop with the same IEEE operations as
-their per-step definitions: t = k*dt, Vw = w*r and lambda as
-`slip_ratio`, so every column is bit-identical to what a per-step
-recording would hold.  The road columns are int8 indices into `ROADS`,
-with -1 for "no estimate"; `SimTrace.road_true`/`road_est` decode them to
-`RoadType`/None and `write_trace_csv` maps them to names.
+`run_scenario` builds the plant kernel once per road segment
+(`make_plant_run`) and the controller's law once per estimator tick.  It
+cuts the run into spans at road switches and estimator ticks, found with
+the same `k*dt >= x` test that a per-step loop would make at each step,
+and runs each span in one kernel call.  The kernel records what feeds
+back into the dynamics: V, w, T_cmd and T_applied per step and mu at the
+start state (from its first RK4 stage); the loop records the steps at
+which the true road or the estimate changes.  The other trace columns are
+derived after the loop with the same IEEE operations as their per-step
+definitions: t = k*dt, Vw = w*r and lambda as `slip_ratio`, so every
+column is bit-identical to what a per-step loop would record.  The road
+columns are int8 indices into `ROADS`, with -1 for "no estimate";
+`SimTrace.road_true`/`road_est` decode them to `RoadType`/None and
+`write_trace_csv` maps them to names.
 """
 
 import configparser
@@ -30,11 +33,11 @@ import numpy as np
 from .arte_classifier import SelectionMask, arte_estimate, load_model
 from .controllers import (CONTROLLERS, MaxTransmissibleTorque,
                           ModelFollowingControl, OpenLoop, SlipRatioControl)
-from .errors import ConfigError, SimulationDiverged
+from .errors import ConfigError
 from .robustness import FAMILY_BOXES, nu_gap, plant_family
 from .synth_corpus import class_clip
 from .tire_road import DEFAULT_CURVES, RoadType, peak_friction
-from .vehicle_plant import VehicleParams, make_plant_step
+from .vehicle_plant import VehicleParams, make_plant_run
 # not called here: bench/layertrace.py looks this name up in this module
 from .vehicle_plant import plant_step
 
@@ -175,6 +178,18 @@ def _held_column(changes, n):
     return col
 
 
+def _span_end(x, lo, n, dt):
+    """The first step k in (lo, n) with k * dt >= x, else n: the step at
+    which a loop testing `k * dt >= x` at each step would next fire."""
+    guess = x / dt
+    k = max(lo + 1, math.ceil(guess)) if guess < n else n
+    while k > lo + 1 and (k - 1) * dt >= x:
+        k -= 1
+    while k < n and k * dt < x:
+        k += 1
+    return k
+
+
 def run_scenario(cfg):
     cfg.validate()
     p = cfg.params
@@ -187,27 +202,29 @@ def run_scenario(cfg):
     sched = tuple(cfg.road_schedule)
     dt = cfg.dt
     n_steps = int(round(cfg.duration_s / dt))
-    v_arr = np.empty(n_steps)
-    w_arr = np.empty(n_steps)
-    cmd_arr = np.empty(n_steps)
-    app_arr = np.empty(n_steps)
-    mu_arr = np.empty(n_steps)
+    columns = [np.empty(n_steps) for _ in range(5)]
+    v_arr, w_arr, cmd_arr, app_arr, mu_arr = columns
+    # the kernel writes one element at a time, which costs less than half
+    # as much through a memoryview as through numpy's indexing
+    views = [memoryview(col) for col in columns]
     segments = []  # (first step, road index) of each schedule entry
     estimates = []  # (first step, road index) of each installed estimate
 
     v, w, t_applied = cfg.v0, cfg.v0 / p.r, 0.0
+    law = ctrl.law(dt, cfg.torque_demand)
     sched_i = -1
     next_switch = 0.0
     next_arte = 0.0
     arte_due = -1e-12 if cfg.arte_mode != "off" else math.inf
     invocation = 0
-    for k in range(n_steps):
+    k = 0
+    while k < n_steps:
         t = k * dt
         if t >= next_switch:
             while sched_i + 1 < len(sched) and t >= sched[sched_i + 1][0]:
                 sched_i += 1
             road = sched[sched_i][1]
-            step = make_plant_step(DEFAULT_CURVES[road], p, dt)
+            run = make_plant_run(DEFAULT_CURVES[road], p, dt)
             segments.append((k, ROAD_INDEX[road]))
             next_switch = (sched[sched_i + 1][0] if sched_i + 1 < len(sched)
                            else math.inf)
@@ -220,22 +237,16 @@ def run_scenario(cfg):
                                     duration_s=0.5)
                 belief = arte_estimate(model, mask, window)
             ctrl.set_estimate(*belief)
+            law = ctrl.law(dt, cfg.torque_demand)
             estimates.append((k, ROAD_INDEX[belief[0]]))
             invocation += 1
             next_arte += cfg.arte_period_s
             arte_due = next_arte - 1e-12
 
-        t_cmd = ctrl.update(v, w, t_applied, cfg.torque_demand, dt)
-        v_arr[k] = v
-        w_arr[k] = w
-        cmd_arr[k] = t_cmd
-        app_arr[k] = t_applied
-
-        try:
-            v, w, t_applied, mu_arr[k] = step(v, w, t_applied, t_cmd)
-        except SimulationDiverged as exc:
-            raise SimulationDiverged("%s at t = %.9g s (step %d)"
-                                     % (exc, t, k)) from exc
+        end = min(_span_end(next_switch, k, n_steps, dt),
+                  _span_end(arte_due, k, n_steps, dt))
+        v, w, t_applied = run(law, v, w, t_applied, k, end, *views)
+        k = end
 
     # derived columns, each with the operations of its per-step definition
     vw_arr = w_arr * p.r

@@ -73,12 +73,20 @@ def eval_freq(tf, omega):
     return np.polyval(tf.num, s) / den
 
 
-def chordal_distance(p1, p2):
-    p1 = np.asarray(p1, dtype=np.complex128)
-    p2 = np.asarray(p2, dtype=np.complex128)
+def _on_sphere(p):
+    """(p, 1) / sqrt(1 + |p|^2): the homogeneous coordinates of p scaled to
+    unit length, so no product of them overflows however large p is."""
+    p = np.asarray(p, dtype=np.complex128)
     # hypot keeps |p| near the float limit from overflowing when squared
-    return np.abs(p1 - p2) / (np.hypot(1.0, np.abs(p1))
-                              * np.hypot(1.0, np.abs(p2)))
+    scale = 1.0 / np.hypot(1.0, np.abs(p))
+    return p * scale, scale
+
+
+def chordal_distance(p1, p2):
+    """|p1 - p2| / sqrt((1 + |p1|^2) (1 + |p2|^2))."""
+    u1, s1 = _on_sphere(p1)
+    u2, s2 = _on_sphere(p2)
+    return np.abs(u1 * s2 - u2 * s1)
 
 
 def _degree(coeffs):
@@ -113,13 +121,20 @@ def _winding_ok(tf1, tf2, grid_points=GRID_POINTS):
 
     The half-axis grid is closed with the exact w=0 and w->inf values;
     symmetry of real-rational plants supplies the negative half. Steps
-    whose phase jump exceeds pi/2 are subdivided before counting.
+    whose phase jump exceeds pi/2 are subdivided before counting.  The
+    path is divided by sqrt((1 + |P1|^2) (1 + |P2|^2)), which leaves its
+    winding as it is and its magnitude at most 1.
     """
+    def return_difference(p1, p2):
+        u1, s1 = _on_sphere(p1)
+        u2, s2 = _on_sphere(p2)
+        return s1 * s2 + np.conj(u2) * u1
+
     omega = np.logspace(np.log10(GRID_LO), np.log10(GRID_HI), grid_points)
     for _ in range(8):
-        f = 1.0 + np.conj(eval_freq(tf2, omega)) * eval_freq(tf1, omega)
-        f0 = 1.0 + np.conj(eval_freq(tf2, 0.0)) * eval_freq(tf1, 0.0)
-        finf = 1.0 + np.conj(_limit_at_inf(tf2)) * _limit_at_inf(tf1)
+        f = return_difference(eval_freq(tf1, omega), eval_freq(tf2, omega))
+        f0 = return_difference(eval_freq(tf1, 0.0), eval_freq(tf2, 0.0))
+        finf = return_difference(_limit_at_inf(tf1), _limit_at_inf(tf2))
         path = np.concatenate(([f0], f, [finf]))
         if np.min(np.abs(path)) < 1e-12:
             return False

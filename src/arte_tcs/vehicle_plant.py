@@ -19,14 +19,17 @@ mechanical pair (V, w) by classic RK4 with the lagged torque evaluated
 at the stage times.  States are clamped non-negative (forward driving
 only).
 
-`make_plant_step(curve, params, dt)` is the one kernel.  It is built once
-per road segment: the curve's B/C/D/E, the normal load, the resistance
+`make_plant_run(curve, params, dt)` builds the one kernel, once per road
+segment: the curve's B/C/D/E, the normal load, the resistance
 coefficients, the torque limit and the lag decay are bound once, and its
 right-hand side inlines `slip_ratio`, `mu_scalar`, `drive_force` and
 `driving_resistance` with the same IEEE operations in the same order, so
-its results are bit-identical to theirs.  Besides the new state it
-returns mu at the start state, which its first RK4 stage computes anyway.
-`plant_step` is its single-step form.
+its results are bit-identical to theirs.  The kernel owns the step loop:
+one call runs a span of steps against a controller law
+`law(v, w, t_applied) -> t_cmd`, writes the state, the command and mu at
+the start state (which its first RK4 stage computes anyway) to the trace
+columns, and names the step at which a run diverges.  `plant_step` is a
+one-step call of it at a constant command.
 """
 
 import math
@@ -83,23 +86,24 @@ def driving_resistance(v, params):
             + 0.5 * params.rho_air * params.cda * v * v)
 
 
-def first_order_lag(x, u, tau, dt):
-    """Exact one-step discretization of tau * x' = u - x."""
-    if dt > tau / 5.0:
-        raise ConfigError("step %g too coarse for time constant %g" % (dt, tau))
-    return x + (1.0 - math.exp(-dt / tau)) * (u - x)
-
-
 def drive_force(v, w, curve, params):
     lam = slip_ratio(v, w, params.r)
     return curve.mu_scalar(lam) * params.normal_load()
 
 
-def make_plant_step(curve, params, dt):
-    """Plant step for one road curve, vehicle and step size.
+def _diverged(what, k, dt):
+    return SimulationDiverged("%s at t = %.9g s (step %d)" % (what, k * dt, k))
 
-    Returns step(v, w, t_applied, t_cmd) -> (v, w, t_applied, mu): the
-    state at t + dt and the friction coefficient at the start state.
+
+def make_plant_run(curve, params, dt):
+    """Step loop for one road curve, vehicle and step size.
+
+    Returns run(law, v, w, t_applied, lo, hi, v_col, w_col, cmd_col,
+    app_col, mu_col) -> (v, w, t_applied).  Step k of lo..hi-1 asks
+    law(v, w, t_applied) for the command, writes the state and the
+    command to column k and the friction coefficient at the start state
+    to mu_col[k], and the state after step hi-1 is returned.  A
+    non-finite state or command raises SimulationDiverged naming the step.
     """
     if not 0.0 < dt <= 5e-3:
         raise ConfigError("plant step size must lie in (0, 5e-3] s")
@@ -134,37 +138,54 @@ def make_plant_step(curve, params, dt):
         fdr = roll + aero * v * v if v > 0.0 else 0.0
         return (4.0 * fd - fdr) / m, (torque - r * fd) / jw, mu
 
-    def step(v, w, t_applied, t_cmd):
-        if not (isfinite(t_cmd) and isfinite(v) and isfinite(w)
-                and isfinite(t_applied)):
-            raise SimulationDiverged(
-                "non-finite state or command entering step")
-        if t_cmd > lim:
-            t_cmd = lim
-        elif t_cmd < -lim:
-            t_cmd = -lim
-        lag = (t_applied - t_cmd) * decay
-        t_half = t_cmd + lag
-        t_full = t_cmd + lag * decay
+    def run(law, v, w, t_applied, lo, hi, v_col, w_col, cmd_col, app_col,
+            mu_col):
+        # each step below leaves a finite state or raises, so only the
+        # entering state needs a check of its own
+        if not (isfinite(v) and isfinite(w) and isfinite(t_applied)):
+            raise _diverged("non-finite state or command entering step",
+                            lo, dt)
+        for k in range(lo, hi):
+            t_cmd = law(v, w, t_applied)
+            v_col[k] = v
+            w_col[k] = w
+            cmd_col[k] = t_cmd
+            app_col[k] = t_applied
+            if not isfinite(t_cmd):
+                raise _diverged("non-finite state or command entering step",
+                                k, dt)
+            if t_cmd > lim:
+                t_cmd = lim
+            elif t_cmd < -lim:
+                t_cmd = -lim
+            lag = (t_applied - t_cmd) * decay
+            t_half = t_cmd + lag
+            t_full = t_cmd + lag * decay
 
-        k1v, k1w, mu = derivs(v, w, t_applied)
-        k2v, k2w, _ = derivs(v + half_dt * k1v, w + half_dt * k1w, t_half)
-        k3v, k3w, _ = derivs(v + half_dt * k2v, w + half_dt * k2w, t_half)
-        k4v, k4w, _ = derivs(v + dt * k3v, w + dt * k3w, t_full)
-        v2 = v + sixth_dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        w2 = w + sixth_dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            k1v, k1w, mu_col[k] = derivs(v, w, t_applied)
+            k2v, k2w, _ = derivs(v + half_dt * k1v, w + half_dt * k1w,
+                                 t_half)
+            k3v, k3w, _ = derivs(v + half_dt * k2v, w + half_dt * k2w,
+                                 t_half)
+            k4v, k4w, _ = derivs(v + dt * k3v, w + dt * k3w, t_full)
+            v += sixth_dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            w += sixth_dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
 
-        if not (isfinite(v2) and isfinite(w2)):
-            raise SimulationDiverged("state became non-finite during step")
-        if v2 < 0.0:
-            v2 = 0.0
-        if w2 < 0.0:
-            w2 = 0.0
-        return v2, w2, t_full, mu
+            if not (isfinite(v) and isfinite(w)):
+                raise _diverged("state became non-finite during step", k, dt)
+            if v < 0.0:
+                v = 0.0
+            if w < 0.0:
+                w = 0.0
+            t_applied = t_full
+        return v, w, t_applied
 
-    return step
+    return run
 
 
 def plant_step(v, w, t_applied, t_cmd, dt, curve, params):
     """Advance one step; returns (v, w, t_applied) at t + dt."""
-    return make_plant_step(curve, params, dt)(v, w, t_applied, t_cmd)[:3]
+    column = [0.0]  # the one-step records are not kept
+    return make_plant_run(curve, params, dt)(
+        lambda v, w, t_applied: t_cmd, v, w, t_applied, 0, 1,
+        column, column, column, column, column)

@@ -112,6 +112,15 @@ def test_gap_coefficient_lists(capsys):
     line = capsys.readouterr().out.splitlines()[1]
     assert line.split(",")[:2] == ["0.999999995", "true"]
 
+    # |P1 P2| far beyond the float limit: the winding test and the distance
+    # stay finite, and the gap is 1e300 / (1e300 * 2e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["gap", "--num1", "1e300", "--den1", "1",
+                         "--num2", "2e300", "--den2", "1"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.split(",")[:2] == ["5e-301", "true"]
+
 
 def coefficient_lists():
     """1-4 comma-separated entries, each 0 (one in four) or of magnitude

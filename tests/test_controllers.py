@@ -6,7 +6,6 @@ import pytest
 
 from arte_tcs.controllers import (
     MTTE_ROAD_ALPHA,
-    HighPassFilter,
     MaxTransmissibleTorque,
     ModelFollowingControl,
     OpenLoop,
@@ -21,23 +20,51 @@ P = VehicleParams()
 P0 = dataclasses.replace(P, mu_roll=1e-9, cda=1e-9)
 
 
+def high_pass_response(ctrl, dt):
+    """MFC's filter output for a unit step of the speed error.  At zero
+    demand the model speed stays put, and an error of -1 commands gain
+    times the output for +1."""
+    return ctrl.update(0.0, ctrl.w_model - 1.0, 0.0, 0.0, dt) / ctrl.gain
+
+
 def test_high_pass_rejects_dc():
-    f = HighPassFilter(tau=0.1)
+    ctrl = ModelFollowingControl(dataclasses.replace(P, tau_hp=0.1))
+    ctrl.reset(w0=1.0)
     y = None
     for _ in range(5000):
-        y = f.step(1.0, 1e-3)
+        y = high_pass_response(ctrl, 1e-3)
     assert abs(y) < 1e-4
 
 
 def test_high_pass_passes_fast_edge():
-    f = HighPassFilter(tau=1000.0)
-    y = f.step(1.0, 1e-4)
+    ctrl = ModelFollowingControl(dataclasses.replace(P, tau_hp=1000.0))
+    ctrl.reset(w0=1.0)
+    y = high_pass_response(ctrl, 1e-4)
     assert y == pytest.approx(1.0, abs=1e-6)
 
 
 def test_high_pass_rejects_bad_tau():
     with pytest.raises(ConfigError):
-        HighPassFilter(tau=0.0)
+        ModelFollowingControl(dataclasses.replace(P, tau_hp=0.0))
+
+
+def test_mtte_observer_lag_step_response():
+    # a step of the raw force estimate: fd_raw = t_applied / r at dw = 0
+    tau = 0.05
+    dt = 1e-3
+    m = MaxTransmissibleTorque(P, tau_obs=tau)
+    n = int(round(tau / dt))
+    for _ in range(n):
+        m.update(0.0, 0.0, P.r, 0.0, dt)
+    assert m.fd_hat == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
+
+
+def test_mtte_rejects_coarse_observer_step():
+    m = MaxTransmissibleTorque(P, tau_obs=0.05)
+    with pytest.raises(ConfigError):
+        m.update(0.0, 0.0, P.r, 0.0, 0.02)
+    # exactly tau/5 is still allowed
+    m.update(0.0, 0.0, P.r, 0.0, 0.01)
 
 
 def test_mfc_model_inertia_pins():

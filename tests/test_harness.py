@@ -1,9 +1,12 @@
-import numpy as np
-import pytest
+import math
 from dataclasses import replace
 
-import arte_tcs.harness as harness
+import numpy as np
+import pytest
+
+import arte_tcs.cli as cli
 from arte_tcs.arte_classifier import prune_features, split_dataset, train_mlp, save_model
+from arte_tcs.controllers import MaxTransmissibleTorque
 from arte_tcs.errors import ConfigError, SimulationDiverged
 from arte_tcs.harness import (MAX_STEPS, NO_ESTIMATE, ROAD_INDEX,
                               ScenarioConfig, SimTrace, _build_controller,
@@ -117,24 +120,54 @@ def test_wrong_road_estimates_never_crash_controllers():
             assert np.isfinite(out) and out >= 0.0
 
 
-def test_divergence_names_time_and_step(monkeypatch):
-    real = harness.make_plant_step
+def nan_command_at(monkeypatch, step):
+    """Make MTTE's law command nan at the given step of the next run."""
+    real = MaxTransmissibleTorque.law
+    calls = []  # steps run so far, over every law built for the run
 
-    def make_plant_step(curve, params, dt):
-        step = real(curve, params, dt)
-        calls = []
+    def law(self, dt, t_demand):
+        inner = real(self, dt, t_demand)
 
-        def diverging(*state):
+        def law_with_nan(v, w, t_applied):
             calls.append(None)
-            if len(calls) > 5:
-                raise SimulationDiverged("state became non-finite")
-            return step(*state)
-        return diverging
+            if len(calls) == step + 1:
+                return math.nan
+            return inner(v, w, t_applied)
+        return law_with_nan
 
-    monkeypatch.setattr(harness, "make_plant_step", make_plant_step)
+    monkeypatch.setattr(MaxTransmissibleTorque, "law", law)
+
+
+def test_divergence_names_time_and_step(monkeypatch):
+    # the plant itself overflows: drag grows with V squared
     with pytest.raises(SimulationDiverged, match=r"^state became non-finite "
-                       r"at t = 0\.0005 s \(step 5\)$"):
+                       r"during step at t = 0 s \(step 0\)$"):
+        run_scenario(ScenarioConfig(duration_s=0.01, v0=1e300))
+
+    nan_command_at(monkeypatch, 5)
+    with pytest.raises(SimulationDiverged, match=r"^non-finite state or "
+                       r"command entering step at t = 0\.0005 s "
+                       r"\(step 5\)$"):
         run_scenario(ScenarioConfig(duration_s=0.01))
+
+
+def test_divergence_inside_a_span_names_its_step(monkeypatch, tmp_path,
+                                                capsys):
+    # oracle ticks at steps 0, 1000 and 2000: step 1234 is inside a span
+    nan_command_at(monkeypatch, 1234)
+    with pytest.raises(SimulationDiverged, match=r" at t = 0\.1234 s "
+                       r"\(step 1234\)$"):
+        run_scenario(ScenarioConfig(duration_s=0.25, arte_mode="oracle"))
+
+    scenario = tmp_path / "oracle.ini"
+    scenario.write_text("[scenario]\nduration_s = 0.25\narte_mode = oracle\n")
+    out = tmp_path / "trace.csv"
+    nan_command_at(monkeypatch, 1234)
+    assert cli.main(["simulate", "--config", str(scenario),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err.endswith(
+        " at t = 0.1234 s (step 1234)\n")
+    assert not out.exists()
 
 
 def test_trace_csv_layout(tmp_path):

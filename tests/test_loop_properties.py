@@ -6,6 +6,8 @@ here from the public formulas, and the derived columns for exact (bit)
 equality with their per-step definitions, not to a tolerance: t[k] ==
 k*dt, lambda[k] == slip_ratio at (V[k], Vw[k]), road_true[k] is the
 schedule's road at t[k], and mu[k] == mu_scalar(lambda[k]) of that road.
+`run_scenario`'s span loop is checked bit for bit against a per-step loop
+written here from `update` and `plant_step`.
 """
 
 import bisect
@@ -22,7 +24,7 @@ from arte_tcs.harness import ScenarioConfig, _build_controller, run_scenario
 from arte_tcs.tire_road import (DEFAULT_CURVES, MuLambdaCurve, RoadType,
                                 peak_friction)
 from arte_tcs.vehicle_plant import (VehicleParams, drive_force,
-                                    driving_resistance, make_plant_step,
+                                    driving_resistance, make_plant_run,
                                     plant_step, slip_ratio)
 
 PARAMS = VehicleParams()
@@ -89,6 +91,15 @@ def bits(values):
     return [float(x).hex() for x in values]
 
 
+def kernel_step(run, v, w, t_applied, t_cmd):
+    """One step of a kernel run at a constant command: the state after it,
+    then the five recorded columns (V, w, T_cmd, T_applied, mu)."""
+    columns = [[None] for _ in range(5)]
+    state = run(lambda v, w, t_applied: t_cmd, v, w, t_applied, 0, 1,
+                *columns)
+    return state, [col[0] for col in columns]
+
+
 @settings(max_examples=1000, deadline=None)
 @given(v=speeds, w=wheel_speeds, t_applied=finite(0.0, LIMIT),
        t_cmd=finite(-3.0 * LIMIT, 3.0 * LIMIT), dt=step_sizes, curve=curves,
@@ -96,32 +107,33 @@ def bits(values):
 def test_plant_kernel_matches_reference_rk4_bit_for_bit(v, w, t_applied,
                                                         t_cmd, dt, curve,
                                                         params):
-    step = make_plant_step(curve, params, dt)
+    run = make_plant_run(curve, params, dt)
     expected = reference_step(v, w, t_applied, t_cmd, dt, curve, params)
     if not all(map(math.isfinite, expected)):
         with pytest.raises(SimulationDiverged):
-            step(v, w, t_applied, t_cmd)
+            kernel_step(run, v, w, t_applied, t_cmd)
         return
-    *state, mu = step(v, w, t_applied, t_cmd)
+    state, recorded = kernel_step(run, v, w, t_applied, t_cmd)
     assert bits(state) == bits(expected)
-    assert bits([mu]) == bits([curve.mu_scalar(slip_ratio(v, w, params.r))])
+    mu = curve.mu_scalar(slip_ratio(v, w, params.r))
+    assert bits(recorded) == bits([v, w, t_cmd, t_applied, mu])
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-4, 5.000001e-3, 1.0, math.nan,
                                 math.inf])
 def test_plant_kernel_rejects_bad_step_size_when_built(dt):
     with pytest.raises(ConfigError):
-        make_plant_step(DEFAULT_CURVES[RoadType.SNOW], PARAMS, dt)
+        make_plant_run(DEFAULT_CURVES[RoadType.SNOW], PARAMS, dt)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("position", range(4))
 def test_plant_kernel_rejects_non_finite_input(bad, position):
-    step = make_plant_step(DEFAULT_CURVES[RoadType.SNOW], PARAMS, 1e-4)
+    run = make_plant_run(DEFAULT_CURVES[RoadType.SNOW], PARAMS, 1e-4)
     args = [1.0, 4.0, 100.0, 200.0]
     args[position] = bad
     with pytest.raises(SimulationDiverged):
-        step(*args)
+        kernel_step(run, *args)
 
 
 @settings(max_examples=300, deadline=None)
@@ -203,3 +215,81 @@ def test_derived_columns_match_per_step_definitions(cfg):
                    if k == 0 or road_est[k] is not road_est[k - 1]]
         assert all(road_est[k] is road_true[k] for k in changes)
         assert None not in road_est
+
+
+def reference_loop(cfg):
+    """The trace of a loop that runs one `update` and one `plant_step` per
+    step, testing t = k*dt against the next switch and the next estimator
+    tick at each step: the loop that run_scenario's spans replace."""
+    p, dt, sched = cfg.params, cfg.dt, cfg.road_schedule
+    ctrl = _build_controller(cfg)
+    rows = []
+    v, w, t_applied = cfg.v0, cfg.v0 / p.r, 0.0
+    sched_i = -1
+    next_switch = 0.0
+    next_arte = 0.0
+    arte_due = -1e-12 if cfg.arte_mode != "off" else math.inf
+    road_est = None
+    for k in range(int(round(cfg.duration_s / dt))):
+        t = k * dt
+        if t >= next_switch:
+            while sched_i + 1 < len(sched) and t >= sched[sched_i + 1][0]:
+                sched_i += 1
+            road = sched[sched_i][1]
+            next_switch = (sched[sched_i + 1][0] if sched_i + 1 < len(sched)
+                           else math.inf)
+        if t >= arte_due:
+            ctrl.set_estimate(road, *peak_friction(DEFAULT_CURVES[road]))
+            road_est = road
+            next_arte += cfg.arte_period_s
+            arte_due = next_arte - 1e-12
+        t_cmd = ctrl.update(v, w, t_applied, cfg.torque_demand, dt)
+        lam = slip_ratio(v, w, p.r)
+        rows.append((t, v, w * p.r, lam, t_cmd, t_applied,
+                     DEFAULT_CURVES[road].mu_scalar(lam), road, road_est))
+        v, w, t_applied = plant_step(v, w, t_applied, t_cmd, dt,
+                                     DEFAULT_CURVES[road], p)
+    return rows
+
+
+@st.composite
+def span_scenarios(draw):
+    dt = draw(finite(2e-4, 5e-3))
+    n_steps = draw(st.integers(1, 1500))
+    duration = n_steps * dt
+    # a step time itself, one ulp either side of it, or a time less than
+    # one step after another switch
+    on_step = st.integers(1, n_steps).map(lambda k: k * dt)
+    switch = st.one_of(
+        on_step,
+        on_step.map(lambda t: math.nextafter(t, math.inf)),
+        on_step.map(lambda t: math.nextafter(t, 0.0)),
+        finite(1e-9, duration))
+    times = draw(st.lists(switch, max_size=4))
+    if times and draw(st.booleans()):
+        times.append(times[0] + draw(st.floats(0.0, dt, exclude_min=True,
+                                               exclude_max=True)))
+    times = sorted(set(t for t in times if t > 0.0))
+    schedule = tuple(zip([0.0] + times,
+                         draw(st.lists(roads, min_size=len(times) + 1,
+                                       max_size=len(times) + 1))))
+    # an estimator period that is not a whole number of steps
+    ticks = draw(st.integers(math.ceil(0.1 / dt), math.ceil(0.3 / dt)))
+    period = (ticks + draw(finite(0.05, 0.95))) * dt
+    return ScenarioConfig(duration_s=duration, dt=dt, road_schedule=schedule,
+                          controller=draw(st.sampled_from(CONTROLLERS)),
+                          arte_mode=draw(st.sampled_from(("off", "oracle"))),
+                          arte_period_s=period, v0=draw(finite(0.0, 30.0)),
+                          torque_demand=draw(finite(0.0, LIMIT)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=span_scenarios())
+def test_spans_match_reference_loop_bit_for_bit(cfg):
+    tr = run_scenario(cfg)
+    expected = list(zip(*reference_loop(cfg)))
+    columns = (tr.t, tr.v, tr.vw, tr.lam, tr.t_cmd, tr.t_applied, tr.mu)
+    for got, want in zip(columns, expected):
+        assert bits(got.tolist()) == bits(want)
+    assert tr.road_true == list(expected[7])
+    assert tr.road_est == list(expected[8])

@@ -9,7 +9,6 @@ from arte_tcs.vehicle_plant import (
     VehicleParams,
     drive_force,
     driving_resistance,
-    first_order_lag,
     plant_step,
     slip_ratio,
 )
@@ -47,23 +46,6 @@ def test_driving_resistance_values():
     assert driving_resistance(10.0, P) == pytest.approx(
         0.015 * 1400 * 9.81 + 0.5 * 1.2 * 0.6 * 100.0
     )
-
-
-def test_first_order_lag_step_response():
-    tau = 0.05
-    dt = 1e-3
-    x = 0.0
-    n = int(round(tau / dt))
-    for _ in range(n):
-        x = first_order_lag(x, 1.0, tau, dt)
-    assert x == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
-
-
-def test_first_order_lag_rejects_coarse_step():
-    with pytest.raises(ConfigError):
-        first_order_lag(0.0, 1.0, 0.05, 0.02)
-    # exactly tau/5 is still allowed
-    first_order_lag(0.0, 1.0, 0.05, 0.01)
 
 
 def test_exact_motor_lag():
