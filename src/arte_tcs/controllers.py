@@ -189,7 +189,11 @@ class MaxTransmissibleTorque(Controller):
         self.fd_peak = None
         self._w_prev = None
         p = self.params
-        self.c = p.jw / ((p.m_vehicle / 4.0) * p.r * p.r)
+        inertia = (p.m_vehicle / 4.0) * p.r * p.r
+        if not inertia > 0.0:
+            raise ConfigError("equivalent inertia m_vehicle/4 * r^2 "
+                              "underflows to zero")
+        self.c = p.jw / inertia
 
     def set_estimate(self, road, lambda_opt, mu_peak):
         """Adopt the surface-matched relaxation factor and the grip

@@ -21,15 +21,17 @@ only).
 
 `make_plant_run(curve, params, dt)` builds the one kernel, once per road
 segment: the curve's B/C/D/E, the normal load, the resistance
-coefficients, the torque limit and the lag decay are bound once, and its
-right-hand side inlines `slip_ratio`, `mu_scalar`, `drive_force` and
+coefficients, the torque limit and the lag decay are bound once.  The
+kernel owns the step loop: one call runs a span of steps against a
+controller law `law(v, w, t_applied) -> t_cmd`, writes the state, the
+command and mu at the start state (which its first RK4 stage computes
+anyway) to the trace columns, and names the step at which a run
+diverges.  The right-hand side is written out in the loop once per RK4
+stage, inlining `slip_ratio`, `mu_scalar`, `drive_force` and
 `driving_resistance` with the same IEEE operations in the same order, so
-its results are bit-identical to theirs.  The kernel owns the step loop:
-one call runs a span of steps against a controller law
-`law(v, w, t_applied) -> t_cmd`, writes the state, the command and mu at
-the start state (which its first RK4 stage computes anyway) to the trace
-columns, and names the step at which a run diverges.  `plant_step` is a
-one-step call of it at a constant command.
+its results are bit-identical to theirs and a step calls no Python
+function but the law.  `plant_step` is a one-step call of the kernel at
+a constant command.
 """
 
 import math
@@ -104,6 +106,15 @@ def make_plant_run(curve, params, dt):
     command to column k and the friction coefficient at the start state
     to mu_col[k], and the state after step hi-1 is returned.  A
     non-finite state or command raises SimulationDiverged naming the step.
+
+    The right-hand side is written out once per RK4 stage, not called
+    as a helper: four Python calls a step cost about a sixth of the
+    snow-launch benchmark's time.  So a step calls only the law and the
+    `math` builtins.  Each stage computes slip (with the 0.1 floor), the
+    +-1 clamp, the Magic Formula, the load, the resistance (only while
+    moving) and the two accelerations, with the operations of
+    `slip_ratio`, `mu_scalar`, `drive_force` and `driving_resistance` in
+    their order; a change to one stage belongs in all four.
     """
     if not 0.0 < dt <= 5e-3:
         raise ConfigError("plant step size must lie in (0, 5e-3] s")
@@ -117,26 +128,6 @@ def make_plant_run(curve, params, dt):
     decay = math.exp(-0.5 * dt / params.tau_motor)
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     atan, sin, isfinite = math.atan, math.sin, math.isfinite
-
-    def derivs(v, w, torque):
-        """(dV/dt, dw/dt, mu) at the given state and applied torque."""
-        # slip_ratio
-        vw = r * w
-        denom = vw if vw > v else v
-        if denom < 0.1:
-            denom = 0.1
-        lam = (vw - v) / denom
-        # mu_scalar
-        if lam > 1.0:
-            lam = 1.0
-        elif lam < -1.0:
-            lam = -1.0
-        bl = b * lam
-        mu = d * sin(c * atan(bl - e * (bl - atan(bl))))
-        # drive_force, driving_resistance
-        fd = mu * load
-        fdr = roll + aero * v * v if v > 0.0 else 0.0
-        return (4.0 * fd - fdr) / m, (torque - r * fd) / jw, mu
 
     def run(law, v, w, t_applied, lo, hi, v_col, w_col, cmd_col, app_col,
             mu_col):
@@ -162,12 +153,78 @@ def make_plant_run(curve, params, dt):
             t_half = t_cmd + lag
             t_full = t_cmd + lag * decay
 
-            k1v, k1w, mu_col[k] = derivs(v, w, t_applied)
-            k2v, k2w, _ = derivs(v + half_dt * k1v, w + half_dt * k1w,
-                                 t_half)
-            k3v, k3w, _ = derivs(v + half_dt * k2v, w + half_dt * k2w,
-                                 t_half)
-            k4v, k4w, _ = derivs(v + dt * k3v, w + dt * k3w, t_full)
+            # stage 1, at the start state (v, w) and t_applied
+            vw = r * w
+            denom = vw if vw > v else v
+            if denom < 0.1:
+                denom = 0.1
+            lam = (vw - v) / denom
+            if lam > 1.0:
+                lam = 1.0
+            elif lam < -1.0:
+                lam = -1.0
+            bl = b * lam
+            mu = d * sin(c * atan(bl - e * (bl - atan(bl))))
+            mu_col[k] = mu
+            fd = mu * load
+            fdr = roll + aero * v * v if v > 0.0 else 0.0
+            k1v = (4.0 * fd - fdr) / m
+            k1w = (t_applied - r * fd) / jw
+
+            # stage 2, at (sv, sw) half a step along stage 1, and t_half
+            sv = v + half_dt * k1v
+            sw = w + half_dt * k1w
+            vw = r * sw
+            denom = vw if vw > sv else sv
+            if denom < 0.1:
+                denom = 0.1
+            lam = (vw - sv) / denom
+            if lam > 1.0:
+                lam = 1.0
+            elif lam < -1.0:
+                lam = -1.0
+            bl = b * lam
+            fd = d * sin(c * atan(bl - e * (bl - atan(bl)))) * load
+            fdr = roll + aero * sv * sv if sv > 0.0 else 0.0
+            k2v = (4.0 * fd - fdr) / m
+            k2w = (t_half - r * fd) / jw
+
+            # stage 3, at (sv, sw) half a step along stage 2, and t_half
+            sv = v + half_dt * k2v
+            sw = w + half_dt * k2w
+            vw = r * sw
+            denom = vw if vw > sv else sv
+            if denom < 0.1:
+                denom = 0.1
+            lam = (vw - sv) / denom
+            if lam > 1.0:
+                lam = 1.0
+            elif lam < -1.0:
+                lam = -1.0
+            bl = b * lam
+            fd = d * sin(c * atan(bl - e * (bl - atan(bl)))) * load
+            fdr = roll + aero * sv * sv if sv > 0.0 else 0.0
+            k3v = (4.0 * fd - fdr) / m
+            k3w = (t_half - r * fd) / jw
+
+            # stage 4, at (sv, sw) a full step along stage 3, and t_full
+            sv = v + dt * k3v
+            sw = w + dt * k3w
+            vw = r * sw
+            denom = vw if vw > sv else sv
+            if denom < 0.1:
+                denom = 0.1
+            lam = (vw - sv) / denom
+            if lam > 1.0:
+                lam = 1.0
+            elif lam < -1.0:
+                lam = -1.0
+            bl = b * lam
+            fd = d * sin(c * atan(bl - e * (bl - atan(bl)))) * load
+            fdr = roll + aero * sv * sv if sv > 0.0 else 0.0
+            k4v = (4.0 * fd - fdr) / m
+            k4w = (t_full - r * fd) / jw
+
             v += sixth_dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             w += sixth_dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
 

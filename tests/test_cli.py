@@ -305,6 +305,7 @@ BAD_SCENARIOS = {
     "not_text": b"[scenario]\n\xff\xfe\n",
     "duration_under_one_step": b"[scenario]\nduration_s = 0.00004\n",
     "duration_unbounded": b"[scenario]\nduration_s = 1e300\n",
+    "wheel_radius_underflow": b"[vehicle]\nr = 1e-300\n",
 }
 
 
@@ -314,6 +315,16 @@ def test_simulate_bad_scenario_exits_two(tmp_path, capsys, body):
     cfg.write_bytes(body)
     out = str(tmp_path / "trace.csv")
     assert cli.main(["simulate", "--config", str(cfg), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("body", BAD_SCENARIOS.values(), ids=BAD_SCENARIOS)
+def test_compare_bad_scenario_exits_two(tmp_path, capsys, body):
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_bytes(body)
+    out = str(tmp_path / "cmp.csv")
+    assert cli.main(["compare", "--config", str(cfg), "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not os.path.exists(out)
 

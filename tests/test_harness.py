@@ -1,10 +1,12 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import arte_tcs.cli as cli
+import arte_tcs.vehicle_plant as vehicle_plant
 from arte_tcs.arte_classifier import prune_features, split_dataset, train_mlp, save_model
 from arte_tcs.controllers import MaxTransmissibleTorque
 from arte_tcs.errors import ConfigError, SimulationDiverged
@@ -168,6 +170,33 @@ def test_divergence_inside_a_span_names_its_step(monkeypatch, tmp_path,
     assert capsys.readouterr().err.endswith(
         " at t = 0.1234 s (step 1234)\n")
     assert not out.exists()
+
+
+def test_plant_python_calls_scale_with_spans_not_steps():
+    # a structural guard on the plant kernel's speed: within a span, a
+    # step calls no Python function of the plant module (the controller
+    # law lives elsewhere), so the plant's call count follows the spans
+    cfg = ScenarioConfig(duration_s=0.25, controller="mtte",
+                         arte_mode="oracle")
+    calls = []
+
+    def profile(frame, event, arg):
+        if (event == "call"
+                and frame.f_code.co_filename == vehicle_plant.__file__):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        tr = run_scenario(cfg)
+    finally:
+        sys.setprofile(None)
+    # one road segment; estimator ticks at 0, 0.1 and 0.2 s cut 3 spans
+    spans = 3
+    assert len(tr.t) == 2500
+    assert calls.count("run") == spans
+    # the rest are per run, segment or tick: the vehicle's validate, the
+    # kernel build and its normal_load, and one normal_load per estimate
+    assert len(calls) <= 3 * spans
 
 
 def test_trace_csv_layout(tmp_path):

@@ -7,15 +7,18 @@ equality with their per-step definitions, not to a tolerance: t[k] ==
 k*dt, lambda[k] == slip_ratio at (V[k], Vw[k]), road_true[k] is the
 schedule's road at t[k], and mu[k] == mu_scalar(lambda[k]) of that road.
 `run_scenario`'s span loop is checked bit for bit against a per-step loop
-written here from `update` and `plant_step`.
+written here from `update` and `plant_step`, and any vehicle that
+`VehicleParams.validate` accepts either runs or fails with a documented
+error.
 """
 
 import bisect
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arte_tcs.errors import ConfigError, SimulationDiverged
@@ -100,10 +103,30 @@ def kernel_step(run, v, w, t_applied, t_cmd):
     return state, [col[0] for col in columns]
 
 
+def stage_example(v, w, t_applied, t_cmd, dt, road):
+    return example(v=v, w=w, t_applied=t_applied, t_cmd=t_cmd, dt=dt,
+                   curve=DEFAULT_CURVES[road], params=PARAMS)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(v=speeds, w=wheel_speeds, t_applied=finite(0.0, LIMIT),
        t_cmd=finite(-3.0 * LIMIT, 3.0 * LIMIT), dt=step_sizes, curve=curves,
        params=vehicles)
+# The kernel writes its right-hand side out once per RK4 stage; these
+# drive the state of each of stages 2-4 (stage 1 takes the start state)
+# through every branch the stage takes: the 0.1 slip denominator floor,
+# the +-1 slip clamp (a stage state may be negative), and the zero
+# resistance at V <= 0.  Per stage 1/2/3/4, F floor, C clamp, N V <= 0:
+# N/F/F/FC
+@stage_example(0.0, 1.0, 100.0, 400.0, 1e-3, RoadType.ASPHALT)
+# F/CN/FC/CN
+@stage_example(0.02, 0.0, 0.0, -3.0 * LIMIT, 5e-3, RoadType.ASPHALT)
+# -/-/-/C
+@stage_example(0.5, 0.25, 100.0, 0.0, 5e-3, RoadType.SNOW)
+# FN/FN/FN/CN
+@stage_example(0.0, 0.0, 0.0, -3.0 * LIMIT, 5e-3, RoadType.ASPHALT)
+# -/-/-/-: stage 4's wheel slows below its V, which is then the denominator
+@stage_example(0.1, 0.25, LIMIT, LIMIT, 5e-3, RoadType.STONE)
 def test_plant_kernel_matches_reference_rk4_bit_for_bit(v, w, t_applied,
                                                         t_cmd, dt, curve,
                                                         params):
@@ -293,3 +316,33 @@ def test_spans_match_reference_loop_bit_for_bit(cfg):
         assert bits(got.tolist()) == bits(want)
     assert tr.road_true == list(expected[7])
     assert tr.road_est == list(expected[8])
+
+
+# every vehicle that VehicleParams.validate accepts: each field any
+# positive finite float, subnormals included, and the two resistance
+# coefficients also zero
+positive_float = st.floats(0.0, exclude_min=True, allow_infinity=False)
+any_vehicle = st.builds(
+    VehicleParams, m_vehicle=positive_float, m_wheel=positive_float,
+    jw=positive_float, r=positive_float, tau_motor=positive_float,
+    tau_hp=positive_float, mu_roll=st.floats(0.0, allow_infinity=False),
+    cda=st.floats(0.0, allow_infinity=False), rho_air=positive_float,
+    g=positive_float, torque_limit=positive_float)
+
+
+@settings(max_examples=250, deadline=None)
+@given(params=any_vehicle, tag=st.sampled_from(CONTROLLERS),
+       mode=st.sampled_from(("off", "oracle")))
+def test_any_valid_vehicle_runs_or_fails_with_a_documented_error(params, tag,
+                                                                 mode):
+    # 20 steps: a run either returns its trace or stops with exit 2 or 3,
+    # never a traceback, and warns of nothing on the way
+    cfg = ScenarioConfig(duration_s=2e-3, controller=tag, arte_mode=mode,
+                         params=params.validate())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            tr = run_scenario(cfg)
+        except (ConfigError, SimulationDiverged):
+            return
+    assert len(tr.t) == 20
