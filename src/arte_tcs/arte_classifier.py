@@ -35,16 +35,6 @@ class FeatureDataset:
     norm_mean: np.ndarray = None
     norm_scale: np.ndarray = None
 
-    def validate(self):
-        x = np.asarray(self.features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != len(self.labels):
-            raise ConfigError("feature matrix does not match label count")
-        if not np.all(np.isfinite(x)):
-            raise ConfigError("dataset contains non-finite features")
-        if len(set(self.labels)) < 2:
-            raise ConfigError("dataset needs at least two classes")
-        return self
-
     def fit_normalization(self):
         x = self.features
         self.norm_mean = x.mean(axis=0)

@@ -1,4 +1,4 @@
-"""Acoustic front end: WAV I/O, framing, noise mixing, and features.
+"""Acoustic front end: WAV I/O, framing, and features.
 
 A mono clip is cut into 0.1 s frames; each frame yields a 20-element
 raw feature vector ordered [lpc 1..10, band 1..5, cep 1..5].
@@ -28,16 +28,6 @@ class AudioClip:
     sample_rate: int
     label: object = None
 
-    def validate(self):
-        if self.sample_rate not in SUPPORTED_RATES:
-            raise AudioFormatError(
-                "sample rate %r not in %r" % (self.sample_rate, SUPPORTED_RATES))
-        if len(self.samples) == 0:
-            raise AudioFormatError("clip has no samples")
-        if not np.all(np.isfinite(self.samples)):
-            raise AudioFormatError("clip contains non-finite samples")
-        return self
-
 
 @dataclass
 class Frame:
@@ -66,8 +56,10 @@ def load_wav(path):
     if rate not in SUPPORTED_RATES:
         raise AudioFormatError(
             "sample rate %d not in %r" % (rate, SUPPORTED_RATES))
+    if not raw:
+        raise AudioFormatError("clip has no samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioClip(samples=samples, sample_rate=rate).validate()
+    return AudioClip(samples=samples, sample_rate=rate)
 
 
 def write_wav(path, clip):
@@ -195,28 +187,3 @@ def extract_raw(frame):
     if not np.all(np.isfinite(raw)):  # finite energy, overflowing spectrum
         raise AudioFormatError("frame features are not finite")
     return raw
-
-
-def mix_noise(clip, noise, snr_db):
-    """Add noise at the requested SNR; +inf leaves the clip untouched."""
-    if noise.sample_rate != clip.sample_rate:
-        raise AudioFormatError("sample-rate mismatch: %d vs %d"
-                               % (clip.sample_rate, noise.sample_rate))
-    if math.isinf(snr_db) and snr_db > 0:
-        return AudioClip(clip.samples.copy(), clip.sample_rate, clip.label)
-    if not math.isfinite(snr_db):
-        raise ConfigError("snr_db must be finite or +inf")
-    n = len(clip.samples)
-    reps = -(-n // len(noise.samples))
-    tiled = np.tile(noise.samples, reps)[:n]
-    p_sig = np.mean(clip.samples ** 2)
-    p_noise = np.mean(tiled ** 2)
-    if p_noise <= 0.0:
-        raise ConfigError("noise clip has zero power")
-    gain = math.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))
-    mixed = clip.samples + gain * tiled
-    peak = np.max(np.abs(mixed))
-    if peak > 1.0:
-        mixed = mixed / peak
-    return AudioClip(mixed, clip.sample_rate, clip.label)
-

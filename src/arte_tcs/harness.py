@@ -286,18 +286,24 @@ def metrics(trace, gap=None):
 
 
 def compare(tcs_list, arte_modes, base_cfg):
-    """Cross-product of controllers and estimation modes, same scenario."""
+    """Cross-product of controllers and estimation modes, same scenario.
+
+    Every row's config is checked and its controller built before the
+    first row runs, so a row that cannot run fails before any work."""
+    cfgs = [replace(base_cfg, controller=tag, arte_mode=mode)
+            for tag in tcs_list for mode in arte_modes]
+    for cfg in cfgs:
+        _build_controller(cfg.validate())
     rows = []
-    for tag in tcs_list:
-        for mode in arte_modes:
-            cfg = replace(base_cfg, controller=tag, arte_mode=mode)
-            trace = run_scenario(cfg)
-            gap = None
-            if tag in FAMILY_BOXES:
-                nominal, worst = plant_family(tag, cfg.params,
-                                              arte_on=(mode != "off"))
-                gap = nu_gap(nominal, worst)
-            rows.append((tag, mode, metrics(trace, gap=gap)))
+    for cfg in cfgs:
+        tag, mode = cfg.controller, cfg.arte_mode
+        trace = run_scenario(cfg)
+        gap = None
+        if tag in FAMILY_BOXES:
+            nominal, worst = plant_family(tag, cfg.params,
+                                          arte_on=(mode != "off"))
+            gap = nu_gap(nominal, worst)
+        rows.append((tag, mode, metrics(trace, gap=gap)))
     rows.sort(key=lambda row: (row[0], row[1]))
     return rows
 

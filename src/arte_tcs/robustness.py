@@ -96,11 +96,6 @@ def _degree(coeffs):
     return len(coeffs) - 1 - nz[0]
 
 
-def _check_proper(tf):
-    if _degree(tf.num) > _degree(tf.den):
-        raise ConfigError("gap evaluation needs a proper transfer function")
-
-
 def _limit_at_inf(tf):
     if _degree(tf.num) < _degree(tf.den):
         return 0.0
@@ -125,17 +120,14 @@ def _winding_ok(tf1, tf2, grid_points=GRID_POINTS):
     path is divided by sqrt((1 + |P1|^2) (1 + |P2|^2)), which leaves its
     winding as it is and its magnitude at most 1.
     """
-    def return_difference(p1, p2):
-        u1, s1 = _on_sphere(p1)
-        u2, s2 = _on_sphere(p2)
-        return s1 * s2 + np.conj(u2) * u1
-
     omega = np.logspace(np.log10(GRID_LO), np.log10(GRID_HI), grid_points)
     for _ in range(8):
-        f = return_difference(eval_freq(tf1, omega), eval_freq(tf2, omega))
-        f0 = return_difference(eval_freq(tf1, 0.0), eval_freq(tf2, 0.0))
-        finf = return_difference(_limit_at_inf(tf1), _limit_at_inf(tf2))
-        path = np.concatenate(([f0], f, [finf]))
+        (u1, s1), (u2, s2) = (
+            _on_sphere(np.concatenate(([eval_freq(tf, 0.0)],
+                                       eval_freq(tf, omega),
+                                       [_limit_at_inf(tf)])))
+            for tf in (tf1, tf2))
+        path = s1 * s2 + np.conj(u2) * u1
         if np.min(np.abs(path)) < 1e-12:
             return False
         steps = np.angle(path[1:] / path[:-1])
@@ -155,10 +147,11 @@ def _winding_ok(tf1, tf2, grid_points=GRID_POINTS):
 
 def nu_gap(tf1, tf2, grid_points=GRID_POINTS):
     """Sup of the chordal distance over frequency, or 1 on winding failure."""
-    tf1.validate()
-    tf2.validate()
-    _check_proper(tf1)
-    _check_proper(tf2)
+    for tf in (tf1, tf2):
+        tf.validate()
+        if _degree(tf.num) > _degree(tf.den):
+            raise ConfigError(
+                "gap evaluation needs a proper transfer function")
     if not _winding_ok(tf1, tf2, grid_points):
         return GapResult(value=1.0, winding_ok=False, peak_frequency=0.0)
     omega = np.logspace(np.log10(GRID_LO), np.log10(GRID_HI), grid_points)
@@ -166,12 +159,11 @@ def nu_gap(tf1, tf2, grid_points=GRID_POINTS):
     peak = int(np.argmax(kappa))
     lo = omega[max(peak - 1, 0)]
     hi = omega[min(peak + 1, len(omega) - 1)]
-    fine = np.logspace(np.log10(lo), np.log10(hi),
-                       REFINE_FACTOR * grid_points // 10)
+    fine = np.logspace(np.log10(lo), np.log10(hi), grid_points)
     kfine = chordal_distance(eval_freq(tf1, fine), eval_freq(tf2, fine))
-    ends = chordal_distance(eval_freq(tf1, 0.0), eval_freq(tf2, 0.0))
-    kinf = chordal_distance(_limit_at_inf(tf1), _limit_at_inf(tf2))
-    candidates = np.concatenate((kappa, kfine, [ends, kinf]))
+    ends = chordal_distance(*([eval_freq(tf, 0.0), _limit_at_inf(tf)]
+                              for tf in (tf1, tf2)))
+    candidates = np.concatenate((kappa, kfine, ends))
     grid = np.concatenate((omega, fine, [0.0, np.inf]))
     best = int(np.argmax(candidates))
     return GapResult(value=float(min(candidates[best], 1.0)),

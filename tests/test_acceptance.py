@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import math
 import os
+import shutil
 import tempfile
 import time
 
@@ -270,50 +271,54 @@ def test_criterion_09_torque_clamp_contract():
 
 def test_criterion_10_cli_determinism(capsys):
     root = tempfile.mkdtemp(prefix="arte_accept_")
+    try:
+        def twice(argv_fn, out_name):
+            blobs = []
+            for rep in ("a", "b"):
+                out = os.path.join(root, rep + "_" + out_name)
+                assert cli.main(argv_fn(out)) == 0
+                with open(out, "rb") as fh:
+                    blobs.append(fh.read())
+            return blobs[0] == blobs[1]
 
-    def twice(argv_fn, out_name):
-        blobs = []
+        results = {}
+        wavs = {}
         for rep in ("a", "b"):
-            out = os.path.join(root, rep + "_" + out_name)
-            assert cli.main(argv_fn(out)) == 0
-            with open(out, "rb") as fh:
-                blobs.append(fh.read())
-        return blobs[0] == blobs[1]
+            tree = os.path.join(root, "tree_" + rep)
+            assert cli.main(["synth", "--out", tree, "--seed", "0"]) == 0
+            for road in RoadType:
+                path = os.path.join(tree, road.value, "0_0.wav")
+                with open(path, "rb") as fh:
+                    wavs.setdefault(road, []).append(fh.read())
+        results["synth"] = all(a == b for a, b in wavs.values())
+        snow_wav = os.path.join(root, "tree_a", "snow", "0_0.wav")
 
-    results = {}
-    wavs = {}
-    for rep in ("a", "b"):
-        tree = os.path.join(root, "tree_" + rep)
-        assert cli.main(["synth", "--out", tree, "--seed", "0"]) == 0
-        for road in RoadType:
-            path = os.path.join(tree, road.value, "0_0.wav")
-            with open(path, "rb") as fh:
-                wavs.setdefault(road, []).append(fh.read())
-    results["synth"] = all(a == b for a, b in wavs.values())
-    snow_wav = os.path.join(root, "tree_a", "snow", "0_0.wav")
+        results["train"] = twice(
+            lambda out: ["train", "--out", out, "--epochs", "500"],
+            "model.txt")
+        model = os.path.join(root, "a_model.txt")
+        results["classify"] = twice(
+            lambda out: ["classify", "--model", model, snow_wav, "--out", out],
+            "cls.csv")
+        results["features"] = twice(
+            lambda out: ["features", snow_wav, "--frames", "5", "--out", out],
+            "feat.csv")
+        results["gap"] = twice(
+            lambda out: ["gap", "--controller", "src", "--out", out],
+            "gap.csv")
 
-    results["train"] = twice(
-        lambda out: ["train", "--out", out, "--epochs", "500"], "model.txt")
-    model = os.path.join(root, "a_model.txt")
-    results["classify"] = twice(
-        lambda out: ["classify", "--model", model, snow_wav, "--out", out],
-        "cls.csv")
-    results["features"] = twice(
-        lambda out: ["features", snow_wav, "--frames", "5", "--out", out],
-        "feat.csv")
-    results["gap"] = twice(
-        lambda out: ["gap", "--controller", "src", "--out", out], "gap.csv")
-
-    scen = os.path.join(root, "scen.ini")
-    with open(scen, "w") as fh:
-        fh.write("[scenario]\nduration_s = 0.5\ncontroller = mtte\n"
-                 "arte_mode = oracle\n")
-    results["simulate"] = twice(
-        lambda out: ["simulate", "--config", scen, "--out", out],
-        "trace.csv")
-    results["compare"] = twice(
-        lambda out: ["compare", "--config", scen, "--controllers", "mtte",
-                     "--modes", "off", "oracle", "--out", out], "cmp.csv")
-    capsys.readouterr()
-    ok = all(results.values())
-    _report(10, ok, " ".join("%s=%s" % (k, v) for k, v in results.items()))
+        scen = os.path.join(root, "scen.ini")
+        with open(scen, "w") as fh:
+            fh.write("[scenario]\nduration_s = 0.5\ncontroller = mtte\n"
+                     "arte_mode = oracle\n")
+        results["simulate"] = twice(
+            lambda out: ["simulate", "--config", scen, "--out", out],
+            "trace.csv")
+        results["compare"] = twice(
+            lambda out: ["compare", "--config", scen, "--controllers", "mtte",
+                         "--modes", "off", "oracle", "--out", out], "cmp.csv")
+        capsys.readouterr()
+        ok = all(results.values())
+        _report(10, ok, " ".join("%s=%s" % (k, v) for k, v in results.items()))
+    finally:
+        shutil.rmtree(root, ignore_errors=True)

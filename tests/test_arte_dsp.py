@@ -15,7 +15,6 @@ from arte_tcs.arte_dsp import (
     frame_length,
     lpc,
     load_wav,
-    mix_noise,
     reflection_coefficients,
     sample_frames,
     write_wav,
@@ -279,38 +278,3 @@ def test_extract_raw_layout_and_determinism():
 def test_extract_raw_zero_frame_propagates():
     with pytest.raises(ConfigError, match="all-zero frame has no LPC model"):
         extract_raw(Frame(np.zeros(1600), 0))
-
-
-def test_mix_noise_zero_db_balances_power():
-    sig = tone(440.0, amp=0.2)
-    rng = np.random.default_rng(5)
-    noi = AudioClip(0.05 * rng.standard_normal(SR // 2), SR)
-    mixed = mix_noise(sig, noi, 0.0)
-    added = mixed.samples - sig.samples
-    assert np.mean(added ** 2) == pytest.approx(np.mean(sig.samples ** 2),
-                                                rel=0.01)
-
-
-def test_mix_noise_infinite_snr_is_identity():
-    sig = tone(440.0)
-    noi = tone(1000.0)
-    out = mix_noise(sig, noi, float("inf"))
-    np.testing.assert_array_equal(out.samples, sig.samples)
-
-
-def test_mix_noise_renormalizes_peak():
-    sig = tone(440.0, amp=0.9)
-    noi = tone(1234.0, amp=0.9)
-    out = mix_noise(sig, noi, 0.0)
-    assert np.max(np.abs(out.samples)) == pytest.approx(1.0)
-
-
-def test_mix_noise_errors():
-    sig = tone(440.0)
-    with pytest.raises(AudioFormatError):
-        mix_noise(sig, AudioClip(np.ones(100), 44100), 0.0)
-    with pytest.raises(ConfigError, match="noise clip has zero power"):
-        mix_noise(sig, AudioClip(np.zeros(100), SR), 0.0)
-    with pytest.raises(ConfigError):
-        mix_noise(sig, tone(1000.0), float("-inf"))
-

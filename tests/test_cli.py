@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+import wave
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import arte_tcs
 import arte_tcs.cli as cli
 import arte_tcs.errors as errors
+import arte_tcs.harness as harness
 from arte_tcs.tire_road import DEFAULT_CURVES, RoadType, peak_friction
 
 
@@ -62,6 +64,18 @@ def test_features_rows_and_label_inference(capsys, wav_tree):
                      "--label", "probe"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1].startswith("probe,")
+
+
+def test_features_rejects_a_wav_without_frames(tmp_path, capsys):
+    wav = tmp_path / "empty.wav"
+    with wave.open(str(wav), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+    out = tmp_path / "feat.csv"
+    assert cli.main(["features", str(wav), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "i/o error: clip has no samples\n"
+    assert not out.exists()
 
 
 def test_train_reports_holdout_accuracy(trained):
@@ -326,6 +340,40 @@ def test_compare_bad_scenario_exits_two(tmp_path, capsys, body):
     out = str(tmp_path / "cmp.csv")
     assert cli.main(["compare", "--config", str(cfg), "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)
+
+
+# (scenario file, extra compare options): one row of the table cannot run
+LATE_BAD_ROWS = {
+    # only MTTE rejects a vehicle whose m/4*r^2 underflows, and the MFC and
+    # SRC rows come first
+    "mtte_wheel_radius_underflow": (b"[vehicle]\nr = 1e-300\n", []),
+    "classifier_without_model": (b"[scenario]\nduration_s = 0.5\n",
+                                 ["--modes", "off", "classifier"]),
+}
+
+
+@pytest.mark.parametrize("body,extra", LATE_BAD_ROWS.values(),
+                         ids=LATE_BAD_ROWS)
+def test_compare_rejects_a_bad_row_before_running_any(tmp_path, capsys,
+                                                      monkeypatch, body,
+                                                      extra):
+    built = []
+    real = harness.make_plant_run
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "make_plant_run", counted)
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_bytes(body)
+    out = str(tmp_path / "cmp.csv")
+    argv = ["compare", "--config", str(cfg), "--out", out] + extra
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert built == []
     assert not os.path.exists(out)
 
 

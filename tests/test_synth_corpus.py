@@ -6,7 +6,7 @@ from arte_tcs.arte_classifier import (ROAD_ORDER, bootstrap_intra, kl_distance,
                                       prune_features, split_dataset)
 from arte_tcs.arte_dsp import lpc, load_wav, reflection_coefficients, sample_frames
 from arte_tcs.errors import ConfigError
-from arte_tcs.synth_corpus import (DEFAULT_SPECS, ClassSpec, build_corpus,
+from arte_tcs.synth_corpus import (OVERLAP_SNR_DB, ROAD_SOUNDS, build_corpus,
                                    class_clip, export_wavs, synth_clip)
 from arte_tcs.tire_road import RoadType
 
@@ -17,15 +17,15 @@ def spectral_centroid(clip):
 
 
 def test_clip_is_deterministic_in_seed():
-    a = synth_clip(DEFAULT_SPECS[RoadType.GRAVEL], seed=7)
-    b = synth_clip(DEFAULT_SPECS[RoadType.GRAVEL], seed=7)
-    c = synth_clip(DEFAULT_SPECS[RoadType.GRAVEL], seed=8)
+    a = synth_clip(RoadType.GRAVEL, seed=7)
+    b = synth_clip(RoadType.GRAVEL, seed=7)
+    c = synth_clip(RoadType.GRAVEL, seed=8)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_clip_length_and_peak():
-    clip = synth_clip(DEFAULT_SPECS[RoadType.ASPHALT], seed=0)
+    clip = synth_clip(RoadType.ASPHALT, seed=0)
     assert len(clip.samples) == 56000
     assert clip.sample_rate == 16000
     assert clip.label is RoadType.ASPHALT
@@ -34,29 +34,39 @@ def test_clip_length_and_peak():
 
 def test_clip_rejects_short_duration():
     with pytest.raises(ConfigError):
-        synth_clip(DEFAULT_SPECS[RoadType.SNOW], duration_s=0.4)
+        synth_clip(RoadType.SNOW, duration_s=0.4)
 
 
-def test_spec_validation_errors():
-    with pytest.raises(ConfigError):
-        ClassSpec(RoadType.SNOW, (0.5,)).validate()
-    with pytest.raises(ConfigError):
-        ClassSpec(RoadType.SNOW, (0.5, 0.4, 0.3, 0.2, 0.1)).validate()
-    with pytest.raises(ConfigError):
-        ClassSpec(RoadType.SNOW, (1.01, 0.5)).validate()
-    with pytest.raises(ConfigError):
-        ClassSpec(RoadType.SNOW, (0.5, 0.4), excitation="pink").validate()
-    with pytest.raises(ConfigError):
-        ClassSpec(RoadType.SNOW, (0.5, 0.4), excitation="impulsive").validate()
-    with pytest.raises(ConfigError):
-        ClassSpec(RoadType.SNOW, (0.5, 0.4), gain=0.0).validate()
+def test_road_sounds_are_stable_fourth_order_filters():
+    assert list(ROAD_SOUNDS) == list(RoadType)
+    for road, (den, impulse_rate) in ROAD_SOUNDS.items():
+        assert den.dtype == np.float64 and den.shape == (5,)
+        assert den[0] == 1.0
+        assert np.all(np.abs(np.roots(den)) < 1.0)
+        if road in (RoadType.STONE, RoadType.GRAVEL):
+            assert impulse_rate > 0.0
+        else:
+            assert impulse_rate == 0.0
 
 
-def test_unpaired_complex_poles_rejected():
-    # conjugates must cancel to a real polynomial
-    spec = ClassSpec(RoadType.SNOW, (0.5 + 0.2j, 0.5 - 0.19j))
-    with pytest.raises(ConfigError):
-        synth_clip(spec)
+def test_class_clip_noise_bed_and_peak():
+    """The added noise sits OVERLAP_SNR_DB below the clean clip; a mix
+    that would clip is scaled back to peak 1."""
+    scaled_back = 0
+    for seed in range(4):
+        for k, road in enumerate(RoadType):
+            clean = synth_clip(road, seed=1000 * seed + k).samples
+            mixed = class_clip(road, seed)
+            assert mixed.label is road
+            peak = np.max(np.abs(mixed.samples))
+            assert peak <= 1.0
+            if peak == 1.0:
+                scaled_back += 1
+                continue
+            added = mixed.samples - clean
+            snr_db = 10.0 * np.log10(np.mean(clean ** 2) / np.mean(added ** 2))
+            assert snr_db == pytest.approx(OVERLAP_SNR_DB, abs=1e-9)
+    assert 0 < scaled_back < 16
 
 
 def test_centroids_order_the_surfaces():
@@ -129,7 +139,7 @@ def test_export_wavs_tree(tmp_path):
     paths = export_wavs(tmp_path, seed=0, clips_per_class=2)
     assert len(paths) == 8
     for road in RoadType:
-        sub = tmp_path / road.name.lower()
+        sub = tmp_path / road.value
         assert (sub / "0_0.wav").exists() and (sub / "0_1.wav").exists()
     clip = load_wav(paths[0])
     assert clip.sample_rate == 16000
