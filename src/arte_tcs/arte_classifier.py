@@ -24,8 +24,13 @@ LEARNING_RATE = 1.0
 VAR_FLOOR = 1e-9
 # normalized features are clipped here: far beyond anything a trained model
 # sees, and near enough that any finite feature vector keeps the first
-# layer finite (for weights up to ~1e290)
+# layer finite for weights and biases up to WEIGHT_LIMIT
 Z_LIMIT = 1e12
+# ~4.5e294: RAW_DIM * Z_LIMIT * WEIGHT_LIMIT + WEIGHT_LIMIT, the largest
+# first-layer sum (a model file's mask holds at most RAW_DIM inputs), is
+# half the largest float, so no sum overflows to inf, or to inf - inf =
+# nan, which argmax would read as the first road
+WEIGHT_LIMIT = 0.5 * np.finfo(np.float64).max / (RAW_DIM * Z_LIMIT + 1.0)
 
 
 @dataclass
@@ -186,6 +191,10 @@ class MlpModel:
             raise ModelFormatError("model holds non-finite values")
         if self.norm_scale is not None and np.any(self.norm_scale <= 0.0):
             raise ModelFormatError("normalization scales must be positive")
+        if any(np.any(np.abs(v) > WEIGHT_LIMIT)
+               for v in (*self.weights, *self.biases)):
+            raise ModelFormatError("weights and biases must not exceed %.3g "
+                                   "in magnitude" % WEIGHT_LIMIT)
         return self
 
 

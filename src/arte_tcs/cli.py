@@ -38,8 +38,8 @@ def _wav_label(path, override):
         return override
     parent = os.path.basename(os.path.dirname(os.path.abspath(path)))
     try:
-        return RoadType(parent).value
-    except ValueError:
+        return RoadType.from_name(parent).value
+    except ConfigError:
         return "unknown"
 
 

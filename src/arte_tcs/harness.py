@@ -3,27 +3,25 @@
 A scenario wires one controller to the quarter-vehicle plant over a road
 schedule. Road estimation can be off, fed the true road (oracle), or run
 a trained classifier on per-window synthetic audio so misclassification
-propagates into the torque path.  At each estimator tick the loop forms
-one belief, (road, lambda_opt, mu_peak) -- the oracle's from the true
-road's curve, the classifier's as `arte_estimate` returns it -- and hands
-it to the controller's `set_estimate`.
+propagates into the torque path.
 
-`run_scenario` builds the plant kernel once per road segment
-(`make_plant_run`) and the controller's law once per estimator tick.  It
-cuts the run into spans at road switches and estimator ticks, found with
-the same `k*dt >= x` test that a per-step loop would make at each step,
-and runs each span in one kernel call.  The kernel records what feeds
-back into the dynamics: V, w, T_cmd and T_applied per step and mu at the
-start state (from its first RK4 stage); the loop records the steps at
-which the true road or the estimate changes.  The other trace columns are
-derived after the loop with the same IEEE operations as their per-step
-definitions: t = k*dt, Vw = w*r and lambda as `slip_ratio`, so every
-column is bit-identical to what a per-step loop would record.  The road
-columns are int8 indices into `ROADS`, with -1 for "no estimate";
-`SimTrace.road_true`/`road_est` decode them to `RoadType`/None and
-`write_trace_csv` maps them to names.
+`run_scenario` plans, runs spans, then derives columns.  The plan depends
+on the config alone: the first step of each road segment, and the belief
+(road, lambda_opt, mu_peak) formed at each estimator tick -- the oracle's
+from the true road's curve, the classifier's from `arte_estimate`.  The
+run is cut into spans at those steps; each span is one call of the plant
+kernel (`make_plant_run`, built per segment) against the controller's law
+(rebound after `set_estimate` at each tick).  The kernel records V, w,
+T_cmd, T_applied and mu (at the start state, from its first RK4 stage).
+The other columns are derived with the IEEE operations of their per-step
+definitions: t = k*dt, Vw = w*r and lambda as `slip_ratio`; the road
+columns, int8 indices into `ROADS` with -1 for "no estimate", are held
+from the plan's steps.  So every column is bit-identical to what a loop of
+single steps would record.  `SimTrace.road_true`/`road_est` decode the
+roads to `RoadType`/None and `write_trace_csv` maps them to names.
 """
 
+import bisect
 import configparser
 import math
 from dataclasses import dataclass, field, replace
@@ -178,75 +176,73 @@ def _held_column(changes, n):
     return col
 
 
-def _span_end(x, lo, n, dt):
-    """The first step k in (lo, n) with k * dt >= x, else n: the step at
-    which a loop testing `k * dt >= x` at each step would next fire."""
+def _first_step(x, n, dt):
+    """The first step k in [0, n) with k * dt >= x, else n: the step at
+    which a loop testing `k * dt >= x` at each step would first fire."""
     guess = x / dt
-    k = max(lo + 1, math.ceil(guess)) if guess < n else n
-    while k > lo + 1 and (k - 1) * dt >= x:
+    k = max(0, math.ceil(guess)) if guess < n else n
+    while k > 0 and (k - 1) * dt >= x:
         k -= 1
     while k < n and k * dt < x:
         k += 1
     return k
 
 
-def run_scenario(cfg):
-    cfg.validate()
-    p = cfg.params
-    ctrl = _build_controller(cfg)
-    model = mask = None
+def _plan(cfg, n):
+    """(segments, beliefs): what a run of n steps does, before it runs.
+
+    `segments` holds (first step, road index) of each schedule entry due
+    before step n; of entries due at one step the later wins.  `beliefs`
+    maps each estimator tick's first step to the (road, lambda_opt,
+    mu_peak) installed there.  `_first_step` searches from 0, yet no two
+    ticks share a step and each lies after the last, as in a per-step
+    loop: ticks are arte_period_s >= 0.1 s apart, steps at most 5e-3 s.
+    """
+    dt, sched = cfg.dt, cfg.road_schedule
+    starts = {_first_step(t, n, dt): ROAD_INDEX[road] for t, road in sched}
+    starts.pop(n, None)
+    beliefs = {}
     if cfg.arte_mode == "classifier":
         model = load_model(cfg.model_path)
         mask = SelectionMask(indices=model.mask_indices)
+    next_arte = math.inf if cfg.arte_mode == "off" else 0.0
+    while (k := _first_step(next_arte - 1e-12, n, dt)) < n:
+        # the true road at step k: the last entry with t <= k*dt
+        road = sched[bisect.bisect_right(sched, k * dt,
+                                         key=lambda e: e[0]) - 1][1]
+        if cfg.arte_mode == "oracle":
+            beliefs[k] = (road,) + peak_friction(DEFAULT_CURVES[road])
+        else:
+            window = class_clip(road, seed=1000 * cfg.seed + len(beliefs),
+                                duration_s=0.5)
+            beliefs[k] = arte_estimate(model, mask, window)
+        next_arte += cfg.arte_period_s
+    return list(starts.items()), beliefs
 
-    sched = tuple(cfg.road_schedule)
-    dt = cfg.dt
+
+def run_scenario(cfg):
+    cfg.validate()
+    p, dt = cfg.params, cfg.dt
+    ctrl = _build_controller(cfg)
     n_steps = int(round(cfg.duration_s / dt))
+    segments, beliefs = _plan(cfg, n_steps)
+    roads = dict(segments)
+    bounds = sorted(roads.keys() | beliefs.keys()) + [n_steps]
+
     columns = [np.empty(n_steps) for _ in range(5)]
     v_arr, w_arr, cmd_arr, app_arr, mu_arr = columns
     # the kernel writes one element at a time, which costs less than half
     # as much through a memoryview as through numpy's indexing
     views = [memoryview(col) for col in columns]
-    segments = []  # (first step, road index) of each schedule entry
-    estimates = []  # (first step, road index) of each installed estimate
-
     v, w, t_applied = cfg.v0, cfg.v0 / p.r, 0.0
     law = ctrl.law(dt, cfg.torque_demand)
-    sched_i = -1
-    next_switch = 0.0
-    next_arte = 0.0
-    arte_due = -1e-12 if cfg.arte_mode != "off" else math.inf
-    invocation = 0
-    k = 0
-    while k < n_steps:
-        t = k * dt
-        if t >= next_switch:
-            while sched_i + 1 < len(sched) and t >= sched[sched_i + 1][0]:
-                sched_i += 1
-            road = sched[sched_i][1]
-            run = make_plant_run(DEFAULT_CURVES[road], p, dt)
-            segments.append((k, ROAD_INDEX[road]))
-            next_switch = (sched[sched_i + 1][0] if sched_i + 1 < len(sched)
-                           else math.inf)
-
-        if t >= arte_due:
-            if cfg.arte_mode == "oracle":
-                belief = (road,) + peak_friction(DEFAULT_CURVES[road])
-            else:
-                window = class_clip(road, seed=cfg.seed * 1000 + invocation,
-                                    duration_s=0.5)
-                belief = arte_estimate(model, mask, window)
-            ctrl.set_estimate(*belief)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo in roads:
+            run = make_plant_run(DEFAULT_CURVES[ROADS[roads[lo]]], p, dt)
+        if lo in beliefs:
+            ctrl.set_estimate(*beliefs[lo])
             law = ctrl.law(dt, cfg.torque_demand)
-            estimates.append((k, ROAD_INDEX[belief[0]]))
-            invocation += 1
-            next_arte += cfg.arte_period_s
-            arte_due = next_arte - 1e-12
-
-        end = min(_span_end(next_switch, k, n_steps, dt),
-                  _span_end(arte_due, k, n_steps, dt))
-        v, w, t_applied = run(law, v, w, t_applied, k, end, *views)
-        k = end
+        v, w, t_applied = run(law, v, w, t_applied, lo, hi, *views)
 
     # derived columns, each with the operations of its per-step definition
     vw_arr = w_arr * p.r
@@ -255,7 +251,9 @@ def run_scenario(cfg):
     return SimTrace(t=np.arange(n_steps) * dt, v=v_arr, vw=vw_arr,
                     lam=lam_arr, t_cmd=cmd_arr, t_applied=app_arr, mu=mu_arr,
                     road_true_idx=_held_column(segments, n_steps),
-                    road_est_idx=_held_column(estimates, n_steps), dt=dt)
+                    road_est_idx=_held_column(
+                        [(k, ROAD_INDEX[b[0]]) for k, b in beliefs.items()],
+                        n_steps), dt=dt)
 
 
 def slip_deviation(trace):

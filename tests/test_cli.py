@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import io
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -51,7 +52,7 @@ def test_synth_writes_road_tree(wav_tree):
         assert os.path.exists(os.path.join(wav_tree, road.value, "0_0.wav"))
 
 
-def test_features_rows_and_label_inference(capsys, wav_tree):
+def test_features_rows_and_label_inference(tmp_path, capsys, wav_tree):
     wav = os.path.join(wav_tree, "snow", "0_0.wav")
     assert cli.main(["features", wav, "--frames", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -64,6 +65,13 @@ def test_features_rows_and_label_inference(capsys, wav_tree):
                      "--label", "probe"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1].startswith("probe,")
+
+    # a directory names its road as [schedule] and curve files do
+    shouted = tmp_path / "Snow"
+    shouted.mkdir()
+    shutil.copy(wav, shouted / "a.wav")
+    assert cli.main(["features", str(shouted / "a.wav"), "--frames", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("snow,")
 
 
 def test_features_rejects_a_wav_without_frames(tmp_path, capsys):
@@ -290,6 +298,26 @@ def test_classify_rejects_non_finite_model(tmp_path, capsys, wav_tree,
     assert cli.main(["classify", "--model", model, wav]) == 4
     captured = capsys.readouterr()
     assert captured.err.startswith("i/o error: ")
+    assert captured.out == ""
+
+
+def test_classify_rejects_overflowing_weights(tmp_path, capsys, wav_tree,
+                                             model_path):
+    # finite, yet the first layer's sums overflow to inf - inf = nan,
+    # which argmax reads as asphalt
+    with open(model_path) as fh:
+        lines = fh.read().splitlines()
+    lines[4] = " ".join(["1e308"] * len(lines[4].split()))
+    model = tmp_path / "overflow.txt"
+    model.write_text("\n".join(lines) + "\n")
+    wav = os.path.join(wav_tree, "snow", "0_0.wav")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["classify", "--model", str(model), wav]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: weights and biases must not "
+                                   "exceed ")
     assert captured.out == ""
 
 

@@ -7,7 +7,9 @@ equality with their per-step definitions, not to a tolerance: t[k] ==
 k*dt, lambda[k] == slip_ratio at (V[k], Vw[k]), road_true[k] is the
 schedule's road at t[k], and mu[k] == mu_scalar(lambda[k]) of that road.
 `run_scenario`'s span loop is checked bit for bit against a per-step loop
-written here from `update` and `plant_step`, and any vehicle that
+written here from `update` and `plant_step`, its plan (road segments and
+estimator ticks) against the per-step firing rule alone, over runs up to
+the longest allowed, and any vehicle that
 `VehicleParams.validate` accepts either runs or fails with a documented
 error.
 """
@@ -23,7 +25,8 @@ from hypothesis import strategies as st
 
 from arte_tcs.errors import ConfigError, SimulationDiverged
 from arte_tcs.controllers import CONTROLLERS
-from arte_tcs.harness import ScenarioConfig, _build_controller, run_scenario
+from arte_tcs.harness import (MAX_STEPS, ROAD_INDEX, ScenarioConfig,
+                              _build_controller, _plan, run_scenario)
 from arte_tcs.tire_road import (DEFAULT_CURVES, MuLambdaCurve, RoadType,
                                 peak_friction)
 from arte_tcs.vehicle_plant import (VehicleParams, drive_force,
@@ -316,6 +319,92 @@ def test_spans_match_reference_loop_bit_for_bit(cfg):
         assert bits(got.tolist()) == bits(want)
     assert tr.road_true == list(expected[7])
     assert tr.road_est == list(expected[8])
+
+
+@st.composite
+def planned_runs(draw):
+    """(config, step count): up to 1500 steps at any step size, or up to
+    1000 s (10^4 estimator ticks) at the default step size, where the
+    running sum of periods that places the ticks drifts furthest."""
+    if draw(st.booleans()):
+        dt, mode = 1e-4, "oracle"
+        n_steps = draw(st.just(MAX_STEPS) | st.integers(1, MAX_STEPS))
+    else:
+        dt = draw(finite(2e-4, 5e-3))
+        mode = draw(st.sampled_from(("off", "oracle")))
+        n_steps = draw(st.integers(1, 1500))
+    # a step time itself, one ulp either side of it, any time (some past
+    # the end), and a time less than one step after another switch
+    on_step = st.integers(1, n_steps + 10).map(lambda k: k * dt)
+    switch = st.one_of(
+        on_step,
+        on_step.map(lambda t: math.nextafter(t, math.inf)),
+        on_step.map(lambda t: math.nextafter(t, 0.0)),
+        finite(1e-9, 1.5 * n_steps * dt))
+    times = draw(st.lists(switch, max_size=8))
+    for t in draw(st.lists(st.sampled_from(times), max_size=3)
+                  if times else st.just([])):
+        times.append(t + draw(st.floats(0.0, dt, exclude_min=True,
+                                        exclude_max=True)))
+    times = sorted(set(t for t in times if t > 0.0))
+    schedule = tuple(zip([0.0] + times,
+                         draw(st.lists(roads, min_size=len(times) + 1,
+                                       max_size=len(times) + 1))))
+    # an estimator period that is not a whole number of steps
+    ticks = draw(st.integers(math.ceil(0.1 / dt), math.ceil(0.5 / dt)))
+    period = (ticks + draw(finite(0.05, 0.95))) * dt
+    return ScenarioConfig(duration_s=n_steps * dt, dt=dt,
+                          road_schedule=schedule, arte_period_s=period,
+                          arte_mode=mode), n_steps
+
+
+def is_first_step(k, x, dt):
+    """k is the step at which a loop testing k*dt >= x first fires."""
+    return k * dt >= x and (k == 0 or (k - 1) * dt < x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=planned_runs())
+def test_plan_fires_where_a_per_step_loop_would(run):
+    cfg, n = run
+    dt, sched = cfg.dt, cfg.road_schedule
+    times = [t for t, _ in sched]
+    segments, beliefs = _plan(cfg, n)
+
+    starts = [k for k, _ in segments]
+    assert starts[0] == 0
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    assert starts[-1] < n
+    # each entry due before step n starts a segment at its first step
+    for t in times:
+        if (n - 1) * dt >= t:
+            assert any(is_first_step(k, t, dt) for k in starts)
+    for k, index in segments:
+        # of the entries due at step k the later wins: the last with t <= k*dt
+        j = bisect.bisect_right(times, k * dt) - 1
+        assert is_first_step(k, times[j], dt)
+        assert index == ROAD_INDEX[sched[j][1]]
+
+    ticks = list(beliefs)
+    if cfg.arte_mode == "off":
+        assert ticks == []
+    else:
+        next_arte = 0.0
+        for k in ticks:
+            assert is_first_step(k, next_arte - 1e-12, dt)
+            road = sched[bisect.bisect_right(times, k * dt) - 1][1]
+            assert beliefs[k] == (road,) + peak_friction(DEFAULT_CURVES[road])
+            next_arte += cfg.arte_period_s
+        # no tick is due before the end after the last one
+        assert (n - 1) * dt < next_arte - 1e-12
+        assert ticks[0] == 0
+        assert all(a < b for a, b in zip(ticks, ticks[1:]))
+        assert ticks[-1] < n
+
+    # the span boundaries tile [0, n)
+    bounds = sorted(set(starts) | set(ticks)) + [n]
+    assert bounds[0] == 0
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))
 
 
 # every vehicle that VehicleParams.validate accepts: each field any

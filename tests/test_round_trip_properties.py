@@ -7,9 +7,10 @@ writes the same bytes. A WAV file holds 16-bit samples, so a clip read
 back lies within one PCM16 step of the written one, and a second write
 reads back bit for bit.
 
-Whatever model the loader accepts, `classify` stays total: on any finite
-features it names a road with a confidence in [0, 1], and numpy warns of
-nothing, even when every output unit saturates to 0.
+Any finite model either fails `validate` (a weight or bias beyond
+`WEIGHT_LIMIT`) or `classify` stays total on it: on any finite features
+it names a road with a confidence in [0, 1], and numpy warns of nothing,
+even when every output unit saturates to 0.
 """
 
 import warnings
@@ -21,10 +22,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from arte_tcs.arte_classifier import (HIDDEN_SIZES, RAW_DIM, ROAD_ORDER,
-                                      MlpModel, classify, load_model,
-                                      save_model)
+                                      WEIGHT_LIMIT, Z_LIMIT, MlpModel,
+                                      classify, load_model, save_model)
 from arte_tcs.arte_dsp import (SUPPORTED_RATES, AudioClip, load_wav,
                                write_wav)
+from arte_tcs.errors import ModelFormatError
 from arte_tcs.tire_road import RoadType
 
 PCM16_STEP = 1.0 / 32768.0
@@ -95,24 +97,29 @@ def test_wav_write_load_round_trip(scratch, samples, rate):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-up_to_1e4 = st.floats(-1e4, 1e4)
+# weights and biases from the whole finite range, or kept within reach of
+# the limit or of a trained model, so that validate accepts some models
+# with extreme weights too
+weight_ranges = st.sampled_from((finite, st.floats(-WEIGHT_LIMIT, WEIGHT_LIMIT),
+                                 st.floats(-1e4, 1e4)))
 
 
 @st.composite
 def extreme_models(draw):
-    """Any model that validate accepts, weights and biases up to 1e4."""
+    """A model of any finite values, not yet validated."""
     n_in = draw(st.integers(1, RAW_DIM))
     sizes = (n_in,) + HIDDEN_SIZES + (len(ROAD_ORDER),)
-    weights = [draw(arrays(np.float64, (n_out, fan_in), elements=up_to_1e4))
+    values = draw(weight_ranges)
+    weights = [draw(arrays(np.float64, (n_out, fan_in), elements=values))
                for fan_in, n_out in zip(sizes, sizes[1:])]
-    biases = [draw(arrays(np.float64, n_out, elements=up_to_1e4))
+    biases = [draw(arrays(np.float64, n_out, elements=values))
               for n_out in sizes[1:]]
     scales = st.floats(0.0, exclude_min=True, allow_infinity=False)
     return MlpModel(sizes=sizes, weights=weights, biases=biases, seed=0,
                     norm_mean=draw(arrays(np.float64, n_in, elements=finite)),
                     norm_scale=draw(arrays(np.float64, n_in,
                                            elements=scales)),
-                    mask_indices=np.arange(n_in)).validate()
+                    mask_indices=np.arange(n_in))
 
 
 def classify_quietly(model, x):
@@ -124,10 +131,34 @@ def classify_quietly(model, x):
 @settings(max_examples=300, deadline=None)
 @given(model=extreme_models(), data=st.data())
 def test_classify_is_total_on_any_valid_model(model, data):
+    largest = max(np.max(np.abs(v)) for v in model.weights + model.biases)
+    if largest > WEIGHT_LIMIT:
+        with pytest.raises(ModelFormatError, match="must not exceed"):
+            model.validate()
+        return
+    model.validate()
     x = data.draw(arrays(np.float64, model.sizes[0], elements=finite))
     road, confidence = classify_quietly(model, x)
     assert isinstance(road, RoadType)
     assert 0.0 <= confidence <= 1.0
+
+
+def test_classify_at_the_weight_limit():
+    # first-layer terms of +-Z_LIMIT * WEIGHT_LIMIT: any larger weight
+    # could make them +-inf, and their sum nan
+    sizes = (RAW_DIM,) + HIDDEN_SIZES + (len(ROAD_ORDER),)
+    signs = [np.where(np.arange(n_in) % 2, -1.0, 1.0) * np.ones((n_out, 1))
+             for n_in, n_out in zip(sizes, sizes[1:])]
+    model = MlpModel(sizes=sizes, weights=[WEIGHT_LIMIT * s for s in signs],
+                     biases=[np.full(n, WEIGHT_LIMIT) for n in sizes[1:]],
+                     seed=0, norm_mean=np.zeros(RAW_DIM),
+                     norm_scale=np.ones(RAW_DIM)).validate()
+    road, confidence = classify_quietly(model, np.full(RAW_DIM, 2 * Z_LIMIT))
+    assert isinstance(road, RoadType)
+    assert 0.0 <= confidence <= 1.0
+    model.weights[0][0, 0] = np.nextafter(WEIGHT_LIMIT, np.inf)
+    with pytest.raises(ModelFormatError, match="must not exceed"):
+        model.validate()
 
 
 def test_classify_with_every_output_saturated():
