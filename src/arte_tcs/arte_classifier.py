@@ -6,6 +6,7 @@ estimate hook that maps a recognized road back onto its friction
 curve for the traction controllers.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ RAW_DIM = 20
 FAMILIES = ((0, 10, 3), (10, 15, 2), (15, 20, 2))
 HIDDEN_SIZES = (4, 3, 2)
 LOSS_TARGET = 1e-3
-LEARNING_RATE = 1.0
 VAR_FLOOR = 1e-9
 # normalized features are clipped here: far beyond anything a trained model
 # sees, and near enough that any finite feature vector keeps the first
@@ -198,22 +198,32 @@ class MlpModel:
         return self
 
 
-def _logistic(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def _forward(model, x):
+def _forward(model, x, acts=None):
     """Activations of every layer, the input first and the output last.
 
-    exp in `_logistic` overflows to inf below z = -709.78, where
-    1 / (1 + inf) is exactly 0: `classify` ignores that overflow, and
-    training lets it warn, as a sign of runaway weights.
+    Layer i writes its activation into the preallocated `acts[i + 1]`
+    (`acts[0]` is the input x); with acts None the buffers are allocated
+    here, one row per row of x.  Hidden layers are tanh; the output layer
+    is the logistic 1 / (1 + exp(-z)), computed in place with the same
+    operations in the same order, so the values are those of the
+    allocating expressions bit for bit.  exp overflows to inf below
+    z = -709.78, where 1 / (1 + inf) is exactly 0: `classify` ignores that
+    overflow, and training lets it warn, as a sign of runaway weights.
     """
-    acts = [x]
+    if acts is None:
+        acts = [x] + [np.empty((len(x), size)) for size in model.sizes[1:]]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(_logistic(z) if i == last else np.tanh(z))
+        z = acts[i + 1]
+        np.dot(acts[i], w.T, out=z)
+        z += b
+        if i == last:
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.divide(1.0, z, out=z)
+        else:
+            np.tanh(z, out=z)
     return acts
 
 
@@ -236,9 +246,16 @@ def one_hot(labels):
 
 
 def train_mlp(ds, mask, seed=0, max_epochs=5000):
-    """Full-batch MSE backprop; stops when the loss drops below 1e-3.
+    """Full-batch MSE backprop with a unit step; stops when the loss drops
+    below 1e-3.
 
     mask=None trains on all 20 raw features instead of the pruned 7.
+    Every epoch writes into buffers allocated once before the first: the
+    activations, the output error a - y, the tanh derivatives 1 - h**2,
+    the back-propagated deltas and the gradients.  Each value is computed
+    with the operations, in the order, of the allocating textbook loop,
+    so the weights and biases equal that loop's bit for bit
+    (tests/test_training_properties.py keeps it as the reference).
     """
     if ds.norm_mean is None:
         ds.fit_normalization()
@@ -253,23 +270,46 @@ def train_mlp(ds, mask, seed=0, max_epochs=5000):
 
     n = xall.shape[0]
     last = len(model.weights) - 1
+    # deltas[i] and slopes[i] are (n, sizes[i + 1]) and (n, sizes[i]):
+    # the error at the output of layer i, and 1 - h**2 at its input
+    acts = [xall] + [np.empty((n, size)) for size in model.sizes[1:]]
+    deltas = [np.empty_like(a) for a in acts[1:]]
+    slopes = [None] + [np.empty_like(a) for a in acts[1:-1]]
+    grad_w = [np.empty_like(w) for w in model.weights]
+    grad_b = [np.empty_like(b) for b in model.biases]
+    a = acts[-1]
+    d = deltas[-1]
+    sq = np.empty_like(d)
+    one_minus_a = np.empty_like(d)
     for epoch in range(max_epochs):
-        acts = _forward(model, xall)
-        a = acts[-1]
-        loss = float(np.mean((a - y) ** 2))
-        if not np.isfinite(loss):
+        _forward(model, xall, acts)
+        np.subtract(a, y, out=d)
+        np.multiply(d, d, out=sq)
+        # np.mean's reduction and division
+        loss = float(np.add.reduce(sq, axis=None)) / sq.size
+        if not math.isfinite(loss):
             raise SimulationDiverged("loss became non-finite at epoch %d"
                                      % epoch)
         if loss < LOSS_TARGET:
             break
-        delta = 2.0 * (a - y) / (n * y.shape[1]) * a * (1.0 - a)
+        # 2 (a - y) / (n k) * a * (1 - a), left to right
+        d *= 2.0
+        d /= n * y.shape[1]
+        d *= a
+        np.subtract(1.0, a, out=one_minus_a)
+        d *= one_minus_a
         for i in range(last, -1, -1):
-            grad_w = delta.T @ acts[i]
-            grad_b = delta.sum(axis=0)
+            delta = deltas[i]
+            np.dot(delta.T, acts[i], out=grad_w[i])
+            np.add.reduce(delta, axis=0, out=grad_b[i])
             if i > 0:
-                delta = (delta @ model.weights[i]) * (1.0 - acts[i] ** 2)
-            model.weights[i] -= LEARNING_RATE * grad_w
-            model.biases[i] -= LEARNING_RATE * grad_b
+                slope = slopes[i]
+                np.multiply(acts[i], acts[i], out=slope)
+                np.subtract(1.0, slope, out=slope)
+                np.dot(delta, model.weights[i], out=deltas[i - 1])
+                deltas[i - 1] *= slope
+            model.weights[i] -= grad_w[i]
+            model.biases[i] -= grad_b[i]
     return model
 
 
@@ -340,8 +380,11 @@ def save_model(path, model):
 
 
 def load_model(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError("model file is not text: %s" % exc) from None
     if not lines:
         raise ModelFormatError("empty model file")
     head = lines[0].split()

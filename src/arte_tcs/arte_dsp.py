@@ -47,8 +47,9 @@ def load_wav(path):
             width = wf.getsampwidth()
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
-    except wave.Error as exc:
-        raise AudioFormatError("not a readable PCM wav: %s" % exc) from exc
+    except (wave.Error, EOFError) as exc:  # EOFError: a truncated header
+        raise AudioFormatError("not a readable PCM wav: %s"
+                               % (str(exc) or "file ends early")) from exc
     if n_ch != 1:
         raise AudioFormatError("expected mono, got %d channels" % n_ch)
     if width != 2:
@@ -58,6 +59,9 @@ def load_wav(path):
             "sample rate %d not in %r" % (rate, SUPPORTED_RATES))
     if not raw:
         raise AudioFormatError("clip has no samples")
+    if len(raw) % width:
+        raise AudioFormatError("data ends inside a sample: %d bytes"
+                               % len(raw))
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(samples=samples, sample_rate=rate)
 

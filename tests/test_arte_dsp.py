@@ -93,6 +93,15 @@ def test_load_wav_error_paths(tmp_path):
     with pytest.raises(AudioFormatError):
         load_wav(empty)
 
+    # cut inside the header, and inside the last sample of the data
+    whole = tmp_path / "whole.wav"
+    write_raw_wav(whole, [1, 2, 3])
+    for name, size in (("header.wav", 30), ("odd.wav", -1)):
+        cut = tmp_path / name
+        cut.write_bytes(whole.read_bytes()[:size])
+        with pytest.raises(AudioFormatError):
+            load_wav(cut)
+
 
 def test_load_wav_rejects_wrong_sample_width(tmp_path):
     p = tmp_path / "w8.wav"

@@ -230,6 +230,17 @@ def test_exit_codes(tmp_path, capsys, wav_tree, model_path):
     garbage.write_text("not a model\n")
     wav = os.path.join(wav_tree, "snow", "0_0.wav")
     assert cli.main(["classify", "--model", str(garbage), wav]) == 4
+    # a binary file is no model, whichever command reads it
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+    assert cli.main(["classify", "--model", str(binary), wav]) == 4
+    uses_binary = scen_file(tmp_path, "[scenario]\nduration_s = 0.5\n"
+                            "arte_mode = classifier\nmodel = %s\n" % binary)
+    assert cli.main(["simulate", "--config", uses_binary, "--out", out]) == 4
+    truncated = tmp_path / "truncated.wav"
+    with open(wav, "rb") as fh:
+        truncated.write_bytes(fh.read()[:-1])
+    assert cli.main(["features", str(truncated)]) == 4
     capsys.readouterr()
 
     mask = tmp_path / "mask25.txt"

@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of the default 8 s snow launch, of a launch
-over four roads (oracle and classifier estimates), and of the acoustic
-features.
+over four roads (oracle and classifier estimates), of the acoustic
+features, and of the default classifier model file.
 
 `golden/snow_launch.sha256` pins the bytes of the `simulate` trace CSV
 for mfc, src and mtte with the estimator off and oracle, and of the
@@ -165,3 +165,17 @@ def test_switch_launch_classifier_trace_digest(tmp_path, default_model, tag):
     write_trace_csv(str(path), run_scenario(cfg))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == golden("trace_%s_classifier.csv" % tag, CLASSIFIER)
+
+
+# `golden/default_model.sha256` pins the bytes of the model file that
+# `arte-tcs train` writes with its default seeds.  Taken before the
+# training loop was rewritten to work in preallocated buffers.
+
+MODEL = os.path.join(os.path.dirname(__file__), "golden",
+                     "default_model.sha256")
+
+
+def test_default_model_file_digest(default_model):
+    with open(default_model, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == golden("model.txt", MODEL)
