@@ -45,10 +45,12 @@ class MuLambdaCurve:
     e: float
 
     def validate(self):
-        # B > 0: slope sign convention; C in (1, 3): single-peak shape
-        # family; D in (0, 1.5]: physical friction range.
-        if not (self.b > 0.0):
-            raise ConfigError("curve stiffness B must be positive, got %g" % self.b)
+        # B > 0: slope sign convention, and finite, or mu is nan; C in
+        # (1, 3): single-peak shape family; D in (0, 1.5]: physical
+        # friction range.
+        if not (0.0 < self.b < math.inf):
+            raise ConfigError("curve stiffness B must be positive and finite, "
+                              "got %g" % self.b)
         if not (1.0 < self.c < 3.0):
             raise ConfigError("curve shape C must lie in (1, 3), got %g" % self.c)
         if not (0.0 < self.d <= 1.5):
@@ -115,20 +117,26 @@ def load_curve_overrides(path, base=None):
     rest taken from `base` (defaults if None).
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError("cannot read curve file: %s" % (path,))
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+        sections = {name: dict(cp[name]) for name in cp.sections()}
+    except OSError:
+        raise ConfigError("cannot read curve file: %s" % (path,)) from None
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot parse curve file %s: %s"
+                          % (path, exc)) from None
     out = dict(DEFAULT_CURVES if base is None else base)
-    for section in cp.sections():
+    for section, keys in sections.items():
         road = RoadType.from_name(section)
         vals = {}
         for key in ("b", "c", "d", "e"):
-            if not cp.has_option(section, key):
+            if key not in keys:
                 raise ConfigError(
                     "curve file %s: [%s] missing key %r" % (path, section, key)
                 )
             try:
-                vals[key] = cp.getfloat(section, key)
+                vals[key] = float(keys[key])
             except ValueError:
                 raise ConfigError(
                     "curve file %s: [%s] key %r is not a number" % (path, section, key)

@@ -226,6 +226,14 @@ def test_exit_codes(tmp_path, capsys, wav_tree, model_path):
     bad = scen_file(tmp_path, "[scenario]\ndt = 1.0\n")
     assert cli.main(["simulate", "--config", bad, "--out", out]) == 2
 
+    # the trace cannot be written: a directory, or a path under a missing one
+    ok = scen_file(tmp_path, "[scenario]\nduration_s = 0.01\n")
+    capsys.readouterr()
+    for unwritable in (str(tmp_path), str(tmp_path / "nope" / "x.csv")):
+        assert cli.main(["simulate", "--config", ok, "--out", unwritable]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "Traceback" not in err
+
     garbage = tmp_path / "model.txt"
     garbage.write_text("not a model\n")
     wav = os.path.join(wav_tree, "snow", "0_0.wav")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,9 @@ def test_curve_validation_rejects_bad_params():
         MuLambdaCurve(b=10.0, c=2.0, d=0.0, e=1.0).validate()
     with pytest.raises(ConfigError):
         MuLambdaCurve(b=10.0, c=2.0, d=1.6, e=1.0).validate()
+    # peak_friction of such a curve would be nan
+    with pytest.raises(ConfigError):
+        MuLambdaCurve(b=math.inf, c=2.0, d=0.5, e=1.0).validate()
 
 
 def test_load_curve_overrides(tmp_path):
@@ -125,3 +130,18 @@ def test_load_curve_overrides_errors(tmp_path):
     out_of_range.write_text("[snow]\nb = 5\nc = 2\nd = 2.5\ne = 1\n")
     with pytest.raises(ConfigError):
         load_curve_overrides(out_of_range)
+
+    no_header = tmp_path / "no_header.ini"
+    no_header.write_text("b = 5\nc = 2\nd = 0.1\ne = 1\n")
+    with pytest.raises(ConfigError):
+        load_curve_overrides(no_header)
+
+    binary = tmp_path / "binary.ini"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+    with pytest.raises(ConfigError):
+        load_curve_overrides(binary)
+
+    bad_interpolation = tmp_path / "percent.ini"
+    bad_interpolation.write_text("[snow]\nb = 5%\nc = 2\nd = 0.1\ne = 1\n")
+    with pytest.raises(ConfigError):
+        load_curve_overrides(bad_interpolation)
