@@ -60,8 +60,18 @@ def _emit(lines, out):
             fh.write(text)
 
 
+def _check_writable(path):
+    """OSError now, before any work, unless `path` can be written; a file
+    this makes is removed again."""
+    made = not os.path.lexists(path)
+    open(path, "ab").close()
+    if made:
+        os.remove(path)
+
+
 def cmd_simulate(args):
     cfg = load_scenario(args.config)
+    _check_writable(args.out)
     trace = run_scenario(cfg)
     write_trace_csv(args.out, trace)
     rep = metrics(trace)
@@ -72,6 +82,8 @@ def cmd_simulate(args):
 
 def cmd_compare(args):
     base = load_scenario(args.config) if args.config else ScenarioConfig()
+    if args.out is not None:
+        _check_writable(args.out)
     rows = compare(tuple(args.controllers), tuple(args.modes), base)
     _emit(compare_lines(rows), args.out)
     return 0

@@ -20,21 +20,19 @@ from the plan's steps.  So every column is bit-identical to what a loop of
 single steps would record.  `SimTrace.road_true`/`road_est` decode the
 roads to `RoadType`/None and `write_trace_csv` maps them to names.
 
-`write_trace_csv` prints the same bytes as "%.9g" per float cell, in
-numpy and without a Python formatting call per cell (`_trace_csv`): each
-cell's 9-digit mantissa is rounded half to even on the exact binary value
-(against exact powers of ten, a two-product settling products that round
-to .5); cells with decimal exponent -4 to 6 are laid out in fixed
-notation from integer digit arithmetic, the rest (exponent form, +-0,
-nan, inf) go through "%.9g" % x.  Chunks of TRACE_CHUNK_ROWS rows stream
-to the file, each a block of 8-byte words whose NUL padding one
-`bytes.translate` removes.
+`write_trace_csv` prints the same bytes as "%.9g" per float cell, its
+cells rendered in numpy by `_trace_csv`, and streams chunks of
+TRACE_CHUNK_ROWS rows to the file as blocks of NUL-padded 8-byte words.
+
+Scenario and curve files are INI files, read by one section reader
+(`_read_sections`) and one converter of float fields (`_from_section`);
+an unknown section or key is a ConfigError.
 """
 
 import bisect
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,10 +42,9 @@ from .controllers import (CONTROLLERS, MaxTransmissibleTorque,
 from .errors import ConfigError
 from .robustness import FAMILY_BOXES, nu_gap, plant_family
 from .synth_corpus import class_clip
-from .tire_road import DEFAULT_CURVES, RoadType, peak_friction
-from .vehicle_plant import VehicleParams, make_plant_run
-# not called here: bench/layertrace.py looks this name up in this module
-from .vehicle_plant import plant_step
+from .tire_road import DEFAULT_CURVES, MuLambdaCurve, RoadType, peak_friction
+# plant_step is not called here: bench/layertrace.py looks it up here
+from .vehicle_plant import VehicleParams, make_plant_run, plant_step
 
 ARTE_MODES = ("off", "oracle", "classifier")
 ARTE_PERIOD_MIN = 0.1
@@ -313,11 +310,8 @@ def compare(tcs_list, arte_modes, base_cfg):
     for cfg in cfgs:
         tag, mode = cfg.controller, cfg.arte_mode
         trace = run_scenario(cfg)
-        gap = None
-        if tag in FAMILY_BOXES:
-            nominal, worst = plant_family(tag, cfg.params,
-                                          arte_on=(mode != "off"))
-            gap = nu_gap(nominal, worst)
+        gap = (nu_gap(*plant_family(tag, cfg.params, arte_on=mode != "off"))
+               if tag in FAMILY_BOXES else None)
         rows.append((tag, mode, metrics(trace, gap=gap)))
     rows.sort(key=lambda row: (row[0], row[1]))
     return rows
@@ -362,16 +356,52 @@ def _number(convert, section, key, text):
                           % (section, key, text)) from None
 
 
-def load_scenario(path):
-    """Scenario from a key = value file; see ScenarioConfig for defaults."""
-    parser = configparser.ConfigParser()
+def _read_sections(path):
+    """{section: {key: text}} of an INI file, its values read literally.
+    OSError if the file cannot be read; ConfigError if configparser cannot
+    parse it, or it has keys under [DEFAULT] (merged into every section)."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
-        sections = {name: dict(parser[name]) for name in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError("cannot parse scenario file %s: %s"
-                          % (path, exc)) from None
+        raise ConfigError("cannot parse %s: %s" % (path, exc)) from None
+    if parser.defaults():
+        raise ConfigError("%s: keys under [DEFAULT] are not allowed" % path)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+def _from_section(cls, section, keys):
+    """A `cls` from one section's keys, each a float field of it; a field
+    without a default is required."""
+    values = {}
+    for f in fields(cls):
+        if f.name in keys:
+            values[f.name] = _number(float, section, f.name, keys[f.name])
+        elif f.default is MISSING:
+            raise ConfigError("[%s] missing key %r" % (section, f.name))
+    unknown = [key for key in keys if key not in values]
+    if unknown:
+        raise ConfigError("[%s] unknown key %r" % (section, unknown[0]))
+    return cls(**values)
+
+
+def load_curve_overrides(path, base=None):
+    """Road -> curve from an INI file of [road] sections with keys b, c, d
+    and e: `base` (defaults if None) with the file's roads replaced."""
+    out = dict(DEFAULT_CURVES if base is None else base)
+    for section, keys in _read_sections(path).items():
+        out[RoadType.from_name(section)] = _from_section(
+            MuLambdaCurve, section, keys).validate()
+    return out
+
+
+def load_scenario(path):
+    """Scenario from a key = value file; see ScenarioConfig for defaults."""
+    sections = _read_sections(path)
+    for name in sections:
+        if name not in ("scenario", "schedule", "vehicle"):
+            raise ConfigError("unknown scenario section [%s]" % name)
     kwargs = {}
     for key, text in sections.get("scenario", {}).items():
         if key in SCENARIO_FLOAT_KEYS:
@@ -383,18 +413,13 @@ def load_scenario(path):
         elif key == "model":
             kwargs["model_path"] = text.strip()
         else:
-            raise ConfigError("unknown scenario key %r" % key)
+            raise ConfigError("[scenario] unknown key %r" % key)
     if "schedule" in sections:
-        entries = [(_number(float, "schedule", t, t),
-                    RoadType.from_name(road))
-                   for t, road in sections["schedule"].items()]
-        entries.sort(key=lambda item: item[0])
-        kwargs["road_schedule"] = tuple(entries)
+        kwargs["road_schedule"] = tuple(sorted(
+            ((_number(float, "schedule", t, t), RoadType.from_name(road))
+             for t, road in sections["schedule"].items()),
+            key=lambda entry: entry[0]))
     if "vehicle" in sections:
-        fields = {key: _number(float, "vehicle", key, text)
-                  for key, text in sections["vehicle"].items()}
-        try:
-            kwargs["params"] = replace(VehicleParams(), **fields)
-        except TypeError as exc:
-            raise ConfigError("unknown vehicle parameter") from exc
+        kwargs["params"] = _from_section(VehicleParams, "vehicle",
+                                         sections["vehicle"])
     return ScenarioConfig(**kwargs).validate()

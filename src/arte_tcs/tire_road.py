@@ -7,12 +7,10 @@ four-parameter magic formula
 
 with one (B, C, D, E) set per road surface.  D is the peak friction
 level, B*C*D the stiffness at zero slip.  The module also provides the
-peak (lambda_opt, mu_peak) of each curve, computed once per curve, and a
-config-file override path so curve sets can be swapped without code
-changes.
+peak (lambda_opt, mu_peak) of each curve, computed once per curve.
+Curve files are read by `harness.load_curve_overrides`.
 """
 
-import configparser
 import enum
 import functools
 import math
@@ -107,39 +105,3 @@ def peak_friction(curve):
         if denom != 0.0:
             lam = float(x1 + 0.5 * (x1 - x0) * (y0 - y2) / denom)
     return lam, float(curve.mu(lam))
-
-
-def load_curve_overrides(path, base=None):
-    """Read per-road curve parameters from an INI file.
-
-    Sections are road names; keys are b, c, d, e (all required).
-    Returns a full road->curve dict: overridden roads replaced, the
-    rest taken from `base` (defaults if None).
-    """
-    cp = configparser.ConfigParser()
-    try:
-        with open(path) as fh:
-            cp.read_file(fh)
-        sections = {name: dict(cp[name]) for name in cp.sections()}
-    except OSError:
-        raise ConfigError("cannot read curve file: %s" % (path,)) from None
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError("cannot parse curve file %s: %s"
-                          % (path, exc)) from None
-    out = dict(DEFAULT_CURVES if base is None else base)
-    for section, keys in sections.items():
-        road = RoadType.from_name(section)
-        vals = {}
-        for key in ("b", "c", "d", "e"):
-            if key not in keys:
-                raise ConfigError(
-                    "curve file %s: [%s] missing key %r" % (path, section, key)
-                )
-            try:
-                vals[key] = float(keys[key])
-            except ValueError:
-                raise ConfigError(
-                    "curve file %s: [%s] key %r is not a number" % (path, section, key)
-                ) from None
-        out[road] = MuLambdaCurve(**vals).validate()
-    return out

@@ -367,6 +367,9 @@ BAD_SCENARIOS = {
     "duration_under_one_step": b"[scenario]\nduration_s = 0.00004\n",
     "duration_unbounded": b"[scenario]\nduration_s = 1e300\n",
     "wheel_radius_underflow": b"[vehicle]\nr = 1e-300\n",
+    "misspelled_section": b"[vehicel]\nm_vehicle = 1500\n",
+    "section_in_other_case": b"[Schedule]\n0.0 = asphalt\n",
+    "default_section_only": b"[DEFAULT]\nduration_s = 2\n",
 }
 
 
@@ -388,6 +391,33 @@ def test_compare_bad_scenario_exits_two(tmp_path, capsys, body):
     assert cli.main(["compare", "--config", str(cfg), "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not os.path.exists(out)
+
+
+def test_unwritable_out_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    def never(cfg):
+        pytest.fail("a scenario ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_scenario", never)
+    monkeypatch.setattr(harness, "run_scenario", never)
+    ok = scen_file(tmp_path, "[scenario]\nduration_s = 0.5\n")
+    for unwritable in (str(tmp_path), str(tmp_path / "nope" / "x.csv")):
+        for command in ("simulate", "compare"):
+            argv = [command, "--config", ok, "--out", unwritable]
+            assert cli.main(argv) == 4
+            assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+def test_failed_run_leaves_an_existing_out_as_it_was(tmp_path, capsys,
+                                                     monkeypatch):
+    def diverge(cfg):
+        raise errors.SimulationDiverged("probe")
+
+    monkeypatch.setattr(cli, "run_scenario", diverge)
+    ok = scen_file(tmp_path, "[scenario]\nduration_s = 0.5\n")
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"earlier run\n")
+    assert cli.main(["simulate", "--config", ok, "--out", str(out)]) == 3
+    assert out.read_bytes() == b"earlier run\n"
 
 
 # (scenario file, extra compare options): one row of the table cannot run

@@ -1,25 +1,34 @@
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import arte_tcs.cli as cli
 import arte_tcs.vehicle_plant as vehicle_plant
 from arte_tcs.arte_classifier import prune_features, split_dataset, train_mlp, save_model
-from arte_tcs.controllers import MaxTransmissibleTorque
+from arte_tcs.controllers import CONTROLLERS, MaxTransmissibleTorque
 from arte_tcs.errors import ConfigError, SimulationDiverged
-from arte_tcs.harness import (MAX_STEPS, NO_ESTIMATE, ROAD_INDEX,
-                              ScenarioConfig, SimTrace, _build_controller,
-                              compare, compare_lines, load_scenario,
+from arte_tcs.harness import (ARTE_MODES, MAX_STEPS, NO_ESTIMATE,
+                              ROAD_INDEX, ROADS, ScenarioConfig, SimTrace,
+                              _build_controller, compare, compare_lines,
+                              load_curve_overrides, load_scenario,
                               max_torque, metrics, run_scenario,
                               slip_deviation, torque_area, write_trace_csv)
 from arte_tcs.synth_corpus import build_corpus
-from arte_tcs.tire_road import DEFAULT_CURVES, RoadType, peak_friction
+from arte_tcs.tire_road import (DEFAULT_CURVES, MuLambdaCurve, RoadType,
+                                peak_friction)
 from arte_tcs.vehicle_plant import VehicleParams
 
 _cache = {}
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("scenario_files")
 
 
 def short_run(**kw):
@@ -275,37 +284,77 @@ def test_step_limit_is_inclusive():
         ScenarioConfig(duration_s=(MAX_STEPS + 1) * dt, dt=dt).validate()
 
 
-def test_load_scenario_round_trip(tmp_path):
+# per ScenarioConfig field but the schedule and the vehicle: its key in
+# [scenario] and a strategy of values it may take alone
+SCENARIO_KEYS = {
+    "duration_s": ("duration_s", st.floats(1e-3, 60.0)),
+    "dt": ("dt", st.floats(1e-5, 5e-3)),
+    "torque_demand": ("torque_demand", st.floats(0.0, 1e4)),
+    "controller": ("controller", st.sampled_from(CONTROLLERS)),
+    "arte_mode": ("arte_mode", st.sampled_from(ARTE_MODES)),
+    "arte_period_s": ("arte_period_s", st.floats(0.1, 10.0)),
+    "seed": ("seed", st.integers(0, 2**63)),
+    "v0": ("v0", st.floats(0.0, 50.0)),
+    "fd_hat0": ("fd_hat0", st.floats(-1e6, 1e6)),
+    # printable ASCII, '%' included, as configparser strips the ends
+    "model_path": ("model", st.text(st.characters(min_codepoint=32,
+                                                  max_codepoint=126),
+                                    min_size=1).map(str.strip)
+                   .filter(bool)),
+}
+
+
+@st.composite
+def scenario_files(draw):
+    """(a valid ScenarioConfig, INI text that sets any subset of its fields
+    and of its vehicle's)."""
+    kwargs, lines = {}, ["[scenario]"]
+    for name, (key, values) in SCENARIO_KEYS.items():
+        if draw(st.booleans()):
+            kwargs[name] = value = draw(values)
+            lines.append("%s = %s" % (key, value if isinstance(value, str)
+                                      else repr(value)))
+    if draw(st.booleans()):
+        times = draw(st.lists(st.floats(0.0, 1e3, exclude_min=True),
+                              unique=True, max_size=4))
+        entries = [(t, draw(st.sampled_from(ROADS))) for t in [0.0] + times]
+        lines.append("[schedule]")
+        lines += ["%r = %s" % (t, road.value)
+                  for t, road in draw(st.permutations(entries))]
+        kwargs["road_schedule"] = tuple(sorted(entries, key=lambda e: e[0]))
+    if draw(st.booleans()):
+        params = {}
+        for f in fields(VehicleParams):
+            if draw(st.booleans()):
+                params[f.name] = f.default * draw(st.floats(0.5, 2.0))
+        lines.append("[vehicle]")
+        lines += ["%s = %r" % item for item in params.items()]
+        kwargs["params"] = VehicleParams(**params)
+    cfg = ScenarioConfig(**kwargs)
+    try:
+        cfg.validate()
+    except ConfigError:
+        assume(False)
+    return cfg, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_files())
+def test_load_scenario_round_trip(scratch, case):
+    # a field added to ScenarioConfig needs its key here
+    assert set(SCENARIO_KEYS) | {"road_schedule", "params"} == {
+        f.name for f in fields(ScenarioConfig)}
+    cfg, text = case
+    path = scratch / "scenario.ini"
+    path.write_text(text)
+    assert load_scenario(path) == cfg
+
+
+def test_load_scenario_reads_values_literally(tmp_path):
+    model = tmp_path / "100%" / "model.txt"
     path = tmp_path / "scenario.ini"
-    path.write_text("""
-[scenario]
-duration_s = 2.5
-dt = 0.0002
-torque_demand = 350
-controller = src
-arte_mode = oracle
-arte_period_s = 0.2
-seed = 7
-v0 = 0.5
-fd_hat0 = 1000
-
-[schedule]
-0.0 = asphalt
-1.5 = snow
-
-[vehicle]
-m_vehicle = 1500
-""")
-    cfg = load_scenario(path)
-    assert cfg.duration_s == 2.5
-    assert cfg.dt == 0.0002
-    assert cfg.controller == "src"
-    assert cfg.arte_mode == "oracle"
-    assert cfg.seed == 7
-    assert cfg.road_schedule == ((0.0, RoadType.ASPHALT),
-                                 (1.5, RoadType.SNOW))
-    assert cfg.params.m_vehicle == 1500.0
-    assert cfg.params.r == VehicleParams().r
+    path.write_text("[scenario]\nmodel = %s\n" % model)
+    assert load_scenario(path).model_path == str(model)
 
 
 def test_load_scenario_rejects_bad_entries(tmp_path):
@@ -319,3 +368,58 @@ def test_load_scenario_rejects_bad_entries(tmp_path):
     path.write_text("[vehicle]\nwings = 2\n")
     with pytest.raises(ConfigError):
         load_scenario(path)
+
+
+def test_load_curve_overrides(tmp_path):
+    p = tmp_path / "curves.ini"
+    p.write_text("[snow]\nb = 6.0\nc = 2.0\nd = 0.25\ne = 1.0\n")
+    curves = load_curve_overrides(p)
+    assert curves[RoadType.SNOW] == MuLambdaCurve(6.0, 2.0, 0.25, 1.0)
+    # untouched roads keep defaults
+    assert curves[RoadType.ASPHALT] == DEFAULT_CURVES[RoadType.ASPHALT]
+
+
+def test_load_curve_overrides_errors(tmp_path):
+    missing = tmp_path / "nope.ini"
+    with pytest.raises(OSError):
+        load_curve_overrides(missing)
+
+    bad_road = tmp_path / "bad_road.ini"
+    bad_road.write_text("[ice]\nb = 5\nc = 2\nd = 0.1\ne = 1\n")
+    with pytest.raises(ConfigError):
+        load_curve_overrides(bad_road)
+
+    missing_key = tmp_path / "missing_key.ini"
+    missing_key.write_text("[snow]\nb = 5\nc = 2\nd = 0.1\n")
+    with pytest.raises(ConfigError):
+        load_curve_overrides(missing_key)
+
+    unknown_key = tmp_path / "unknown_key.ini"
+    unknown_key.write_text("[snow]\nb = 5\nc = 2\nd = 0.1\ne = 1\ndd = 0.2\n")
+    with pytest.raises(ConfigError, match=r"\[snow\] unknown key 'dd'"):
+        load_curve_overrides(unknown_key)
+
+    bad_value = tmp_path / "bad_value.ini"
+    bad_value.write_text("[snow]\nb = 5\nc = 2\nd = soft\ne = 1\n")
+    with pytest.raises(ConfigError):
+        load_curve_overrides(bad_value)
+
+    out_of_range = tmp_path / "range.ini"
+    out_of_range.write_text("[snow]\nb = 5\nc = 2\nd = 2.5\ne = 1\n")
+    with pytest.raises(ConfigError):
+        load_curve_overrides(out_of_range)
+
+    no_header = tmp_path / "no_header.ini"
+    no_header.write_text("b = 5\nc = 2\nd = 0.1\ne = 1\n")
+    with pytest.raises(ConfigError):
+        load_curve_overrides(no_header)
+
+    binary = tmp_path / "binary.ini"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+    with pytest.raises(ConfigError):
+        load_curve_overrides(binary)
+
+    bad_interpolation = tmp_path / "percent.ini"
+    bad_interpolation.write_text("[snow]\nb = 5%\nc = 2\nd = 0.1\ne = 1\n")
+    with pytest.raises(ConfigError):
+        load_curve_overrides(bad_interpolation)

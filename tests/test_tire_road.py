@@ -8,7 +8,6 @@ from arte_tcs.tire_road import (
     DEFAULT_CURVES,
     MuLambdaCurve,
     RoadType,
-    load_curve_overrides,
     peak_friction,
 )
 
@@ -96,52 +95,3 @@ def test_curve_validation_rejects_bad_params():
     with pytest.raises(ConfigError):
         MuLambdaCurve(b=math.inf, c=2.0, d=0.5, e=1.0).validate()
 
-
-def test_load_curve_overrides(tmp_path):
-    p = tmp_path / "curves.ini"
-    p.write_text("[snow]\nb = 6.0\nc = 2.0\nd = 0.25\ne = 1.0\n")
-    curves = load_curve_overrides(p)
-    assert curves[RoadType.SNOW] == MuLambdaCurve(6.0, 2.0, 0.25, 1.0)
-    # untouched roads keep defaults
-    assert curves[RoadType.ASPHALT] == DEFAULT_CURVES[RoadType.ASPHALT]
-
-
-def test_load_curve_overrides_errors(tmp_path):
-    missing = tmp_path / "nope.ini"
-    with pytest.raises(ConfigError):
-        load_curve_overrides(missing)
-
-    bad_road = tmp_path / "bad_road.ini"
-    bad_road.write_text("[ice]\nb = 5\nc = 2\nd = 0.1\ne = 1\n")
-    with pytest.raises(ConfigError):
-        load_curve_overrides(bad_road)
-
-    missing_key = tmp_path / "missing_key.ini"
-    missing_key.write_text("[snow]\nb = 5\nc = 2\nd = 0.1\n")
-    with pytest.raises(ConfigError):
-        load_curve_overrides(missing_key)
-
-    bad_value = tmp_path / "bad_value.ini"
-    bad_value.write_text("[snow]\nb = 5\nc = 2\nd = soft\ne = 1\n")
-    with pytest.raises(ConfigError):
-        load_curve_overrides(bad_value)
-
-    out_of_range = tmp_path / "range.ini"
-    out_of_range.write_text("[snow]\nb = 5\nc = 2\nd = 2.5\ne = 1\n")
-    with pytest.raises(ConfigError):
-        load_curve_overrides(out_of_range)
-
-    no_header = tmp_path / "no_header.ini"
-    no_header.write_text("b = 5\nc = 2\nd = 0.1\ne = 1\n")
-    with pytest.raises(ConfigError):
-        load_curve_overrides(no_header)
-
-    binary = tmp_path / "binary.ini"
-    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
-    with pytest.raises(ConfigError):
-        load_curve_overrides(binary)
-
-    bad_interpolation = tmp_path / "percent.ini"
-    bad_interpolation.write_text("[snow]\nb = 5%\nc = 2\nd = 0.1\ne = 1\n")
-    with pytest.raises(ConfigError):
-        load_curve_overrides(bad_interpolation)
