@@ -61,8 +61,10 @@ def _emit(lines, out):
 
 
 def _check_writable(path):
-    """OSError now, before any work, unless `path` can be written; a file
-    this makes is removed again."""
+    """OSError now, before any work, unless `path` can be written (None,
+    for stdout, always can); a file this makes is removed again."""
+    if path is None:
+        return
     made = not os.path.lexists(path)
     open(path, "ab").close()
     if made:
@@ -82,8 +84,7 @@ def cmd_simulate(args):
 
 def cmd_compare(args):
     base = load_scenario(args.config) if args.config else ScenarioConfig()
-    if args.out is not None:
-        _check_writable(args.out)
+    _check_writable(args.out)
     rows = compare(tuple(args.controllers), tuple(args.modes), base)
     _emit(compare_lines(rows), args.out)
     return 0
@@ -93,6 +94,7 @@ def cmd_train(args):
     _at_least(0, corpus_seed=args.corpus_seed, split_seed=args.split_seed,
               seed=args.seed)
     _at_least(1, epochs=args.epochs)
+    _check_writable(args.out)
     ds = build_corpus(seed=args.corpus_seed)
     train, test = split_dataset(ds, seed=args.split_seed)
     mask = None if args.full_features else prune_features(train)
@@ -108,6 +110,7 @@ def cmd_train(args):
 def cmd_classify(args):
     model = load_model(args.model)
     mask = SelectionMask(indices=model.mask_indices)
+    _check_writable(args.out)
     lines = ["path,road,lambda_opt,mu_peak"]
     for path in args.wav:
         road, lam, mu = arte_estimate(model, mask, load_wav(path))
@@ -118,6 +121,8 @@ def cmd_classify(args):
 
 def cmd_features(args):
     _at_least(0, seed=args.seed)
+    _at_least(1, frames=args.frames)
+    _check_writable(args.out)
     lines = ["label," + ",".join("f%d" % k for k in range(20))]
     for path in args.wav:
         label = _wav_label(path, args.label)
@@ -137,9 +142,10 @@ def cmd_gap(args):
                               "--num1/--den1/--num2/--den2")
         tf1 = make_tf(_coeffs(args.num1), _coeffs(args.den1))
         tf2 = make_tf(_coeffs(args.num2), _coeffs(args.den2))
-    else:
-        if any(c is not None for c in by_hand):
-            raise ConfigError("--controller excludes coefficient lists")
+    elif any(c is not None for c in by_hand):
+        raise ConfigError("--controller excludes coefficient lists")
+    _check_writable(args.out)
+    if args.controller is not None:
         tf1, tf2 = plant_family(args.controller, VehicleParams(),
                                 arte_on=args.arte)
     res = nu_gap(tf1, tf2)

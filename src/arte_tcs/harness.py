@@ -388,11 +388,17 @@ def _from_section(cls, section, keys):
 
 def load_curve_overrides(path, base=None):
     """Road -> curve from an INI file of [road] sections with keys b, c, d
-    and e: `base` (defaults if None) with the file's roads replaced."""
+    and e: `base` (defaults if None) with the file's roads replaced. Two
+    sections naming one road ([snow], [Snow]) are a ConfigError."""
     out = dict(DEFAULT_CURVES if base is None else base)
+    seen = {}
     for section, keys in _read_sections(path).items():
-        out[RoadType.from_name(section)] = _from_section(
-            MuLambdaCurve, section, keys).validate()
+        road = RoadType.from_name(section)
+        if road in seen:
+            raise ConfigError("sections [%s] and [%s] both name road %r"
+                              % (seen[road], section, road.value))
+        seen[road] = section
+        out[road] = _from_section(MuLambdaCurve, section, keys).validate()
     return out
 
 

@@ -1,8 +1,10 @@
 """SISO transfer functions and the nu-gap distance between plants.
 
-The gap is evaluated as the sup of the pointwise chordal distance over a
-log frequency grid, with the usual winding-number side condition; when
-the condition fails the distance is 1 by definition.
+The gap is the sup of the pointwise chordal distance over frequency if the
+winding condition holds and 1 if it fails (Vinnicombe, IEEE TAC 1993). The
+condition is decided exactly, by counting the roots of one polynomial in
+rational arithmetic, wherever the plants' dynamics lie; the distance comes
+from one sweep of each plant over [0, log grid, inf], refined near its peak.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,6 @@ from .errors import ConfigError
 GRID_LO = 1e-3
 GRID_HI = 1e4
 GRID_POINTS = 2000
-REFINE_FACTOR = 10
 
 # linearized wheel plant used for the controller robustness families:
 # gain / ((J s - c) (tau1 s + 1)) with one slip-runaway pole at c/J
@@ -104,66 +105,78 @@ def _limit_at_inf(tf):
     return num[0] / den[0]
 
 
-def _rhp_poles(tf):
-    den = np.trim_zeros(tf.den, "f")
-    if len(den) < 2:
-        return 0
-    return int(np.sum(np.roots(den).real > 0.0))
+def _trimmed(coeffs):
+    """The coefficient list from its first nonzero entry on."""
+    return coeffs[next((i for i, c in enumerate(coeffs) if c), len(coeffs)):]
 
 
-def _winding_ok(tf1, tf2, grid_points=GRID_POINTS):
-    """Accumulated-phase encirclement test of 1 + conj(P2)P1.
+def _cauchy_index(p, r):
+    """(Cauchy index of r/p over the real line, gcd(p, r)) for exact
+    coefficient lists with deg r < deg p, from their Sturm chain."""
+    chain = [_trimmed(p), _trimmed(r)]
+    while chain[-1]:
+        a, b = chain[-2], chain[-1]
+        while len(a) >= len(b):  # a becomes the remainder of a / b
+            f = a[0] / b[0]
+            a = [x - f * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+        chain.append([-c for c in _trimmed(a)])
+    chain.pop()
+    signs = [(c[0] > 0, (c[0] > 0) == (len(c) % 2 == 1)) for c in chain]
+    plus, minus = (sum(x != y for x, y in zip(e, e[1:])) for e in zip(*signs))
+    return minus - plus, chain[-1]
 
-    The half-axis grid is closed with the exact w=0 and w->inf values;
-    symmetry of real-rational plants supplies the negative half. Steps
-    whose phase jump exceeds pi/2 are subdivided before counting.  The
-    path is divided by sqrt((1 + |P1|^2) (1 + |P2|^2)), which leaves its
-    winding as it is and its magnitude at most 1.
+
+def _winding_ok(tf1, tf2):
+    """wno det(G2~ G1) = 0 and det(G2~ G1) nonzero on the axis, exactly.
+
+    With P = n/d and e the Hurwitz factor of d(-s)d(s) + n(-s)n(s), the
+    normalised coprime factors are N = n/e and M = d/e, so G2~ G1 is
+    q(s) / (e2(-s) e1(s)) with q = d2(-s)d1(s) + n2(-s)n1(s). It holds when
+    q has no root on the imaginary axis and, like e2(-s), deg d2 roots right
+    of it; q has the degree m of d1 d2, as the caller has checked
+    1 + conj(P2) P1 at infinity. With q(jw) = j^m (p(w) - j r(w)), q's roots
+    on the axis are the real roots of gcd(p, r); without them the Cauchy
+    index of r/p is m - 2k, k the roots right of the axis (Routh-Hurwitz).
+    Rational arithmetic keeps products of coefficients in range and exact.
     """
-    omega = np.logspace(np.log10(GRID_LO), np.log10(GRID_HI), grid_points)
-    for _ in range(8):
-        (u1, s1), (u2, s2) = (
-            _on_sphere(np.concatenate(([eval_freq(tf, 0.0)],
-                                       eval_freq(tf, omega),
-                                       [_limit_at_inf(tf)])))
-            for tf in (tf1, tf2))
-        path = s1 * s2 + np.conj(u2) * u1
-        if np.min(np.abs(path)) < 1e-12:
-            return False
-        steps = np.angle(path[1:] / path[:-1])
-        bad = np.flatnonzero(np.abs(steps[1:-1]) > np.pi / 2) + 1
-        if bad.size == 0:
-            accumulated = float(np.sum(steps))
-            winding = int(round(accumulated / np.pi))
-            return winding + _rhp_poles(tf1) - _rhp_poles(tf2) == 0
-        insert = []
-        for i in bad:
-            insert.append(np.logspace(np.log10(omega[i - 1]),
-                                      np.log10(omega[i]),
-                                      REFINE_FACTOR + 2)[1:-1])
-        omega = np.unique(np.concatenate([omega] + insert))
-    return False
+    from fractions import Fraction  # kept off the package import path
+    n1, d1, n2, d2 = ([Fraction(c) for c in coeffs]
+                      for coeffs in (tf1.num, tf1.den, tf2.num, tf2.den))
+    n2, d2 = ([-c if k % 2 else c for k, c in enumerate(x[::-1])][::-1]
+              for x in (n2, d2))  # c(-s) from c(s)
+    q = _trimmed(list(np.polyadd(np.polymul(d2, d1), np.polymul(n2, n1))))
+    index, common = _cauchy_index(
+        [c * (1, 0, -1, 0)[k % 4] for k, c in enumerate(q)],
+        [c * (0, 1, 0, -1)[k % 4] for k, c in enumerate(q)][1:])
+    slope = [c * (len(common) - 1 - k) for k, c in enumerate(common[:-1])]
+    return (_cauchy_index(common, slope)[0] == 0
+            and len(q) - 1 - index == 2 * (len(d2) - 1))
 
 
-def nu_gap(tf1, tf2, grid_points=GRID_POINTS):
+def nu_gap(tf1, tf2):
     """Sup of the chordal distance over frequency, or 1 on winding failure."""
     for tf in (tf1, tf2):
         tf.validate()
         if _degree(tf.num) > _degree(tf.den):
             raise ConfigError(
                 "gap evaluation needs a proper transfer function")
-    if not _winding_ok(tf1, tf2, grid_points):
+    omega = np.logspace(np.log10(GRID_LO), np.log10(GRID_HI), GRID_POINTS)
+    (u1, s1), (u2, s2) = (
+        _on_sphere(np.concatenate(([eval_freq(tf, 0.0)],
+                                   eval_freq(tf, omega),
+                                   [_limit_at_inf(tf)])))
+        for tf in (tf1, tf2))
+    # 1 + conj(P2) P1, divided by sqrt((1 + |P1|^2) (1 + |P2|^2))
+    if (np.min(np.abs(s1 * s2 + np.conj(u2) * u1)) < 1e-12
+            or not _winding_ok(tf1, tf2)):
         return GapResult(value=1.0, winding_ok=False, peak_frequency=0.0)
-    omega = np.logspace(np.log10(GRID_LO), np.log10(GRID_HI), grid_points)
-    kappa = chordal_distance(eval_freq(tf1, omega), eval_freq(tf2, omega))
-    peak = int(np.argmax(kappa))
+    sweep = np.abs(u1 * s2 - u2 * s1)  # chordal distance at 0, grid, inf
+    peak = int(np.argmax(sweep[1:-1]))
     lo = omega[max(peak - 1, 0)]
     hi = omega[min(peak + 1, len(omega) - 1)]
-    fine = np.logspace(np.log10(lo), np.log10(hi), grid_points)
+    fine = np.logspace(np.log10(lo), np.log10(hi), GRID_POINTS)
     kfine = chordal_distance(eval_freq(tf1, fine), eval_freq(tf2, fine))
-    ends = chordal_distance(*([eval_freq(tf, 0.0), _limit_at_inf(tf)]
-                              for tf in (tf1, tf2)))
-    candidates = np.concatenate((kappa, kfine, ends))
+    candidates = np.concatenate((sweep[1:-1], kfine, sweep[[0, -1]]))
     grid = np.concatenate((omega, fine, [0.0, np.inf]))
     best = int(np.argmax(candidates))
     return GapResult(value=float(min(candidates[best], 1.0)),

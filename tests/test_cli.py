@@ -143,6 +143,18 @@ def test_gap_coefficient_lists(capsys):
     line = capsys.readouterr().out.splitlines()[1]
     assert line.split(",")[:2] == ["5e-301", "true"]
 
+    # products of the two plants' coefficients reach 1e600, or a pole sits
+    # near 1e310 rad/s: the winding test still counts, without warnings
+    cases = {("1e300", "1,1", "2e300", "1,1"): ["5.00000002e-297", "true"],
+             ("1", "1e-310,1", "1", "1,1"): ["0.707106774", "true"]}
+    for (num1, den1, num2, den2), head in cases.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["gap", "--num1", num1, "--den1", den1,
+                             "--num2", num2, "--den2", den2]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line.split(",")[:2] == head
+
 
 def coefficient_lists():
     """1-4 comma-separated entries, each 0 (one in four) or of magnitude
@@ -393,18 +405,31 @@ def test_compare_bad_scenario_exits_two(tmp_path, capsys, body):
     assert not os.path.exists(out)
 
 
-def test_unwritable_out_fails_before_any_run(tmp_path, capsys, monkeypatch):
-    def never(cfg):
-        pytest.fail("a scenario ran before --out was checked")
+def test_unwritable_out_fails_before_any_run(tmp_path, capsys, monkeypatch,
+                                            wav_tree, model_path):
+    def never(*args, **kwargs):
+        pytest.fail("work started before --out was checked")
 
-    monkeypatch.setattr(cli, "run_scenario", never)
-    monkeypatch.setattr(harness, "run_scenario", never)
+    for module, name in ((cli, "run_scenario"), (harness, "run_scenario"),
+                         (cli, "build_corpus"), (cli, "load_wav"),
+                         (cli, "plant_family")):
+        monkeypatch.setattr(module, name, never)
     ok = scen_file(tmp_path, "[scenario]\nduration_s = 0.5\n")
+    wav = os.path.join(wav_tree, "snow", "0_0.wav")
     for unwritable in (str(tmp_path), str(tmp_path / "nope" / "x.csv")):
-        for command in ("simulate", "compare"):
-            argv = [command, "--config", ok, "--out", unwritable]
-            assert cli.main(argv) == 4
+        for argv in (["simulate", "--config", ok], ["compare", "--config", ok],
+                     ["train"], ["features", wav],
+                     ["classify", "--model", model_path, wav],
+                     ["gap", "--controller", "src"]):
+            assert cli.main(argv + ["--out", unwritable]) == 4, argv
             assert capsys.readouterr().err.startswith("i/o error: ")
+        # bad arguments are reported first, as before
+        for argv in (["train", "--epochs", "0"],
+                     ["features", wav, "--seed", "-1"],
+                     ["features", wav, "--frames", "0"],
+                     ["gap", "--controller", "src", "--num1", "1"]):
+            assert cli.main(argv + ["--out", unwritable]) == 2, argv
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_failed_run_leaves_an_existing_out_as_it_was(tmp_path, capsys,
@@ -459,6 +484,8 @@ BAD_OPTIONS = {
     "synth_no_clips": ["synth", "--out", "{out}", "--clips", "0"],
     "features_seed_negative": ["features", "--out", "{out}", "--seed", "-1",
                                "{wav}"],
+    "features_no_frames": ["features", "--out", "{out}", "--frames", "0",
+                           "{wav}"],
     "train_corpus_seed_negative": ["train", "--out", "{out}",
                                    "--corpus-seed", "-1"],
     "train_split_seed_negative": ["train", "--out", "{out}",

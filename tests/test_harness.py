@@ -419,6 +419,13 @@ def test_load_curve_overrides_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_curve_overrides(binary)
 
+    # configparser keeps [snow] and [Snow] apart; both name one road
+    duplicate = tmp_path / "duplicate.ini"
+    duplicate.write_text("[snow]\nb = 6\nc = 2\nd = 0.25\ne = 1\n"
+                         "[Snow]\nb = 45\nc = 2\nd = 0.25\ne = 1\n")
+    with pytest.raises(ConfigError, match=r"\[snow\] and \[Snow\]"):
+        load_curve_overrides(duplicate)
+
     bad_interpolation = tmp_path / "percent.ini"
     bad_interpolation.write_text("[snow]\nb = 5%\nc = 2\nd = 0.1\ne = 1\n")
     with pytest.raises(ConfigError):

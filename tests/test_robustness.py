@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arte_tcs import robustness
 from arte_tcs.errors import ConfigError
 from arte_tcs.robustness import (chordal_distance, eval_freq, make_tf,
                                  nu_gap, plant_family)
@@ -109,11 +110,62 @@ def test_gap_is_symmetric_and_bounded_on_random_plants(tf1, tf2):
     assert 0.0 <= fwd.value <= 1.0
 
 
-def test_gap_stable_under_grid_doubling():
-    for tf1, tf2 in itertools.combinations(BATTERY[:6], 2):
-        coarse = nu_gap(tf1, tf2).value
-        dense = nu_gap(tf1, tf2, grid_points=4000).value
-        assert abs(coarse - dense) < 1e-4
+def test_gap_stable_under_grid_doubling(monkeypatch):
+    coarse = [nu_gap(tf1, tf2).value
+              for tf1, tf2 in itertools.combinations(BATTERY[:6], 2)]
+    monkeypatch.setattr(robustness, "GRID_POINTS",
+                        2 * robustness.GRID_POINTS)
+    dense = [nu_gap(tf1, tf2).value
+             for tf1, tf2 in itertools.combinations(BATTERY[:6], 2)]
+    assert max(abs(c - d) for c, d in zip(coarse, dense)) < 1e-4
+
+
+def scaled(tf, w0):
+    """P(s / w0): the same plant with its dynamics moved by a factor w0."""
+    def at(coeffs):
+        return coeffs * w0 ** -np.arange(len(coeffs) - 1.0, -1.0, -1.0)
+    return make_tf(at(tf.num), at(tf.den))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(tf1=proper_plants(), tf2=proper_plants(),
+       w0=st.sampled_from((1e-5, 1e-4, 1e4, 1e5)))
+def test_winding_condition_does_not_depend_on_frequency_scale(tf1, tf2, w0):
+    assert (nu_gap(scaled(tf1, w0), scaled(tf2, w0)).winding_ok
+            == nu_gap(tf1, tf2).winding_ok)
+
+
+def test_winding_condition_off_the_grid():
+    # a stable and an unstable plant, at their own scale and with their
+    # dynamics moved below the grid; the gap is the chordal distance at
+    # w = 0, 3 / sqrt(10)
+    p1 = make_tf([-2.0], [1.0, 2.0, 1.0])
+    p2 = make_tf([-1.0], [1.0, -1.0])
+    for w0 in (1.0, 1e-4):
+        res = nu_gap(scaled(p1, w0), scaled(p2, w0))
+        assert res.winding_ok
+        assert res.value == pytest.approx(3.0 / np.sqrt(10.0), abs=1e-12)
+
+
+def test_gap_of_mirrored_real_poles_has_its_closed_form():
+    # 1/(s + a) and 1/(s - a) both tend to 1/s as a -> 0, so their gap
+    # must too: 2a / (1 + a^2), the chordal distance at w = 0
+    for a in (0.5, 0.1, 1e-3):
+        res = nu_gap(make_tf([1.0], [1.0, a]), make_tf([1.0], [1.0, -a]))
+        assert res.winding_ok
+        assert res.value == pytest.approx(2.0 * a / (1.0 + a * a), rel=1e-12)
+
+
+def test_imaginary_axis_poles_on_and_off_the_grid_agree():
+    # an undamped resonance enters no count, so where it sits on the axis
+    # cannot change the answer
+    stable = make_tf([1.0], [1.0, 1.0])
+    results = set()
+    for w0 in (0.3, 17.0):
+        resonant = make_tf([1.0], [1.0, 0.0, w0 * w0])
+        results.add(nu_gap(resonant, stable).winding_ok)
+        results.add(nu_gap(stable, resonant).winding_ok)
+    assert results == {True}
 
 
 def test_winding_failure_forces_unit_gap():
