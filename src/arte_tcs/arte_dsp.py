@@ -62,12 +62,15 @@ def load_wav(path):
     if len(raw) % width:
         raise AudioFormatError("data ends inside a sample: %d bytes"
                                % len(raw))
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    samples /= 32768.0
     return AudioClip(samples=samples, sample_rate=rate)
 
 
 def write_wav(path, clip):
-    ints = np.clip(np.round(clip.samples * 32768.0), -32768, 32767)
+    ints = clip.samples * 32768.0
+    np.round(ints, out=ints)
+    np.clip(ints, -32768, 32767, out=ints)
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
@@ -96,16 +99,23 @@ def sample_frames(clip, n, seed):
             for s in starts]
 
 
-# a non-finite or overflowing frame is rejected by the finiteness checks
-# below, not warned of; the decorator form costs a third of a `with` block
+# A non-finite or overflowing frame is rejected by the finiteness checks
+# of `_lpc` and `extract_raw`, not warned of.  `extract_raw` enters one
+# np.errstate for all its parts; the public parts each enter their own.
 @np.errstate(over="ignore", invalid="ignore")
 def lpc(frame, order=LPC_ORDER):
     """Autocorrelation-method predictor coefficients.
 
     Returns a with x[t] ~ a[0]*x[t-1] + ... + a[order-1]*x[t-order].
     """
-    # imported here so that runs without the estimator never load scipy
-    from scipy.linalg import solve_toeplitz
+    return _lpc(frame, order)
+
+
+def _lpc(frame, order=LPC_ORDER):
+    # imported here so that runs without the estimator never load scipy;
+    # levinson is the solver inside solve_toeplitz, whose argument checks
+    # cost more than the solve itself
+    from scipy.linalg._solve_toeplitz import levinson
     x = np.asarray(frame.samples, dtype=np.float64)
     if len(x) <= 2 * order:
         raise ConfigError("frame too short for LPC order %d" % order)
@@ -114,10 +124,13 @@ def lpc(frame, order=LPC_ORDER):
         raise AudioFormatError("frame energy is not finite")
     if r[0] <= 0.0:
         raise ConfigError("all-zero frame has no LPC model")
-    r = r / r[0]
+    r /= r[0]  # finite r[0] bounds all r[k], so r is a finite float64
     r[0] *= 1.0 + 1e-9  # keeps the normal equations strictly positive definite
-    return solve_toeplitz((r[:order], r[:order]), r[1:order + 1],
-                          check_finite=False)  # finite r[0] bounds all r[k]
+    # the symmetric Toeplitz matrix of r[:order] as solve_toeplitz hands it
+    # to levinson: its first row reversed without the diagonal, then its
+    # first column
+    vals = np.concatenate((r[order - 1:0:-1], r[:order]))
+    return levinson(vals, r[1:order + 1])[0]
 
 
 def reflection_coefficients(coeffs):
@@ -143,34 +156,44 @@ def band_edges(sample_rate):
 
 @functools.lru_cache(maxsize=8)  # one plan per rate in use; bounded
 def _spectral_plan(n):
-    """nfft, Hann window and band masks for an n-sample 0.1 s frame."""
+    """nfft, Hann window and band slices for an n-sample 0.1 s frame.
+
+    Band b holds the rfft bins with edges[b] <= f < edges[b + 1], and the
+    top band also a bin at exactly edges[-1] (Nyquist).  The bin
+    frequencies rise, so each band is one slice of bins; a band that
+    holds no bin is an empty slice and sums to 0.
+    """
     nfft = 1 << (n - 1).bit_length()
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window.flags.writeable = False
     freqs = np.fft.rfftfreq(nfft, 1.0 / (10 * n))
     edges = band_edges(10 * n)
-    # boolean masks, not slices: a band that holds no bin sums to 0
-    masks = [(freqs >= lo) & (freqs < hi) for lo, hi in zip(edges, edges[1:])]
-    masks[-1] |= freqs == edges[-1]  # the top band includes Nyquist
-    for arr in (window, *masks):
-        arr.flags.writeable = False
-    return nfft, window, tuple(masks)
+    starts = np.searchsorted(freqs, edges[:-1], side="left")
+    stops = np.searchsorted(freqs, edges[1:], side="left")
+    stops[-1] = np.searchsorted(freqs, edges[-1], side="right")
+    bands = tuple(slice(int(a), int(b)) for a, b in zip(starts, stops))
+    return nfft, window, bands
 
 
-@np.errstate(over="ignore")  # extract_raw rejects a spectrum that overflows
 def _spectral_features(frame, count):
-    """Band log-energies and cepstrum c[1..count] from one |rfft|."""
+    """Band log-energies and cepstrum c[1..count] from one |rfft|.  A
+    large frame overflows the power spectrum; callers silence that."""
     x = np.asarray(frame.samples, dtype=np.float64)
-    nfft, window, masks = _spectral_plan(len(x))
+    nfft, window, bands = _spectral_plan(len(x))
     mag = np.abs(np.fft.rfft(x * window, nfft))
-    psd = mag ** 2 / nfft
+    psd = np.square(mag)
+    psd /= nfft
     psd[1:] *= 2.0
     if nfft % 2 == 0:
         psd[-1] /= 2.0
-    bands = np.array([math.log10(psd[mask].sum() + EPS_FLOOR)
-                      for mask in masks])
-    return bands, np.fft.irfft(np.log(mag + EPS_FLOOR), nfft)[1:count + 1]
+    energies = np.array([math.log10(psd[band].sum() + EPS_FLOOR)
+                         for band in bands])
+    mag += EPS_FLOOR
+    np.log(mag, out=mag)
+    return energies, np.fft.irfft(mag, nfft)[1:count + 1]
 
 
+@np.errstate(over="ignore")
 def band_energies(frame):
     """log10 energy in 5 log-spaced bands of the Hann periodogram.
 
@@ -180,6 +203,7 @@ def band_energies(frame):
     return _spectral_features(frame, N_CEPSTRA)[0]
 
 
+@np.errstate(over="ignore")
 def cepstrum(frame, count=N_CEPSTRA):
     """Real cepstrum coefficients c[1..count]; c[0] (pure gain) dropped."""
     return _spectral_features(frame, count)[1]
@@ -187,7 +211,9 @@ def cepstrum(frame, count=N_CEPSTRA):
 
 def extract_raw(frame):
     """[lpc 1..10, band 1..5, cep 1..5] as a length-20 vector."""
-    raw = np.concatenate([lpc(frame), *_spectral_features(frame, N_CEPSTRA)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.concatenate([_lpc(frame),
+                              *_spectral_features(frame, N_CEPSTRA)])
     if not np.all(np.isfinite(raw)):  # finite energy, overflowing spectrum
         raise AudioFormatError("frame features are not finite")
     return raw

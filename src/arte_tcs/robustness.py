@@ -110,16 +110,34 @@ def _trimmed(coeffs):
     return coeffs[next((i for i, c in enumerate(coeffs) if c), len(coeffs)):]
 
 
+def _divmod(a, b):
+    """Quotient and remainder of exact coefficient lists, b trimmed."""
+    quotient = []
+    while len(a) >= len(b):  # a becomes the remainder of a / b
+        f = a[0] / b[0]
+        quotient.append(f)
+        a = [x - f * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+    return quotient, _trimmed(a)
+
+
+def _cancelled(num, den):
+    """num/den with the exact gcd of the two divided out of both, for a
+    trimmed den; a zero num is left as it is."""
+    num = _trimmed(num)
+    common, rest = den, num
+    while rest:
+        common, rest = rest, _divmod(common, rest)[1]
+    if not num or len(common) < 2:  # zero, or already coprime
+        return num or [0], den
+    return _divmod(num, common)[0], _divmod(den, common)[0]
+
+
 def _cauchy_index(p, r):
     """(Cauchy index of r/p over the real line, gcd(p, r)) for exact
     coefficient lists with deg r < deg p, from their Sturm chain."""
     chain = [_trimmed(p), _trimmed(r)]
     while chain[-1]:
-        a, b = chain[-2], chain[-1]
-        while len(a) >= len(b):  # a becomes the remainder of a / b
-            f = a[0] / b[0]
-            a = [x - f * y for x, y in zip(a[1:], b[1:] + [0] * len(a))]
-        chain.append([-c for c in _trimmed(a)])
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
     chain.pop()
     signs = [(c[0] > 0, (c[0] > 0) == (len(c) % 2 == 1)) for c in chain]
     plus, minus = (sum(x != y for x, y in zip(e, e[1:])) for e in zip(*signs))
@@ -138,10 +156,13 @@ def _winding_ok(tf1, tf2):
     on the axis are the real roots of gcd(p, r); without them the Cauchy
     index of r/p is m - 2k, k the roots right of the axis (Routh-Hurwitz).
     Rational arithmetic keeps products of coefficients in range and exact.
+    A factor common to a plant's n and d is cancelled first: the coprime
+    factors are those of the plant, not of how it is written.
     """
     from fractions import Fraction  # kept off the package import path
-    n1, d1, n2, d2 = ([Fraction(c) for c in coeffs]
-                      for coeffs in (tf1.num, tf1.den, tf2.num, tf2.den))
+    (n1, d1), (n2, d2) = (_cancelled([Fraction(c) for c in tf.num],
+                                     [Fraction(c) for c in tf.den])
+                          for tf in (tf1, tf2))
     n2, d2 = ([-c if k % 2 else c for k, c in enumerate(x[::-1])][::-1]
               for x in (n2, d2))  # c(-s) from c(s)
     q = _trimmed(list(np.polyadd(np.polymul(d2, d1), np.polymul(n2, n1))))

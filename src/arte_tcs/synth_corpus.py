@@ -4,7 +4,9 @@ Each road class has one constant sound in `ROAD_SOUNDS`: an AR filter
 whose poles are a resonant pair shared by every class plus a
 class-specific pair, driven by white noise, with dense impulse bursts on
 top for stone and gravel.  A shared broadband noise bed at 10 dB SNR
-keeps the classes from separating trivially.
+keeps the classes from separating trivially.  The bed depends on the
+seed alone, not on the road, so `build_corpus` and `export_wavs` draw it
+once per seed and mix it into every road's clip of that seed.
 """
 
 import math
@@ -65,32 +67,52 @@ def synth_clip(road, duration_s=DEFAULT_DURATION_S, seed=0):
         drive[hits] += (rng.uniform(3.0, 6.0, count)
                         * rng.choice((-1.0, 1.0), count))
     x = lfilter([1.0], den, drive)
-    x *= 0.9 / np.max(np.abs(x))
+    x *= 0.9 / _peak(x)
     return AudioClip(samples=x, sample_rate=SAMPLE_RATE, label=road)
 
 
-def class_clip(road, seed=0, duration_s=DEFAULT_DURATION_S):
+def _peak(x):
+    """max |x| without a full-length |x| temporary."""
+    return max(x.max(), -x.min())
+
+
+def _noise_bed(seed, duration_s=DEFAULT_DURATION_S):
+    """The broadband bed `class_clip` mixes in at seed, peak 0.9, and its
+    mean square."""
+    n = int(round(duration_s * SAMPLE_RATE))
+    noise = np.random.default_rng(1000 * seed + 999).standard_normal(n)
+    noise *= 0.9 / _peak(noise)
+    noise.flags.writeable = False  # shared by every road of the seed
+    return noise, np.mean(noise ** 2)
+
+
+def class_clip(road, seed=0, duration_s=DEFAULT_DURATION_S, *, bed=None):
     """One labeled clip for a road class under the shared noise bed at
-    OVERLAP_SNR_DB, deterministic in seed; peak at most 1."""
+    OVERLAP_SNR_DB, deterministic in seed; peak at most 1.
+
+    `bed` is `_noise_bed(seed, duration_s)`, passed by callers that mix
+    several roads of one seed; without it the bed is drawn here.
+    """
     k = list(RoadType).index(road)
     clean = synth_clip(road, duration_s, seed=1000 * seed + k).samples
-    rng = np.random.default_rng(1000 * seed + 999)
-    noise = rng.standard_normal(len(clean))
-    noise *= 0.9 / np.max(np.abs(noise))
-    gain = math.sqrt(np.mean(clean ** 2)
-                     / (np.mean(noise ** 2) * 10.0 ** (OVERLAP_SNR_DB / 10.0)))
-    mixed = clean + gain * noise
-    peak = np.max(np.abs(mixed))
+    noise, noise_ms = _noise_bed(seed, duration_s) if bed is None else bed
+    mixed = np.square(clean)  # its buffer then takes the mix
+    gain = math.sqrt(np.mean(mixed)
+                     / (noise_ms * 10.0 ** (OVERLAP_SNR_DB / 10.0)))
+    np.multiply(noise, gain, out=mixed)
+    mixed += clean
+    peak = _peak(mixed)
     if peak > 1.0:
-        mixed = mixed / peak
+        mixed /= peak
     return AudioClip(mixed, SAMPLE_RATE, road)
 
 
 def build_corpus(seed=0):
     """Labeled 20-dim feature rows, FRAMES_PER_CLASS per road."""
     rows, labels = [], []
+    bed = _noise_bed(seed)
     for k, road in enumerate(RoadType):
-        clip = class_clip(road, seed)
+        clip = class_clip(road, seed, bed=bed)
         frames = sample_frames(clip, FRAMES_PER_CLASS,
                                seed=1000 * seed + 500 + k)
         for frame in frames:
@@ -100,14 +122,17 @@ def build_corpus(seed=0):
 
 
 def export_wavs(root, seed=0, clips_per_class=1):
-    """Write `<root>/<road>/<seed>_<index>.wav` files; returns the paths."""
-    paths = []
-    for road in RoadType:
-        sub = os.path.join(root, road.value)
-        os.makedirs(sub, exist_ok=True)
-        for i in range(clips_per_class):
-            clip = class_clip(road, seed + i)
-            path = os.path.join(sub, "%d_%d.wav" % (seed, i))
-            write_wav(path, clip)
-            paths.append(path)
+    """Write `<root>/<road>/<seed>_<index>.wav` files; returns the paths,
+    road by road.  Clip i of every road is seed + i, so the files are
+    written index by index, one noise bed each."""
+    roads = list(RoadType)
+    for road in roads:
+        os.makedirs(os.path.join(root, road.value), exist_ok=True)
+    paths = [os.path.join(root, road.value, "%d_%d.wav" % (seed, i))
+             for road in roads for i in range(clips_per_class)]
+    for i in range(clips_per_class):
+        bed = _noise_bed(seed + i)
+        for k, road in enumerate(roads):
+            write_wav(paths[k * clips_per_class + i],
+                      class_clip(road, seed + i, bed=bed))
     return paths

@@ -122,6 +122,12 @@ def test_gap_coefficient_lists(capsys):
     line = capsys.readouterr().out.splitlines()[1]
     assert line.split(",")[:2] == ["1", "false"]
 
+    # (s - 1)/(s^2 - 1) is 1/(s + 1): the common factor is cancelled
+    assert cli.main(["gap", "--num1", "1", "--den1", "1,1",
+                     "--num2", "1,-1", "--den2", "1,0,-1"]) == 0
+    value, flag, _ = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(value) < 1e-12 and flag == "true"
+
     # the zero plant: its limit at infinity is 0, its gap to itself 0
     assert cli.main(["gap", "--num1", "0", "--den1", "1",
                      "--num2", "0", "--den2", "1"]) == 0

@@ -5,14 +5,17 @@ samples) and a 44.1 kHz frame (4410), so the per-length spectral plan
 is built and reused across many lengths, interleaved.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from arte_tcs.arte_dsp import (EPS_FLOOR, N_BANDS, BAND_LOW_HZ, Frame,
-                               band_energies, cepstrum, extract_raw, lpc)
+from arte_tcs.arte_dsp import (EPS_FLOOR, LPC_ORDER, N_BANDS, BAND_LOW_HZ,
+                               Frame, band_edges, band_energies, cepstrum,
+                               extract_raw, lpc)
 from arte_tcs.errors import AudioFormatError, ConfigError
 
 MIN_LEN, MAX_LEN = 21, 4410
@@ -81,3 +84,56 @@ def test_band_energy_parseval_on_any_noise(n, seed, exponent):
     below -= np.abs(np.sum(xw)) ** 2 / nfft  # the DC bin is not doubled
     assert lin + below == pytest.approx(np.sum(xw ** 2), rel=1e-9)
 
+
+
+# --- the same bits as the straightforward routes ------------------------
+#
+# lpc calls scipy's private Levinson solver, and the band sums run over
+# slices of bins; these pin both to the public, obvious forms bit for bit,
+# so a scipy upgrade that moves or changes `levinson` fails here first.
+
+def noise_frame(n, seed, exponent):
+    return Frame(10.0 ** exponent
+                 * np.random.default_rng(seed).standard_normal(n), 0)
+
+
+def lpc_by_solve_toeplitz(frame, order=LPC_ORDER):
+    from scipy.linalg import solve_toeplitz
+    x = frame.samples
+    r = np.array([np.dot(x[: len(x) - k], x[k:]) for k in range(order + 1)])
+    r = r / r[0]
+    r[0] *= 1.0 + 1e-9
+    return solve_toeplitz((r[:order], r[:order]), r[1:order + 1])
+
+
+@np.errstate(over="ignore")  # as band_energies: a loud frame overflows
+def band_energies_by_masks(frame):
+    x = frame.samples
+    n = len(x)
+    nfft = 1 << (n - 1).bit_length()
+    xw = x * (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n))
+    psd = np.abs(np.fft.rfft(xw, nfft)) ** 2 / nfft
+    psd[1:] *= 2.0
+    if nfft % 2 == 0:
+        psd[-1] /= 2.0
+    freqs = np.fft.rfftfreq(nfft, 1.0 / (10 * n))
+    edges = band_edges(10 * n)
+    masks = [(freqs >= lo) & (freqs < hi) for lo, hi in zip(edges, edges[1:])]
+    masks[-1] |= freqs == edges[-1]
+    return np.array([math.log10(psd[mask].sum() + EPS_FLOOR) for mask in masks])
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("n", (1600, 4410))
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-100.0, 100.0))
+def test_lpc_is_solve_toeplitz_bit_for_bit(n, seed, exponent):
+    frame = noise_frame(n, seed, exponent)
+    assert lpc(frame).tobytes() == lpc_by_solve_toeplitz(frame).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame=noise_frames())
+def test_band_sums_over_slices_are_the_sums_over_masks(frame):
+    # every length: the band edges fall differently on every bin grid
+    assert (band_energies(frame).tobytes()
+            == band_energies_by_masks(frame).tobytes())

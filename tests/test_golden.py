@@ -21,7 +21,7 @@ import arte_tcs.harness as harness
 from arte_tcs.arte_dsp import AudioClip, extract_raw, sample_frames
 from arte_tcs.harness import (ScenarioConfig, compare, compare_lines,
                               run_scenario, write_trace_csv)
-from arte_tcs.synth_corpus import build_corpus, class_clip
+from arte_tcs.synth_corpus import build_corpus, class_clip, export_wavs
 from arte_tcs.tire_road import RoadType
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
@@ -109,6 +109,21 @@ def test_frame_features_digest(rate):
     rows = frame_rows(rate)
     assert rows.shape == (len(RoadType) * FRAMES_PER_ROAD, 20)
     assert sha(rows) == golden("extract_raw_%d" % rate, ACOUSTIC)
+
+
+# `export_wavs_seed0_2` pins the WAV tree that `export_wavs` writes for
+# seed 0 with two clips per class: each file's path relative to the root,
+# a NUL, then its bytes, in the order the paths are returned.  Taken
+# before the export learned to draw each seed's noise bed once.
+
+def test_export_wavs_digest(tmp_path):
+    paths = export_wavs(str(tmp_path), seed=0, clips_per_class=2)
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(os.path.relpath(path, tmp_path).encode() + b"\0")
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    assert digest.hexdigest() == golden("export_wavs_seed0_2", ACOUSTIC)
 
 
 # --- road switching -----------------------------------------------------

@@ -175,6 +175,18 @@ def test_winding_failure_forces_unit_gap():
     assert not res.winding_ok
 
 
+@pytest.mark.parametrize("factor", ([1.0, -1.0], [1.0, 2.0], [1.0, 0.0, 4.0],
+                                    [1.0, -2.0, 5.0]))
+def test_common_factor_leaves_the_plant_where_it_is(factor):
+    # 1/(s + 1) written with a factor of num and den in either half-plane
+    # or on the axis (off the grid) is still 1/(s + 1), in either order
+    plant = make_tf([1.0], [1.0, 1.0])
+    same = make_tf(factor, np.convolve(factor, [1.0, 1.0]))
+    for res in (nu_gap(plant, same), nu_gap(same, plant)):
+        assert res.winding_ok
+        assert res.value < 1e-12
+
+
 def test_gap_rejects_improper_plants():
     differentiator = make_tf([1.0, 0.0], [1.0])
     with pytest.raises(ConfigError):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import periodogram
 
 from arte_tcs.arte_classifier import (ROAD_ORDER, bootstrap_intra, kl_distance,
                                       prune_features, split_dataset)
 from arte_tcs.arte_dsp import lpc, load_wav, reflection_coefficients, sample_frames
 from arte_tcs.errors import ConfigError
-from arte_tcs.synth_corpus import (OVERLAP_SNR_DB, ROAD_SOUNDS, build_corpus,
-                                   class_clip, export_wavs, synth_clip)
+from arte_tcs.synth_corpus import (OVERLAP_SNR_DB, ROAD_SOUNDS, _noise_bed,
+                                   build_corpus, class_clip, export_wavs,
+                                   synth_clip)
 from arte_tcs.tire_road import RoadType
 
 
@@ -67,6 +70,17 @@ def test_class_clip_noise_bed_and_peak():
             snr_db = 10.0 * np.log10(np.mean(clean ** 2) / np.mean(added ** 2))
             assert snr_db == pytest.approx(OVERLAP_SNR_DB, abs=1e-9)
     assert 0 < scaled_back < 16
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**20), duration_s=st.sampled_from((0.5, 3.5)))
+def test_class_clip_on_a_shared_bed_is_the_same_clip(seed, duration_s):
+    bed = _noise_bed(seed, duration_s)
+    for road in RoadType:
+        alone = class_clip(road, seed, duration_s)
+        shared = class_clip(road, seed, duration_s, bed=bed)
+        assert shared.samples.tobytes() == alone.samples.tobytes()
+        assert shared.label is alone.label is road
 
 
 def test_centroids_order_the_surfaces():
