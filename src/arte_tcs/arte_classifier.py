@@ -1,9 +1,10 @@
 """Road-type classification on 20-dim acoustic feature vectors.
 
 Pipeline: intra-class-variance pruning (20 -> 7), z-score
-normalization, a small MLP with layers [7, 4, 3, 2, 4], and the
-estimate hook that maps a recognized road back onto its friction
-curve for the traction controllers.
+normalization, a small MLP with layers [7, 4, 3, 2, 4] trained by
+full-batch gradient descent with heavy-ball momentum, and the estimate
+hook that maps a recognized road back onto its friction curve for the
+traction controllers.
 """
 
 import math
@@ -20,7 +21,14 @@ RAW_DIM = 20
 # feature families inside a raw vector: [start, stop, kept]
 FAMILIES = ((0, 10, 3), (10, 15, 2), (15, 20, 2))
 HIDDEN_SIZES = (4, 3, 2)
-LOSS_TARGET = 1e-3
+# heavy-ball momentum (Polyak 1964) at a unit learning rate
+MOMENTUM = 0.9
+# training stops below this MSE: the loss that plain unit-step descent
+# reached after 5000 epochs on the default corpus, split and seed
+# (7.245e-3), so the default model is fitted as tightly as it was
+LOSS_TARGET = 7.25e-3
+# upper bound on training epochs, for `train_mlp` and `arte-tcs train`
+MAX_EPOCHS = 5000
 VAR_FLOOR = 1e-9
 # normalized features are clipped here: far beyond anything a trained model
 # sees, and near enough that any finite feature vector keeps the first
@@ -245,16 +253,18 @@ def one_hot(labels):
     return out
 
 
-def train_mlp(ds, mask, seed=0, max_epochs=5000):
-    """Full-batch MSE backprop with a unit step; stops when the loss drops
-    below 1e-3.
+def train_mlp(ds, mask, seed=0, max_epochs=MAX_EPOCHS):
+    """Full-batch MSE backprop with heavy-ball momentum; stops when the
+    loss drops below LOSS_TARGET, or after max_epochs.
 
-    mask=None trains on all 20 raw features instead of the pruned 7.
-    Every epoch writes into buffers allocated once before the first: the
-    activations, the output error a - y, the tanh derivatives 1 - h**2,
-    the back-propagated deltas and the gradients.  Each value is computed
-    with the operations, in the order, of the allocating textbook loop,
-    so the weights and biases equal that loop's bit for bit
+    Each step sets the velocity v = MOMENTUM * v + grad, from v = 0, and
+    then w -= v (a unit learning rate).  mask=None trains on all 20 raw
+    features instead of the pruned 7.  Every epoch writes into buffers
+    allocated once before the first: the activations, the output error
+    a - y, the tanh derivatives 1 - h**2, the back-propagated deltas, the
+    gradients and the velocities.  Each value is computed with the
+    operations, in the order, of the allocating textbook loop, so the
+    weights and biases equal that loop's bit for bit
     (tests/test_training_properties.py keeps it as the reference).
     """
     if ds.norm_mean is None:
@@ -277,6 +287,8 @@ def train_mlp(ds, mask, seed=0, max_epochs=5000):
     slopes = [None] + [np.empty_like(a) for a in acts[1:-1]]
     grad_w = [np.empty_like(w) for w in model.weights]
     grad_b = [np.empty_like(b) for b in model.biases]
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
     a = acts[-1]
     d = deltas[-1]
     sq = np.empty_like(d)
@@ -308,8 +320,12 @@ def train_mlp(ds, mask, seed=0, max_epochs=5000):
                 np.subtract(1.0, slope, out=slope)
                 np.dot(delta, model.weights[i], out=deltas[i - 1])
                 deltas[i - 1] *= slope
-            model.weights[i] -= grad_w[i]
-            model.biases[i] -= grad_b[i]
+            vel_w[i] *= MOMENTUM
+            vel_w[i] += grad_w[i]
+            vel_b[i] *= MOMENTUM
+            vel_b[i] += grad_b[i]
+            model.weights[i] -= vel_w[i]
+            model.biases[i] -= vel_b[i]
     return model
 
 

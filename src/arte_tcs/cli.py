@@ -11,9 +11,10 @@ import argparse
 import os
 import sys
 
-from .arte_classifier import (SelectionMask, arte_estimate, confusion_matrix,
-                              load_model, prune_features, save_model,
-                              split_dataset, train_mlp)
+from .arte_classifier import (LOSS_TARGET, MAX_EPOCHS, SelectionMask,
+                              arte_estimate, confusion_matrix, load_model,
+                              prune_features, save_model, split_dataset,
+                              train_mlp)
 from .arte_dsp import extract_raw, load_wav, sample_frames
 from .errors import (AudioFormatError, ConfigError, ModelFormatError,
                      SimulationDiverged)
@@ -192,7 +193,10 @@ def build_parser():
     p.add_argument("--corpus-seed", type=int, default=1)
     p.add_argument("--split-seed", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=5000)
+    p.add_argument("--epochs", type=int, default=MAX_EPOCHS,
+                   help="upper bound on training epochs (default %%(default)s);"
+                   " training stops once the loss is below LOSS_TARGET = %g"
+                   % LOSS_TARGET)
     p.add_argument("--full-features", action="store_true",
                    help="skip pruning, train on all 20 features")
     p.set_defaults(func=cmd_train)

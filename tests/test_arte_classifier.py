@@ -144,6 +144,16 @@ def test_mlp_training_is_deterministic():
         assert np.array_equal(b1, b2)
 
 
+def test_default_training_stops_at_the_loss_target():
+    # the default corpus, split and seed reach LOSS_TARGET well before the
+    # epoch cap, so a cap of 1000 trains the very same model
+    train, _, mask = canonical_split()
+    capped = train_mlp(train, mask, seed=0, max_epochs=1000)
+    default = train_mlp(train, mask, seed=0)
+    assert ([v.tobytes() for v in (*capped.weights, *capped.biases)]
+            == [v.tobytes() for v in (*default.weights, *default.biases)])
+
+
 def test_mlp_zero_epochs_still_classifies():
     train, test, mask = canonical_split()
     model = train_mlp(train, mask, seed=0, max_epochs=0)

@@ -158,8 +158,10 @@ def test_switch_launch_trace_digest(tmp_path, tag):
 # `arte-tcs train` writes with its default seeds.  It covers the hand-off
 # of each estimate (road, lambda_opt, mu_peak) from the classifier to the
 # controller, which the oracle goldens reach only from the true road.
-# Taken before that hand-off was reworked.  ROADMAP item 3 (a causal
-# estimator fed by streamed audio) will change these bytes on purpose.
+# Taken before that hand-off was reworked, and re-recorded when training
+# gained heavy-ball momentum (a new default model).  A causal estimator
+# fed by streamed audio (ROADMAP item 2) will change these bytes on
+# purpose.
 
 CLASSIFIER = os.path.join(os.path.dirname(__file__), "golden",
                           "switch_classifier.sha256")
@@ -184,7 +186,9 @@ def test_switch_launch_classifier_trace_digest(tmp_path, default_model, tag):
 
 # `golden/default_model.sha256` pins the bytes of the model file that
 # `arte-tcs train` writes with its default seeds.  Taken before the
-# training loop was rewritten to work in preallocated buffers.
+# training loop was rewritten to work in preallocated buffers, and
+# re-recorded when training gained heavy-ball momentum and the loss
+# target it now reaches.
 
 MODEL = os.path.join(os.path.dirname(__file__), "golden",
                      "default_model.sha256")

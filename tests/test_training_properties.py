@@ -1,13 +1,16 @@
 """Training in preallocated buffers equals the textbook loop bit for bit.
 
 `train_mlp` writes every epoch into buffers allocated once. The
-reference below is the loop it replaced, kept verbatim with its own
-allocating forward pass and its learning rate of 1.0: every epoch
-builds new arrays with `@` and the arithmetic operators. On any data,
-mask, seed and epoch count the two give the same weights and biases by
-their bytes, or stop at the same epoch with the same
-`SimulationDiverged` message. `_forward`, which `classify` also runs,
-gives the reference forward pass's activations bit for bit.
+reference below is the plain loop it must equal, with its own
+allocating forward pass: every epoch builds new arrays with `@` and the
+arithmetic operators. It takes heavy-ball steps at a learning rate of
+1.0, the velocity v = MOMENTUM * v + grad from v = 0 and then w -= v,
+and stops below LOSS_TARGET; both constants are read from
+`arte_classifier`, so the two loops share them. On any data, mask, seed
+and epoch count the two give the same weights and biases by their
+bytes, or stop at the same epoch with the same `SimulationDiverged`
+message. `_forward`, which `classify` also runs, gives the reference
+forward pass's activations bit for bit.
 """
 
 import numpy as np
@@ -17,19 +20,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import arte_tcs.arte_classifier as arte_classifier
-from arte_tcs.arte_classifier import (FAMILIES, RAW_DIM, ROAD_ORDER,
-                                      FeatureDataset, SelectionMask,
-                                      _forward, _init_model, one_hot,
-                                      prune_features, split_dataset,
-                                      train_mlp)
+from arte_tcs.arte_classifier import (FAMILIES, LOSS_TARGET, MAX_EPOCHS,
+                                      MOMENTUM, RAW_DIM, ROAD_ORDER,
+                                      FeatureDataset, SelectionMask, _forward,
+                                      _init_model, one_hot, prune_features,
+                                      split_dataset, train_mlp)
 from arte_tcs.errors import SimulationDiverged
 from arte_tcs.synth_corpus import build_corpus
 
 LEARNING_RATE = 1.0
-LOSS_TARGET = 1e-3
 
 
-# --- the reference: the allocating loop, verbatim -----------------------
+# --- the reference: the allocating loop --------------------------------
 
 def _logistic(z):
     return 1.0 / (1.0 + np.exp(-z))
@@ -44,7 +46,7 @@ def reference_forward(model, x):
     return acts
 
 
-def reference_train_mlp(ds, mask, seed=0, max_epochs=5000):
+def reference_train_mlp(ds, mask, seed=0, max_epochs=MAX_EPOCHS):
     if ds.norm_mean is None:
         ds.fit_normalization()
     indices = (np.arange(ds.features.shape[1]) if mask is None
@@ -58,6 +60,8 @@ def reference_train_mlp(ds, mask, seed=0, max_epochs=5000):
 
     n = xall.shape[0]
     last = len(model.weights) - 1
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
     for epoch in range(max_epochs):
         acts = reference_forward(model, xall)
         a = acts[-1]
@@ -73,8 +77,10 @@ def reference_train_mlp(ds, mask, seed=0, max_epochs=5000):
             grad_b = delta.sum(axis=0)
             if i > 0:
                 delta = (delta @ model.weights[i]) * (1.0 - acts[i] ** 2)
-            model.weights[i] -= LEARNING_RATE * grad_w
-            model.biases[i] -= LEARNING_RATE * grad_b
+            vel_w[i] = MOMENTUM * vel_w[i] + grad_w
+            vel_b[i] = MOMENTUM * vel_b[i] + grad_b
+            model.weights[i] -= LEARNING_RATE * vel_w[i]
+            model.biases[i] -= LEARNING_RATE * vel_b[i]
     return model
 
 
@@ -162,7 +168,8 @@ def test_default_model_equals_the_textbook_loop():
     # the corpus, split and seeds that `arte-tcs train` uses by default
     train, _ = split_dataset(build_corpus(seed=1), seed=4)
     mask = prune_features(train)
-    assert_same_training(train.features, train.labels, mask, 0, 5000)
+    assert_same_training(train.features, train.labels, mask, 0,
+                         MAX_EPOCHS)
 
 
 @settings(max_examples=100, deadline=None)
