@@ -2,8 +2,8 @@
 
 A scenario wires one controller to the quarter-vehicle plant over a road
 schedule. Road estimation can be off, fed the true road (oracle), or run
-a trained classifier on per-window synthetic audio so misclassification
-propagates into the torque path.
+a trained classifier on the 0.1 s of the run's road audio before each
+estimator tick, so misclassification propagates into the torque path.
 
 `run_scenario` plans, runs spans, then derives columns.  The plan depends
 on the config alone: the first step of each road segment, and the belief
@@ -41,7 +41,8 @@ from .controllers import (CONTROLLERS, MaxTransmissibleTorque,
                           ModelFollowingControl, OpenLoop, SlipRatioControl)
 from .errors import ConfigError
 from .robustness import FAMILY_BOXES, nu_gap, plant_family
-from .synth_corpus import class_clip
+# class_clip is not called here: bench/layertrace.py looks it up here
+from .synth_corpus import SAMPLE_RATE, RoadStream, class_clip
 from .tire_road import DEFAULT_CURVES, MuLambdaCurve, RoadType, peak_friction
 # plant_step is not called here: bench/layertrace.py looks it up here
 from .vehicle_plant import VehicleParams, make_plant_run, plant_step
@@ -211,6 +212,15 @@ def _plan(cfg, n):
     mu_peak) installed there.  `_first_step` searches from 0, yet no two
     ticks share a step and each lies after the last, as in a per-step
     loop: ticks are arte_period_s >= 0.1 s apart, steps at most 5e-3 s.
+
+    The oracle believes the true road at the tick.  The classifier hears
+    the run's `RoadStream`, seeded by cfg.seed, whose segments start at
+    the first sample at or after each entry's time (of entries due at one
+    sample the later wins), and classifies the 0.1 s before the tick's
+    step; a window across a switch hears both roads.  Its level rule is
+    fixed per road (see `RoadStream`), so no belief depends on audio after
+    its tick: changing the schedule after a time changes no belief
+    installed at or before it.
     """
     dt, sched = cfg.dt, cfg.road_schedule
     starts = {_first_step(t, n, dt): ROAD_INDEX[road] for t, road in sched}
@@ -219,16 +229,21 @@ def _plan(cfg, n):
     if cfg.arte_mode == "classifier":
         model = load_model(cfg.model_path)
         mask = SelectionMask(indices=model.mask_indices)
+        # sample j is heard at j * h; m samples reach past the last step
+        h = 1.0 / SAMPLE_RATE
+        m = math.ceil(n * dt / h) + 1
+        audio = {_first_step(t, m, h): road for t, road in sched}
+        audio.pop(m, None)
+        stream = RoadStream(audio.items(), cfg.seed)
     next_arte = math.inf if cfg.arte_mode == "off" else 0.0
     while (k := _first_step(next_arte - 1e-12, n, dt)) < n:
-        # the true road at step k: the last entry with t <= k*dt
-        road = sched[bisect.bisect_right(sched, k * dt,
-                                         key=lambda e: e[0]) - 1][1]
         if cfg.arte_mode == "oracle":
+            # the true road at step k: the last entry with t <= k*dt
+            road = sched[bisect.bisect_right(sched, k * dt,
+                                             key=lambda e: e[0]) - 1][1]
             beliefs[k] = (road,) + peak_friction(DEFAULT_CURVES[road])
         else:
-            window = class_clip(road, seed=1000 * cfg.seed + len(beliefs),
-                                duration_s=0.5)
+            window = stream.window(_first_step(k * dt, m, h))
             beliefs[k] = arte_estimate(model, mask, window)
         next_arte += cfg.arte_period_s
     return list(starts.items()), beliefs

@@ -4,7 +4,8 @@ The gap is the sup of the pointwise chordal distance over frequency if the
 winding condition holds and 1 if it fails (Vinnicombe, IEEE TAC 1993). The
 condition is decided exactly, by counting the roots of one polynomial in
 rational arithmetic, wherever the plants' dynamics lie; the distance comes
-from one sweep of each plant over [0, log grid, inf], refined near its peak.
+from one sweep of each plant over [0, log grid, inf], refined near its peak;
+a pole on the sweep's grid is P = inf there, the sphere's point at infinity.
 """
 
 from dataclasses import dataclass
@@ -81,6 +82,20 @@ def _on_sphere(p):
     # hypot keeps |p| near the float limit from overflowing when squared
     scale = 1.0 / np.hypot(1.0, np.abs(p))
     return p * scale, scale
+
+
+def _sweep(tf, omega, tail=()):
+    """`_on_sphere` of tf(j omega), then of the values `tail`; a point on
+    top of a pole (|den| < 1e-300) is the sphere's point at infinity,
+    (u, s) = (1, 0), where `eval_freq` would raise."""
+    s = 1j * np.asarray(omega, dtype=np.float64)
+    den = np.polyval(tf.den, s)
+    pole = np.abs(den) < 1e-300
+    u, scale = _on_sphere(np.concatenate(
+        (np.polyval(tf.num, s) / np.where(pole, 1.0, den), tail)))
+    u[:len(s)][pole] = 1.0
+    scale[:len(s)][pole] = 0.0
+    return u, scale
 
 
 def chordal_distance(p1, p2):
@@ -183,9 +198,7 @@ def nu_gap(tf1, tf2):
                 "gap evaluation needs a proper transfer function")
     omega = np.logspace(np.log10(GRID_LO), np.log10(GRID_HI), GRID_POINTS)
     (u1, s1), (u2, s2) = (
-        _on_sphere(np.concatenate(([eval_freq(tf, 0.0)],
-                                   eval_freq(tf, omega),
-                                   [_limit_at_inf(tf)])))
+        _sweep(tf, np.concatenate(([0.0], omega)), [_limit_at_inf(tf)])
         for tf in (tf1, tf2))
     # 1 + conj(P2) P1, divided by sqrt((1 + |P1|^2) (1 + |P2|^2))
     if (np.min(np.abs(s1 * s2 + np.conj(u2) * u1)) < 1e-12
@@ -196,7 +209,8 @@ def nu_gap(tf1, tf2):
     lo = omega[max(peak - 1, 0)]
     hi = omega[min(peak + 1, len(omega) - 1)]
     fine = np.logspace(np.log10(lo), np.log10(hi), GRID_POINTS)
-    kfine = chordal_distance(eval_freq(tf1, fine), eval_freq(tf2, fine))
+    (f1, g1), (f2, g2) = (_sweep(tf, fine) for tf in (tf1, tf2))
+    kfine = np.abs(f1 * g2 - f2 * g1)
     candidates = np.concatenate((sweep[1:-1], kfine, sweep[[0, -1]]))
     grid = np.concatenate((omega, fine, [0.0, np.inf]))
     best = int(np.argmax(candidates))

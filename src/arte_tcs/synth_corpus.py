@@ -7,14 +7,20 @@ top for stone and gravel.  A shared broadband noise bed at 10 dB SNR
 keeps the classes from separating trivially.  The bed depends on the
 seed alone, not on the road, so `build_corpus` and `export_wavs` draw it
 once per seed and mix it into every road's clip of that seed.
+
+`RoadStream` is the audio a car hears over one run: the same sounds,
+switched as its road schedule switches, synthesized block by block as
+the run's estimator reads it.
 """
 
+import functools
 import math
 import os
 
 import numpy as np
 
-from .arte_dsp import AudioClip, extract_raw, sample_frames, write_wav
+from .arte_dsp import (AudioClip, extract_raw, frame_length,
+                       sample_frames, write_wav)
 from .arte_classifier import FeatureDataset
 from .errors import ConfigError
 from .tire_road import RoadType
@@ -53,12 +59,20 @@ ROAD_SOUNDS = {
 
 def synth_clip(road, duration_s=DEFAULT_DURATION_S, seed=0):
     """The road's AR-filtered excitation, peak-normalized to 0.9, labeled."""
-    # imported here so that runs without the estimator never load scipy
-    from scipy.signal import lfilter
     if duration_s < 0.5:
         raise ConfigError("clip duration must be at least 0.5 s")
+    x = _ar_output(road, int(round(duration_s * SAMPLE_RATE)), seed)
+    x *= 0.9 / _peak(x)
+    return AudioClip(samples=x, sample_rate=SAMPLE_RATE, label=road)
+
+
+def _ar_output(road, n, seed):
+    """n samples of the road's AR filter, driven from rest by white noise
+    plus its impulses, all drawn from one generator: the normals first,
+    then the hit mask, the amplitudes and the signs."""
+    # imported here so that runs without the estimator never load scipy
+    from scipy.signal import lfilter
     den, impulse_rate = ROAD_SOUNDS[road]
-    n = int(round(duration_s * SAMPLE_RATE))
     rng = np.random.default_rng(seed)
     drive = rng.standard_normal(n)
     if impulse_rate > 0.0:
@@ -66,9 +80,7 @@ def synth_clip(road, duration_s=DEFAULT_DURATION_S, seed=0):
         count = int(hits.sum())
         drive[hits] += (rng.uniform(3.0, 6.0, count)
                         * rng.choice((-1.0, 1.0), count))
-    x = lfilter([1.0], den, drive)
-    x *= 0.9 / _peak(x)
-    return AudioClip(samples=x, sample_rate=SAMPLE_RATE, label=road)
+    return lfilter([1.0], den, drive)
 
 
 def _peak(x):
@@ -136,3 +148,118 @@ def export_wavs(root, seed=0, clips_per_class=1):
             write_wav(paths[k * clips_per_class + i],
                       class_clip(road, seed + i, bed=bed))
     return paths
+
+
+# --- one run's road audio -------------------------------------------------
+
+# a run's audio draws from the streams SeedSequence([scenario seed,
+# STREAM_TAG]) spawns: their entropy words (seed, STREAM_TAG, 0, 0, spawn
+# index) are those of no integer seed below 2**128, so of no generator
+# that the corpus, another run or another stream of this run draws from
+STREAM_TAG = 0x41525445
+# samples of the first road heard before t = 0, so that an estimator tick
+# at t = 0 has a full 0.1 s window
+PREROLL = 1600
+# samples synthesized at a time: a stream holds one block and one window
+STREAM_BLOCK = 16000
+
+
+@functools.cache
+def _stream_levels():
+    """road -> (gain of its AR output, gain of the unit-variance bed): the
+    gain that peak-normalizes the road's corpus clip of seed 0 to 0.9, and
+    a bed OVERLAP_SNR_DB below that clip's mean square."""
+    levels = {}
+    for k, road in enumerate(RoadType):
+        ref = _ar_output(road, int(round(DEFAULT_DURATION_S * SAMPLE_RATE)),
+                         seed=k)  # class_clip(road, seed=0)'s clean part
+        gain = 0.9 / _peak(ref)
+        ref *= gain
+        levels[road] = (gain, math.sqrt(np.mean(np.square(ref))
+                                        / 10.0 ** (OVERLAP_SNR_DB / 10.0)))
+    return levels
+
+
+def _stream_blocks(segments, seed):
+    """The stream of `RoadStream(segments, seed)` in consecutive blocks of
+    STREAM_BLOCK samples, from sample -PREROLL on."""
+    from scipy.signal import lfilter
+    drive_rng, hit_rng, kick_rng, bed_rng = (
+        np.random.default_rng(s)
+        for s in np.random.SeedSequence([seed, STREAM_TAG]).spawn(4))
+    levels = _stream_levels()
+    starts = [k for k, _ in segments[1:]] + [math.inf]
+    roads = [road for _, road in segments]
+    i, pos, zi = 0, -PREROLL, None
+    while True:
+        # one draw per sample from each generator, whatever the road
+        drive = drive_rng.standard_normal(STREAM_BLOCK)
+        hit = hit_rng.random(STREAM_BLOCK)
+        kick = kick_rng.uniform(-3.0, 3.0, STREAM_BLOCK)
+        out = bed_rng.standard_normal(STREAM_BLOCK)
+        lo = 0
+        while lo < STREAM_BLOCK:
+            if pos + lo == starts[i]:
+                i, zi = i + 1, None
+            hi = min(STREAM_BLOCK, starts[i] - pos)
+            den, impulse_rate = ROAD_SOUNDS[roads[i]]
+            gain, bed_gain = levels[roads[i]]
+            if zi is None:  # a segment's filter starts at rest
+                zi = np.zeros(len(den) - 1)
+            x = drive[lo:hi]
+            if impulse_rate > 0.0:
+                hits = hit[lo:hi] < impulse_rate / SAMPLE_RATE
+                # (-6, -3] or [3, 6), as the corpus's hits
+                kicks = kick[lo:hi][hits]
+                x[hits] += kicks + np.copysign(3.0, kicks)
+            y, zi = lfilter([gain], den, x, zi=zi)
+            part = out[lo:hi]
+            part *= bed_gain
+            part += y
+            lo = hi
+        pos += STREAM_BLOCK
+        yield out
+
+
+class RoadStream:
+    """One run's road audio at SAMPLE_RATE from sample 0 at t = 0, read
+    as the 0.1 s windows that end at given samples.
+
+    `segments` holds (first sample, road) per schedule entry, strictly
+    increasing from sample 0; the first road is also heard over the
+    PREROLL samples before 0.  Each segment is its road's AR filter from
+    rest, its state carried through the segment, under one noise bed.
+
+    Every draw depends on the seed and the sample's position alone: the
+    drive, the hit mask, the hit amplitude and sign, and the bed each come
+    from their own generator, spawned from SeedSequence([seed,
+    STREAM_TAG]), one draw per sample.  So the stream up to a sample does
+    not depend on the schedule after it.
+
+    Level rule: a road's samples are its AR output times a fixed gain,
+    the one that peak-normalizes its corpus clip of seed 0 to 0.9, plus
+    the bed at a fixed level OVERLAP_SNR_DB below that clip's mean square
+    (`_stream_levels`).  No level depends on a segment's length or on any
+    sample after the one it scales.
+
+    Windows are read at non-decreasing ends; the stream keeps one block
+    and one window, whatever the length of the run.
+    """
+
+    def __init__(self, segments, seed):
+        self._blocks = _stream_blocks(list(segments), seed)
+        self._buf = np.empty(0)  # samples [self._end - len(buf), self._end)
+        self._end = -PREROLL
+
+    def window(self, end):
+        """The frame_length(SAMPLE_RATE) samples before sample `end`."""
+        length = frame_length(SAMPLE_RATE)
+        while self._end < end:
+            self._buf = np.concatenate((self._buf[-length:],
+                                        next(self._blocks)))
+            self._end += STREAM_BLOCK
+        hi = len(self._buf) - (self._end - end)
+        if hi < length:
+            raise ValueError("window before sample %d is no longer held"
+                             % end)
+        return AudioClip(self._buf[hi - length:hi], SAMPLE_RATE)

@@ -150,9 +150,12 @@ def test_gap_coefficient_lists(capsys):
     assert line.split(",")[:2] == ["5e-301", "true"]
 
     # products of the two plants' coefficients reach 1e600, or a pole sits
-    # near 1e310 rad/s: the winding test still counts, without warnings
+    # near 1e310 rad/s: the winding test still counts, without warnings.
+    # A pole on the sweep's grid, here at 0, is P = inf there: 1/s against
+    # 1/(s + 1) is 1/sqrt(2) apart at 0
     cases = {("1e300", "1,1", "2e300", "1,1"): ["5.00000002e-297", "true"],
-             ("1", "1e-310,1", "1", "1,1"): ["0.707106774", "true"]}
+             ("1", "1e-310,1", "1", "1,1"): ["0.707106774", "true"],
+             ("1", "1,0", "1", "1,1"): ["0.707106781", "true"]}
     for (num1, den1, num2, den2), head in cases.items():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -499,8 +502,8 @@ BAD_OPTIONS = {
     "train_seed_negative": ["train", "--out", "{out}", "--seed", "-1"],
     "train_epochs_negative": ["train", "--out", "{out}", "--epochs", "-5"],
     "train_no_epochs": ["train", "--out", "{out}", "--epochs", "0"],
-    "gap_pole_on_axis": ["gap", "--out", "{out}", "--num1", "1",
-                         "--den1", "1,0", "--num2", "1", "--den2", "1,1"],
+    "gap_improper_plant": ["gap", "--out", "{out}", "--num1", "1,0,0",
+                           "--den1", "1,1", "--num2", "1", "--den2", "1,1"],
 }
 
 

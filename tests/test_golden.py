@@ -158,10 +158,10 @@ def test_switch_launch_trace_digest(tmp_path, tag):
 # `arte-tcs train` writes with its default seeds.  It covers the hand-off
 # of each estimate (road, lambda_opt, mu_peak) from the classifier to the
 # controller, which the oracle goldens reach only from the true road.
-# Taken before that hand-off was reworked, and re-recorded when training
-# gained heavy-ball momentum (a new default model).  A causal estimator
-# fed by streamed audio (ROADMAP item 2) will change these bytes on
-# purpose.
+# Taken before that hand-off was reworked, re-recorded when training
+# gained heavy-ball momentum (a new default model), and again when the
+# classifier came to hear one causal audio stream per run: the 0.1 s
+# before each tick, not the first 0.1 s of a fresh clip of the road at it.
 
 CLASSIFIER = os.path.join(os.path.dirname(__file__), "golden",
                           "switch_classifier.sha256")

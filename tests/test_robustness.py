@@ -44,6 +44,22 @@ def test_eval_freq_rejects_pole_on_axis():
         eval_freq(integrator, 0.0)
 
 
+def test_gap_with_a_pole_on_the_grid():
+    """An imaginary-axis pole exactly on a sweep frequency is P = inf
+    there, as it is a float away: the gap is defined, not an error."""
+    omega = np.logspace(np.log10(robustness.GRID_LO),
+                        np.log10(robustness.GRID_HI), robustness.GRID_POINTS)
+    on, off = omega[1000], np.nextafter(omega[1000], np.inf)
+    assert on == 3.1750522413557483
+    lag = make_tf([1.0], [1.0, 1.0])
+    gaps = [nu_gap(make_tf([1.0], [1.0, 0.0, w * w]), lag) for w in (on, off)]
+    assert gaps[0].value == gaps[1].value == 0.9622296863183444
+    assert gaps[0].winding_ok and gaps[1].winding_ok
+    # a pole at 0, the sweep's first point: |P1| = inf against P2 = 1e9
+    assert nu_gap(make_tf([1.0], [1.0, 0.0]),
+                  make_tf([1.0], [1.0, 1e-9])).value == pytest.approx(1e-9)
+
+
 def test_chordal_distance_kernel():
     assert chordal_distance(1.25 + 0.5j, 1.25 + 0.5j) == 0.0
     assert chordal_distance(1.0, 2.0) == pytest.approx(1.0 / np.sqrt(10.0),
