@@ -3,7 +3,8 @@
 The gap is the sup of the pointwise chordal distance over frequency if the
 winding condition holds and 1 if it fails (Vinnicombe, IEEE TAC 1993). The
 condition is decided exactly, by counting the roots of one polynomial in
-rational arithmetic, wherever the plants' dynamics lie; the distance comes
+rational arithmetic, wherever the plants' dynamics lie, each plant with the
+factor common to its num and den cancelled first; the distance comes
 from one sweep of each plant over [0, log grid, inf], refined near its peak;
 a pole on the sweep's grid is P = inf there, the sphere's point at infinity.
 """
@@ -136,15 +137,23 @@ def _divmod(a, b):
 
 
 def _cancelled(num, den):
-    """num/den with the exact gcd of the two divided out of both, for a
-    trimmed den; a zero num is left as it is."""
+    """num/den with the exact monic gcd of the two divided out of both, for
+    a trimmed den; a zero num is left as it is."""
     num = _trimmed(num)
     common, rest = den, num
     while rest:
         common, rest = rest, _divmod(common, rest)[1]
     if not num or len(common) < 2:  # zero, or already coprime
         return num or [0], den
+    common = [c / common[0] for c in common]
     return _divmod(num, common)[0], _divmod(den, common)[0]
+
+
+def _coprime(tf):
+    """tf's exact (num, den) with their common factor cancelled."""
+    from fractions import Fraction  # kept off the package import path
+    return _cancelled([Fraction(c) for c in tf.num],
+                      [Fraction(c) for c in tf.den])
 
 
 def _cauchy_index(p, r):
@@ -159,8 +168,9 @@ def _cauchy_index(p, r):
     return minus - plus, chain[-1]
 
 
-def _winding_ok(tf1, tf2):
-    """wno det(G2~ G1) = 0 and det(G2~ G1) nonzero on the axis, exactly.
+def _winding_ok(plant1, plant2):
+    """wno det(G2~ G1) = 0 and det(G2~ G1) nonzero on the axis, exactly,
+    for plants given as `_coprime` (num, den) lists.
 
     With P = n/d and e the Hurwitz factor of d(-s)d(s) + n(-s)n(s), the
     normalised coprime factors are N = n/e and M = d/e, so G2~ G1 is
@@ -171,13 +181,8 @@ def _winding_ok(tf1, tf2):
     on the axis are the real roots of gcd(p, r); without them the Cauchy
     index of r/p is m - 2k, k the roots right of the axis (Routh-Hurwitz).
     Rational arithmetic keeps products of coefficients in range and exact.
-    A factor common to a plant's n and d is cancelled first: the coprime
-    factors are those of the plant, not of how it is written.
     """
-    from fractions import Fraction  # kept off the package import path
-    (n1, d1), (n2, d2) = (_cancelled([Fraction(c) for c in tf.num],
-                                     [Fraction(c) for c in tf.den])
-                          for tf in (tf1, tf2))
+    (n1, d1), (n2, d2) = plant1, plant2
     n2, d2 = ([-c if k % 2 else c for k, c in enumerate(x[::-1])][::-1]
               for x in (n2, d2))  # c(-s) from c(s)
     q = _trimmed(list(np.polyadd(np.polymul(d2, d1), np.polymul(n2, n1))))
@@ -190,19 +195,27 @@ def _winding_ok(tf1, tf2):
 
 
 def nu_gap(tf1, tf2):
-    """Sup of the chordal distance over frequency, or 1 on winding failure."""
+    """Sup of the chordal distance over frequency, or 1 on winding failure.
+
+    A factor common to a plant's num and den is cancelled first, for the
+    sweeps and the winding test alike: the gap is that of the plants, not
+    of how they are written, and a cancelled pole on the grid is no pole.
+    """
     for tf in (tf1, tf2):
         tf.validate()
         if _degree(tf.num) > _degree(tf.den):
             raise ConfigError(
                 "gap evaluation needs a proper transfer function")
+    plants = [_coprime(tf) for tf in (tf1, tf2)]
+    tf1, tf2 = (make_tf([float(c) for c in num], [float(c) for c in den])
+                for num, den in plants)
     omega = np.logspace(np.log10(GRID_LO), np.log10(GRID_HI), GRID_POINTS)
     (u1, s1), (u2, s2) = (
         _sweep(tf, np.concatenate(([0.0], omega)), [_limit_at_inf(tf)])
         for tf in (tf1, tf2))
     # 1 + conj(P2) P1, divided by sqrt((1 + |P1|^2) (1 + |P2|^2))
     if (np.min(np.abs(s1 * s2 + np.conj(u2) * u1)) < 1e-12
-            or not _winding_ok(tf1, tf2)):
+            or not _winding_ok(*plants)):
         return GapResult(value=1.0, winding_ok=False, peak_frequency=0.0)
     sweep = np.abs(u1 * s2 - u2 * s1)  # chordal distance at 0, grid, inf
     peak = int(np.argmax(sweep[1:-1]))

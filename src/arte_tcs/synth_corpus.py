@@ -105,8 +105,7 @@ def class_clip(road, seed=0, duration_s=DEFAULT_DURATION_S, *, bed=None):
     `bed` is `_noise_bed(seed, duration_s)`, passed by callers that mix
     several roads of one seed; without it the bed is drawn here.
     """
-    k = list(RoadType).index(road)
-    clean = synth_clip(road, duration_s, seed=1000 * seed + k).samples
+    clean = synth_clip(road, duration_s, seed=_clean_seed(road, seed)).samples
     noise, noise_ms = _noise_bed(seed, duration_s) if bed is None else bed
     mixed = np.square(clean)  # its buffer then takes the mix
     gain = math.sqrt(np.mean(mixed)
@@ -117,6 +116,11 @@ def class_clip(road, seed=0, duration_s=DEFAULT_DURATION_S, *, bed=None):
     if peak > 1.0:
         mixed /= peak
     return AudioClip(mixed, SAMPLE_RATE, road)
+
+
+def _clean_seed(road, seed):
+    """The seed of the `synth_clip` inside `class_clip(road, seed)`."""
+    return 1000 * seed + list(RoadType).index(road)
 
 
 def build_corpus(seed=0):
@@ -167,16 +171,21 @@ STREAM_BLOCK = 16000
 @functools.cache
 def _stream_levels():
     """road -> (gain of its AR output, gain of the unit-variance bed): the
-    gain that peak-normalizes the road's corpus clip of seed 0 to 0.9, and
-    a bed OVERLAP_SNR_DB below that clip's mean square."""
+    levels of its corpus clip of seed 0, `class_clip(road, 0)`.  That clip
+    is its AR output peak-normalized to 0.9, plus a bed OVERLAP_SNR_DB
+    below that in mean square, the mix divided by its peak if above 1."""
+    n = int(round(DEFAULT_DURATION_S * SAMPLE_RATE))
+    noise, noise_ms = _noise_bed(0)
     levels = {}
-    for k, road in enumerate(RoadType):
-        ref = _ar_output(road, int(round(DEFAULT_DURATION_S * SAMPLE_RATE)),
-                         seed=k)  # class_clip(road, seed=0)'s clean part
+    for road in RoadType:
+        ref = _ar_output(road, n, _clean_seed(road, 0))
         gain = 0.9 / _peak(ref)
         ref *= gain
-        levels[road] = (gain, math.sqrt(np.mean(np.square(ref))
-                                        / 10.0 ** (OVERLAP_SNR_DB / 10.0)))
+        bed_gain = math.sqrt(np.mean(np.square(ref))
+                             / 10.0 ** (OVERLAP_SNR_DB / 10.0))
+        ref += noise * (bed_gain / math.sqrt(noise_ms))
+        scale = 1.0 / max(1.0, _peak(ref))
+        levels[road] = (gain * scale, bed_gain * scale)
     return levels
 
 
@@ -236,11 +245,12 @@ class RoadStream:
     STREAM_TAG]), one draw per sample.  So the stream up to a sample does
     not depend on the schedule after it.
 
-    Level rule: a road's samples are its AR output times a fixed gain,
-    the one that peak-normalizes its corpus clip of seed 0 to 0.9, plus
-    the bed at a fixed level OVERLAP_SNR_DB below that clip's mean square
-    (`_stream_levels`).  No level depends on a segment's length or on any
-    sample after the one it scales.
+    Level rule: a road's samples are its AR output and the bed, each
+    times a fixed gain, the one it has in the road's corpus clip of seed 0
+    (`_stream_levels`): the AR output peak-normalized to 0.9, the bed
+    OVERLAP_SNR_DB below it in mean square, both divided by the mix's peak
+    where that exceeds 1.  No level depends on a segment's length or on
+    any sample of the run.
 
     Windows are read at non-decreasing ends; the stream keeps one block
     and one window, whatever the length of the run.

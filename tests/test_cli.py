@@ -152,10 +152,12 @@ def test_gap_coefficient_lists(capsys):
     # products of the two plants' coefficients reach 1e600, or a pole sits
     # near 1e310 rad/s: the winding test still counts, without warnings.
     # A pole on the sweep's grid, here at 0, is P = inf there: 1/s against
-    # 1/(s + 1) is 1/sqrt(2) apart at 0
+    # 1/(s + 1) is 1/sqrt(2) apart at 0; s/(s^2 + s) has no pole there, as
+    # it is 1/(s + 1)
     cases = {("1e300", "1,1", "2e300", "1,1"): ["5.00000002e-297", "true"],
              ("1", "1e-310,1", "1", "1,1"): ["0.707106774", "true"],
-             ("1", "1,0", "1", "1,1"): ["0.707106781", "true"]}
+             ("1", "1,0", "1", "1,1"): ["0.707106781", "true"],
+             ("1,0", "1,1,0", "1", "1,1"): ["0", "true"]}
     for (num1, den1, num2, den2), head in cases.items():
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -18,7 +18,8 @@ from arte_tcs.arte_classifier import (arte_estimate, prune_features,
 from arte_tcs.arte_dsp import Frame, extract_raw, frame_length
 from arte_tcs.harness import ScenarioConfig
 from arte_tcs.synth_corpus import (SAMPLE_RATE, RoadStream, _ar_output,
-                                   _stream_levels, build_corpus, synth_clip)
+                                   _noise_bed, _stream_levels, build_corpus,
+                                   class_clip)
 from arte_tcs.tire_road import RoadType
 
 WINDOW = frame_length(SAMPLE_RATE)
@@ -50,11 +51,15 @@ def heard(cfg):
 
 
 def test_levels_are_those_of_the_seed_0_corpus_clip():
+    noise, noise_ms = _noise_bed(0)
     for k, (road, (gain, bed_gain)) in enumerate(_stream_levels().items()):
-        clean = synth_clip(road, seed=k).samples  # class_clip(road, 0)'s
-        raw = _ar_output(road, len(clean), seed=k)
-        assert np.array_equal(raw * gain, clean)
-        assert bed_gain ** 2 * 10.0 == pytest.approx(np.mean(clean ** 2))
+        clip = class_clip(road, 0).samples
+        raw = _ar_output(road, len(clip), seed=k)
+        # the stream's bed is unit variance, the corpus's of mean square
+        # noise_ms
+        np.testing.assert_allclose(
+            raw * gain + noise * (bed_gain / math.sqrt(noise_ms)), clip,
+            rtol=0.0, atol=1e-12)
 
 
 def test_window_across_a_switch_hears_the_earlier_road_up_to_it():
