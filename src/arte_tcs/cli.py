@@ -29,7 +29,7 @@ from .vehicle_plant import VehicleParams
 
 def _coeffs(text):
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ConfigError("bad coefficient list %r" % (text,)) from exc
 

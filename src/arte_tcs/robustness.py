@@ -1,12 +1,14 @@
 """SISO transfer functions and the nu-gap distance between plants.
 
 The gap is the sup of the pointwise chordal distance over frequency if the
-winding condition holds and 1 if it fails (Vinnicombe, IEEE TAC 1993). The
-condition is decided exactly, by counting the roots of one polynomial in
-rational arithmetic, wherever the plants' dynamics lie, each plant with the
-factor common to its num and den cancelled first; the distance comes
-from one sweep of each plant over [0, log grid, inf], refined near its peak;
-a pole on the sweep's grid is P = inf there, the sphere's point at infinity.
+winding condition holds and 1 if it fails (Vinnicombe, IEEE TAC 1993). A
+plant is its exact num and den with their common factor cancelled. On them
+the condition is decided exactly, by counting the roots of one polynomial in
+rational arithmetic; the distance comes from one sweep over [0, log grid,
+inf], refined near its peak, of float copies times the power of two that
+brings den's largest |coefficient| into [0.5, 2), which is exact in floats.
+A num that still overflows is "plant gain exceeds the float range"
+(ConfigError). An inf or nan P, as on a pole, is the point at infinity.
 """
 
 from dataclasses import dataclass
@@ -78,25 +80,27 @@ def eval_freq(tf, omega):
 
 def _on_sphere(p):
     """(p, 1) / sqrt(1 + |p|^2): the homogeneous coordinates of p scaled to
-    unit length, so no product of them overflows however large p is."""
+    unit length, so no product of them overflows however large p is. A p
+    with |p| inf or nan is the point at infinity, (1, 0)."""
     p = np.asarray(p, dtype=np.complex128)
+    r = np.abs(p)
+    far = ~(r < np.inf)
     # hypot keeps |p| near the float limit from overflowing when squared
-    scale = 1.0 / np.hypot(1.0, np.abs(p))
-    return p * scale, scale
+    scale = np.where(far, 0.0, 1.0 / np.hypot(1.0, r))
+    with np.errstate(invalid="ignore"):  # inf * 0 where far, replaced
+        return np.where(far, 1.0, p * scale), scale
 
 
-def _sweep(tf, omega, tail=()):
-    """`_on_sphere` of tf(j omega), then of the values `tail`; a point on
-    top of a pole (|den| < 1e-300) is the sphere's point at infinity,
-    (u, s) = (1, 0), where `eval_freq` would raise."""
+def _sweep(plant, omega, at_inf=False):
+    """`_on_sphere` of P(j omega) for a `_float_copy` (num, den), then of
+    P's limit at infinity if `at_inf`; on a pole P is inf or nan."""
+    num, den = plant
     s = 1j * np.asarray(omega, dtype=np.float64)
-    den = np.polyval(tf.den, s)
-    pole = np.abs(den) < 1e-300
-    u, scale = _on_sphere(np.concatenate(
-        (np.polyval(tf.num, s) / np.where(pole, 1.0, den), tail)))
-    u[:len(s)][pole] = 1.0
-    scale[:len(s)][pole] = 0.0
-    return u, scale
+    with np.errstate(all="ignore"):  # a pole or an overflow: inf or nan
+        p = np.polyval(num, s) / np.polyval(den, s)
+        if at_inf:
+            p = np.append(p, num[0] / den[0] if len(num) == len(den) else 0.0)
+    return _on_sphere(p)
 
 
 def chordal_distance(p1, p2):
@@ -104,21 +108,6 @@ def chordal_distance(p1, p2):
     u1, s1 = _on_sphere(p1)
     u2, s2 = _on_sphere(p2)
     return np.abs(u1 * s2 - u2 * s1)
-
-
-def _degree(coeffs):
-    nz = np.flatnonzero(np.abs(coeffs) > 0.0)
-    if nz.size == 0:  # the zero polynomial: below every other degree
-        return -1
-    return len(coeffs) - 1 - nz[0]
-
-
-def _limit_at_inf(tf):
-    if _degree(tf.num) < _degree(tf.den):
-        return 0.0
-    num = np.trim_zeros(tf.num, "f")
-    den = np.trim_zeros(tf.den, "f")
-    return num[0] / den[0]
 
 
 def _trimmed(coeffs):
@@ -154,6 +143,19 @@ def _coprime(tf):
     from fractions import Fraction  # kept off the package import path
     return _cancelled([Fraction(c) for c in tf.num],
                       [Fraction(c) for c in tf.den])
+
+
+def _float_copy(plant):
+    """A `_coprime` (num, den) as float arrays, both times the power of two
+    that brings den's largest |coefficient| into [0.5, 2)."""
+    from fractions import Fraction
+    top = max(abs(c) for c in plant[1])
+    power = Fraction(2) ** (top.denominator.bit_length()
+                            - top.numerator.bit_length())
+    try:
+        return [np.array([float(c * power) for c in x]) for x in plant]
+    except OverflowError:
+        raise ConfigError("plant gain exceeds the float range") from None
 
 
 def _cauchy_index(p, r):
@@ -201,18 +203,14 @@ def nu_gap(tf1, tf2):
     sweeps and the winding test alike: the gap is that of the plants, not
     of how they are written, and a cancelled pole on the grid is no pole.
     """
-    for tf in (tf1, tf2):
-        tf.validate()
-        if _degree(tf.num) > _degree(tf.den):
-            raise ConfigError(
-                "gap evaluation needs a proper transfer function")
-    plants = [_coprime(tf) for tf in (tf1, tf2)]
-    tf1, tf2 = (make_tf([float(c) for c in num], [float(c) for c in den])
-                for num, den in plants)
+    plants = [_coprime(tf.validate()) for tf in (tf1, tf2)]
+    if any(len(num) > len(den) for num, den in plants):
+        raise ConfigError("gap evaluation needs a proper transfer function")
+    copies = [_float_copy(plant) for plant in plants]
     omega = np.logspace(np.log10(GRID_LO), np.log10(GRID_HI), GRID_POINTS)
     (u1, s1), (u2, s2) = (
-        _sweep(tf, np.concatenate(([0.0], omega)), [_limit_at_inf(tf)])
-        for tf in (tf1, tf2))
+        _sweep(copy, np.concatenate(([0.0], omega)), at_inf=True)
+        for copy in copies)
     # 1 + conj(P2) P1, divided by sqrt((1 + |P1|^2) (1 + |P2|^2))
     if (np.min(np.abs(s1 * s2 + np.conj(u2) * u1)) < 1e-12
             or not _winding_ok(*plants)):
@@ -222,7 +220,7 @@ def nu_gap(tf1, tf2):
     lo = omega[max(peak - 1, 0)]
     hi = omega[min(peak + 1, len(omega) - 1)]
     fine = np.logspace(np.log10(lo), np.log10(hi), GRID_POINTS)
-    (f1, g1), (f2, g2) = (_sweep(tf, fine) for tf in (tf1, tf2))
+    (f1, g1), (f2, g2) = (_sweep(copy, fine) for copy in copies)
     kfine = np.abs(f1 * g2 - f2 * g1)
     candidates = np.concatenate((sweep[1:-1], kfine, sweep[[0, -1]]))
     grid = np.concatenate((omega, fine, [0.0, np.inf]))

@@ -161,9 +161,9 @@ def export_wavs(root, seed=0, clips_per_class=1):
 # index) are those of no integer seed below 2**128, so of no generator
 # that the corpus, another run or another stream of this run draws from
 STREAM_TAG = 0x41525445
-# samples of the first road heard before t = 0, so that an estimator tick
-# at t = 0 has a full 0.1 s window
-PREROLL = 1600
+# samples of the first road heard before t = 0: one window, so that an
+# estimator tick at t = 0 always has a full one
+PREROLL = frame_length(SAMPLE_RATE)
 # samples synthesized at a time: a stream holds one block and one window
 STREAM_BLOCK = 16000
 

@@ -166,13 +166,36 @@ def test_gap_coefficient_lists(capsys):
         line = capsys.readouterr().out.splitlines()[1]
         assert line.split(",")[:2] == head
 
+    # the gap does not depend on how a plant is scaled: 1/(s + 1) written
+    # with subnormal coefficients is 1/(s + 1); a static gain of 1e600 is
+    # out of the float range; 1e308 (s + 1)^2 / (s^2 (s + 3)), left once
+    # s - 1 is cancelled, has a num coefficient of 2e308 until it is scaled
+    # with its den, and is swept all the same
+    assert cli.main(["gap", "--num1", "1e-310", "--den1", "1e-310,1e-310",
+                     "--num2", "1", "--den2", "1,1"]) == 0
+    value, flag, _ = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(value) < 1e-12 and flag == "true"
+    assert cli.main(["gap", "--num1", "1e300", "--den1", "1e-300",
+                     "--num2", "1", "--den2", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: plant gain exceeds the float range")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["gap", "--num1", "1e308,1e308,-1e308,-1e308",
+                         "--den1", "1,2,-3,0,0",
+                         "--num2", "1", "--den2", "1,1"]) == 0
+    value = float(capsys.readouterr().out.splitlines()[1].split(",")[0])
+    assert 0.0 <= value <= 1.0
+
 
 def coefficient_lists():
-    """1-4 comma-separated entries, each 0 (one in four) or of magnitude
-    in [1e-3, 1e3]."""
-    entry = st.tuples(st.sampled_from((0.0, 1.0, 1.0, 1.0)),
-                      st.sampled_from((-1.0, 1.0)), st.floats(1e-3, 1e3))
-    return st.lists(entry.map(lambda e: e[2] * e[1] if e[0] else 0.0),
+    """1-4 comma-separated entries, each 0 (one in four) or any finite
+    float, subnormals included."""
+    entry = st.tuples(st.sampled_from((False, True, True, True)),
+                      st.floats(allow_nan=False, allow_infinity=False,
+                                allow_subnormal=True))
+    return st.lists(entry.map(lambda e: e[1] if e[0] else 0.0),
                     min_size=1, max_size=4).map(
         lambda xs: ",".join(repr(x) for x in xs))
 
@@ -200,6 +223,12 @@ def test_gap_argument_validation(capsys):
     assert cli.main(["gap", "--num1", "1", "--den1", "oops",
                      "--num2", "1", "--den2", "1,1"]) == 2
     capsys.readouterr()
+    # an empty entry is an error, not a coefficient skipped: 1,,2 is not
+    # s + 2, whose gap to 1/(s + 2) would print 0
+    assert cli.main(["gap", "--num1", "1", "--den1", "1,,2",
+                     "--num2", "1", "--den2", "1,2"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: bad coefficient list")
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path, capsys):

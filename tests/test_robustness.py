@@ -1,8 +1,10 @@
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arte_tcs import robustness
@@ -65,6 +67,9 @@ def test_chordal_distance_kernel():
     assert chordal_distance(1.0, 2.0) == pytest.approx(1.0 / np.sqrt(10.0),
                                                        abs=1e-9)
     assert chordal_distance(0.0, 1e12) == pytest.approx(1.0, abs=1e-6)
+    # inf (or nan) is the point at infinity
+    assert chordal_distance(np.inf, 1.0) == 1.0 / np.sqrt(2.0)
+    assert chordal_distance(np.inf, np.inf) == 0.0
     rng = np.random.default_rng(0)
     for _ in range(50):
         a = complex(rng.normal(), rng.normal())
@@ -124,6 +129,29 @@ def test_gap_is_symmetric_and_bounded_on_random_plants(tf1, tf2):
     assert fwd.value == rev.value
     assert fwd.winding_ok == rev.winding_ok
     assert 0.0 <= fwd.value <= 1.0
+
+
+def times_power_of_two(tf, e):
+    """tf with num and den both multiplied by 2**e: the same plant."""
+    return make_tf([math.ldexp(c, e) for c in tf.num],
+                   [math.ldexp(c, e) for c in tf.den])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tf1=proper_plants(), tf2=proper_plants(),
+       e=st.integers(-1000, 1000))
+@example(tf1=make_tf([1.0], [1.0, 0.5, 2.0]),
+         tf2=make_tf([-2.0, 1.0], [1.0, 3.0, 1.0]), e=1000)
+@example(tf1=make_tf([1.0], [1.0, 0.5, 2.0]),
+         tf2=make_tf([-2.0, 1.0], [1.0, 3.0, 1.0]), e=-1000)
+def test_gap_does_not_depend_on_a_power_of_two_scale(tf1, tf2, e):
+    # tf1 scaled by 2**e and tf2 by 2**-e, every coefficient kept a normal
+    # float: the sweeps see the same floats, so every bit is the same
+    assume(all(c == 0.0 or abs(math.ldexp(c, k)) >= sys.float_info.min
+               for tf, k in ((tf1, e), (tf2, -e))
+               for c in np.concatenate((tf.num, tf.den))))
+    scaled = times_power_of_two(tf1, e), times_power_of_two(tf2, -e)
+    assert nu_gap(*scaled) == nu_gap(tf1, tf2)
 
 
 def test_gap_stable_under_grid_doubling(monkeypatch):
