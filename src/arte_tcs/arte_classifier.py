@@ -99,12 +99,16 @@ def split_dataset(ds, test_fraction=0.3, seed=0):
     return train, test
 
 
+def _kept_in(start, stop):
+    """A read-only count of a mask's indices in [start, stop)."""
+    return property(lambda m: sum(1 for i in m.indices if start <= i < stop))
+
+
 @dataclass
 class SelectionMask:
     indices: np.ndarray
-    lpc_kept: int = 3
-    band_kept: int = 2
-    cep_kept: int = 2
+    # how many indices each of FAMILIES holds
+    lpc_kept, band_kept, cep_kept = (_kept_in(a, b) for a, b, _ in FAMILIES)
 
 
 def prune_features(ds):
@@ -175,9 +179,9 @@ class MlpModel:
     weights: list
     biases: list
     seed: int
-    norm_mean: np.ndarray = None
-    norm_scale: np.ndarray = None
-    mask_indices: np.ndarray = None
+    norm_mean: np.ndarray
+    norm_scale: np.ndarray
+    mask_indices: np.ndarray
 
     def validate(self):
         if tuple(self.sizes[1:-1]) != HIDDEN_SIZES:
@@ -195,9 +199,9 @@ class MlpModel:
                 raise ModelFormatError("bias %d has wrong length" % i)
         # a NaN anywhere makes argmax pick the first road, asphalt
         values = [self.norm_mean, self.norm_scale, *self.weights, *self.biases]
-        if not all(np.all(np.isfinite(v)) for v in values if v is not None):
+        if not all(np.all(np.isfinite(v)) for v in values):
             raise ModelFormatError("model holds non-finite values")
-        if self.norm_scale is not None and np.any(self.norm_scale <= 0.0):
+        if np.any(self.norm_scale <= 0.0):
             raise ModelFormatError("normalization scales must be positive")
         if any(np.any(np.abs(v) > WEIGHT_LIMIT)
                for v in (*self.weights, *self.biases)):
@@ -235,15 +239,17 @@ def _forward(model, x, acts=None):
     return acts
 
 
-def _init_model(n_in, seed):
+def _init_model(seed, norm_mean, norm_scale, mask_indices):
+    """An untrained model: weights uniform in +-1/sqrt(fan-in), biases 0."""
     rng = np.random.default_rng(seed)
-    sizes = (n_in,) + HIDDEN_SIZES + (len(ROAD_ORDER),)
+    sizes = (len(mask_indices),) + HIDDEN_SIZES + (len(ROAD_ORDER),)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         scale = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(sizes=sizes, weights=weights, biases=biases, seed=seed)
+    return MlpModel(sizes, weights, biases, seed, norm_mean, norm_scale,
+                    mask_indices)
 
 
 def one_hot(labels):
@@ -258,25 +264,20 @@ def train_mlp(ds, mask, seed=0, max_epochs=MAX_EPOCHS):
     loss drops below LOSS_TARGET, or after max_epochs.
 
     Each step sets the velocity v = MOMENTUM * v + grad, from v = 0, and
-    then w -= v (a unit learning rate).  mask=None trains on all 20 raw
-    features instead of the pruned 7.  Every epoch writes into buffers
-    allocated once before the first: the activations, the output error
-    a - y, the tanh derivatives 1 - h**2, the back-propagated deltas, the
-    gradients and the velocities.  Each value is computed with the
-    operations, in the order, of the allocating textbook loop, so the
-    weights and biases equal that loop's bit for bit
+    then w -= v (a unit learning rate), on the features at mask.indices
+    of ds, whose normalization must be fitted.  Every epoch writes into
+    buffers allocated once before the first: the activations, the output
+    error a - y, the tanh derivatives 1 - h**2, the back-propagated
+    deltas, the gradients and the velocities.  Each value is computed
+    with the operations, in the order, of the allocating textbook loop,
+    so the weights and biases equal that loop's bit for bit
     (tests/test_training_properties.py keeps it as the reference).
     """
-    if ds.norm_mean is None:
-        ds.fit_normalization()
-    indices = (np.arange(ds.features.shape[1]) if mask is None
-               else np.array(mask.indices, dtype=int))
+    indices = np.array(mask.indices, dtype=int)
     xall = ds.normalized()[:, indices]
     y = one_hot(ds.labels)
-    model = _init_model(len(indices), seed)
-    model.norm_mean = ds.norm_mean[indices]
-    model.norm_scale = ds.norm_scale[indices]
-    model.mask_indices = indices
+    model = _init_model(seed, ds.norm_mean[indices], ds.norm_scale[indices],
+                        indices)
 
     n = xall.shape[0]
     last = len(model.weights) - 1
@@ -384,9 +385,7 @@ def save_model(path, model):
     lines.append(fmt(model.norm_mean))
     lines.append(fmt(model.norm_scale))
     # raw-feature positions this model consumes, so the file stands alone
-    mask = (np.arange(model.sizes[0]) if model.mask_indices is None
-            else model.mask_indices)
-    lines.append(" ".join(str(int(i)) for i in mask))
+    lines.append(" ".join(str(int(i)) for i in model.mask_indices))
     for w, b in zip(model.weights, model.biases):
         for row in w:
             lines.append(fmt(row))

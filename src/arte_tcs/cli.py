@@ -11,10 +11,12 @@ import argparse
 import os
 import sys
 
-from .arte_classifier import (LOSS_TARGET, MAX_EPOCHS, SelectionMask,
-                              arte_estimate, confusion_matrix, load_model,
-                              prune_features, save_model, split_dataset,
-                              train_mlp)
+import numpy as np
+
+from .arte_classifier import (LOSS_TARGET, MAX_EPOCHS, RAW_DIM,
+                              SelectionMask, arte_estimate, confusion_matrix,
+                              load_model, prune_features, save_model,
+                              split_dataset, train_mlp)
 from .arte_dsp import extract_raw, load_wav, sample_frames
 from .errors import (AudioFormatError, ConfigError, ModelFormatError,
                      SimulationDiverged)
@@ -98,11 +100,11 @@ def cmd_train(args):
     _check_writable(args.out)
     ds = build_corpus(seed=args.corpus_seed)
     train, test = split_dataset(ds, seed=args.split_seed)
-    mask = None if args.full_features else prune_features(train)
+    mask = (SelectionMask(np.arange(RAW_DIM)) if args.full_features
+            else prune_features(train))
     model = train_mlp(train, mask, seed=args.seed, max_epochs=args.epochs)
     save_model(args.out, model)
-    _, acc = confusion_matrix(model, test if mask is None
-                              else test.select(mask))
+    _, acc = confusion_matrix(model, test.select(mask))
     print("model=%s features=%d accuracy=%.4f" % (
         args.out, model.sizes[0], acc))
     return 0
@@ -124,7 +126,7 @@ def cmd_features(args):
     _at_least(0, seed=args.seed)
     _at_least(1, frames=args.frames)
     _check_writable(args.out)
-    lines = ["label," + ",".join("f%d" % k for k in range(20))]
+    lines = ["label," + ",".join("f%d" % k for k in range(RAW_DIM))]
     for path in args.wav:
         label = _wav_label(path, args.label)
         clip = load_wav(path)

@@ -22,7 +22,7 @@ ModelFollowingControl
     Integrates a nominal wheel-speed model driven by the demand and
     feeds back the high-pass-filtered speed error: T = T_dem - K * HPF(
     w - w_model).  The model inertia is the wheel plus the vehicle mass
-    reflected through the contact at a nominal slip, J = Jw +
+    reflected through the contact at MFC_LAMBDA_NOMINAL slip, J = Jw +
     M * r^2 * (1 - lambda); a road estimate retunes it to lambda_opt.
 
 SlipRatioControl
@@ -63,6 +63,7 @@ from .vehicle_plant import VehicleParams, slip_ratio
 CONTROLLERS = ("mfc", "src", "mtte", "open")
 
 MFC_GAIN = 50.0
+MFC_LAMBDA_NOMINAL = 0.1
 SRC_SATURATION = 300.0
 SRC_KP = 50.0
 SRC_KI = 100.0
@@ -92,14 +93,14 @@ class Controller:
 
 
 class ModelFollowingControl(Controller):
-    def __init__(self, params=None, lambda_nominal=0.1):
+    def __init__(self, params=None):
         self.params = VehicleParams() if params is None else params
         if not self.params.tau_hp > 0.0:
             raise ConfigError("high-pass time constant must be positive")
         self.gain = MFC_GAIN
         self.w_model = 0.0
         self.hp_state = 0.0
-        self.j_model = self._inertia(lambda_nominal)
+        self.j_model = self._inertia(MFC_LAMBDA_NOMINAL)
 
     def _inertia(self, lam):
         p = self.params

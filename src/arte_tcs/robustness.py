@@ -70,12 +70,15 @@ def make_tf(num, den):
 
 
 def eval_freq(tf, omega):
-    """num(jw)/den(jw); rejects evaluation on top of a pole."""
+    """num(jw)/den(jw), both first times the power of two that brings
+    den's largest |coefficient| into [0.5, 1), which is exact in floats;
+    rejects evaluation on top of a pole."""
+    e = np.frexp(np.max(np.abs(tf.den)))[1]
     s = 1j * np.asarray(omega, dtype=np.float64)
-    den = np.polyval(tf.den, s)
+    den = np.polyval(np.ldexp(tf.den, -e), s)
     if np.any(np.abs(den) < 1e-300):
         raise ConfigError("pole on the evaluation grid")
-    return np.polyval(tf.num, s) / den
+    return np.polyval(np.ldexp(tf.num, -e), s) / den
 
 
 def _on_sphere(p):

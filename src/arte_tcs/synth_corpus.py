@@ -5,8 +5,8 @@ whose poles are a resonant pair shared by every class plus a
 class-specific pair, driven by white noise, with dense impulse bursts on
 top for stone and gravel.  A shared broadband noise bed at 10 dB SNR
 keeps the classes from separating trivially.  The bed depends on the
-seed alone, not on the road, so `build_corpus` and `export_wavs` draw it
-once per seed and mix it into every road's clip of that seed.
+seed alone, not on the road; `_noise_bed` keeps the last one drawn, so
+`build_corpus` and `export_wavs` draw it once per seed.
 
 `RoadStream` is the audio a car hears over one run: the same sounds,
 switched as its road schedule switches, synthesized block by block as
@@ -88,25 +88,22 @@ def _peak(x):
     return max(x.max(), -x.min())
 
 
+@functools.lru_cache(maxsize=1)
 def _noise_bed(seed, duration_s=DEFAULT_DURATION_S):
     """The broadband bed `class_clip` mixes in at seed, peak 0.9, and its
-    mean square."""
+    mean square; the last one drawn is kept for the next road's clip."""
     n = int(round(duration_s * SAMPLE_RATE))
     noise = np.random.default_rng(1000 * seed + 999).standard_normal(n)
     noise *= 0.9 / _peak(noise)
-    noise.flags.writeable = False  # shared by every road of the seed
+    noise.flags.writeable = False  # shared by every clip of the seed
     return noise, np.mean(noise ** 2)
 
 
-def class_clip(road, seed=0, duration_s=DEFAULT_DURATION_S, *, bed=None):
+def class_clip(road, seed=0, duration_s=DEFAULT_DURATION_S):
     """One labeled clip for a road class under the shared noise bed at
-    OVERLAP_SNR_DB, deterministic in seed; peak at most 1.
-
-    `bed` is `_noise_bed(seed, duration_s)`, passed by callers that mix
-    several roads of one seed; without it the bed is drawn here.
-    """
+    OVERLAP_SNR_DB, deterministic in seed; peak at most 1."""
     clean = synth_clip(road, duration_s, seed=_clean_seed(road, seed)).samples
-    noise, noise_ms = _noise_bed(seed, duration_s) if bed is None else bed
+    noise, noise_ms = _noise_bed(seed, duration_s)
     mixed = np.square(clean)  # its buffer then takes the mix
     gain = math.sqrt(np.mean(mixed)
                      / (noise_ms * 10.0 ** (OVERLAP_SNR_DB / 10.0)))
@@ -126,9 +123,8 @@ def _clean_seed(road, seed):
 def build_corpus(seed=0):
     """Labeled 20-dim feature rows, FRAMES_PER_CLASS per road."""
     rows, labels = [], []
-    bed = _noise_bed(seed)
     for k, road in enumerate(RoadType):
-        clip = class_clip(road, seed, bed=bed)
+        clip = class_clip(road, seed)
         frames = sample_frames(clip, FRAMES_PER_CLASS,
                                seed=1000 * seed + 500 + k)
         for frame in frames:
@@ -147,10 +143,8 @@ def export_wavs(root, seed=0, clips_per_class=1):
     paths = [os.path.join(root, road.value, "%d_%d.wav" % (seed, i))
              for road in roads for i in range(clips_per_class)]
     for i in range(clips_per_class):
-        bed = _noise_bed(seed + i)
-        for k, road in enumerate(roads):
-            write_wav(paths[k * clips_per_class + i],
-                      class_clip(road, seed + i, bed=bed))
+        for road, path in zip(roads, paths[i::clips_per_class]):
+            write_wav(path, class_clip(road, seed + i))
     return paths
 
 

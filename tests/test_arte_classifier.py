@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from arte_tcs.arte_classifier import (FeatureDataset, ROAD_ORDER, SelectionMask,
-                                      arte_estimate, bootstrap_intra, classify,
+from arte_tcs.arte_classifier import (FeatureDataset, RAW_DIM, ROAD_ORDER,
+                                      SelectionMask, arte_estimate,
+                                      bootstrap_intra, classify,
                                       confusion_matrix, kl_distance, load_model,
                                       one_hot, prune_features, save_model,
                                       split_dataset, train_mlp)
@@ -55,6 +56,15 @@ def test_prune_partition_sizes():
     assert np.sum((idx >= 10) & (idx < 15)) == 2
     assert np.sum(idx >= 15) == 2
     assert np.all(np.diff(idx) > 0)
+    assert (mask.lpc_kept, mask.band_kept, mask.cep_kept) == (3, 2, 2)
+
+
+def test_mask_counts_its_families():
+    # the counts come from the indices, not from the pruned 3+2+2
+    full = SelectionMask(indices=np.arange(RAW_DIM))
+    assert (full.lpc_kept, full.band_kept, full.cep_kept) == (10, 5, 5)
+    some = SelectionMask(indices=np.array([0, 9, 10, 11, 12]))
+    assert (some.lpc_kept, some.band_kept, some.cep_kept) == (2, 3, 0)
 
 
 def test_prune_rejects_wrong_width():
@@ -129,7 +139,8 @@ def test_mlp_learns_separable_clusters():
         rows.append(c + 0.05 * rng.standard_normal((12, 20)))
         labels += [ROAD_ORDER[i]] * 12
     ds = FeatureDataset(np.vstack(rows), labels).fit_normalization()
-    model = train_mlp(ds, None, seed=1, max_epochs=500)
+    model = train_mlp(ds, SelectionMask(indices=np.arange(RAW_DIM)), seed=1,
+                      max_epochs=500)
     _, acc = confusion_matrix(model, ds)
     assert acc == 1.0
 
@@ -142,6 +153,15 @@ def test_mlp_training_is_deterministic():
         assert np.array_equal(w1, w2)
     for b1, b2 in zip(m1.biases, m2.biases):
         assert np.array_equal(b1, b2)
+
+
+def test_mlp_rejects_an_unfitted_dataset():
+    # training fits nothing itself: the caller fits the normalization
+    train, _, mask = canonical_split()
+    raw = FeatureDataset(train.features, list(train.labels))
+    with pytest.raises(ConfigError, match="normalization not fitted"):
+        train_mlp(raw, mask, seed=0, max_epochs=1)
+    assert raw.norm_mean is None and raw.norm_scale is None
 
 
 def test_default_training_stops_at_the_loss_target():

@@ -559,13 +559,16 @@ def test_unknown_subcommand_exits_two():
 
 def test_cli_import_loads_no_scipy_submodule():
     # scipy is imported where the audio path first needs it, so runs
-    # without the estimator never pay for it
+    # without the estimator never pay for it; `fractions` (the nu-gap's
+    # exact arithmetic) and the trace CSV writer are deferred alike, to
+    # keep the import short
     src = os.path.dirname(os.path.dirname(os.path.abspath(arte_tcs.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     probe = ("import sys, arte_tcs.cli; print(' '.join(m for m in sys.modules"
-             " if m.startswith(('scipy.signal', 'scipy.linalg'))))")
+             " if m.startswith(('scipy.signal', 'scipy.linalg'))"
+             " or m in ('fractions', 'arte_tcs._trace_csv')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.split() == []

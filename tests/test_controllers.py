@@ -83,7 +83,8 @@ def test_mfc_model_inertia_pins():
 def test_mfc_passes_demand_when_model_matches():
     # lambda = 0.75 makes the model inertia equal the rigid no-slip
     # inertia Jw + (M/4) r^2 seen by one wheel of this plant
-    ctrl = ModelFollowingControl(P0, lambda_nominal=0.75)
+    ctrl = ModelFollowingControl(P0)
+    ctrl.set_estimate(RoadType.ASPHALT, 0.75, 1.0)
     assert ctrl.j_model == pytest.approx(28.04, abs=1e-9)
     curve = DEFAULT_CURVES[RoadType.ASPHALT]
     v, w, ta = 0.0, 0.0, 0.0
@@ -252,7 +253,8 @@ def test_mtte_acceleration_ratio_tracks_alpha():
 def test_mfc_filtered_error_decays_with_matched_load():
     # closing the loop around the reference inertia itself leaves only
     # the motor-lag transient, which the loop must wash out
-    ctrl = ModelFollowingControl(P, lambda_nominal=0.75)
+    ctrl = ModelFollowingControl(P)
+    ctrl.set_estimate(RoadType.ASPHALT, 0.75, 1.0)
     jp = ctrl.j_model
     dt = 1e-4
     decay = math.exp(-dt / P.tau_motor)

@@ -188,7 +188,9 @@ def test_switch_launch_classifier_trace_digest(tmp_path, default_model, tag):
 # `arte-tcs train` writes with its default seeds.  Taken before the
 # training loop was rewritten to work in preallocated buffers, and
 # re-recorded when training gained heavy-ball momentum and the loss
-# target it now reaches.
+# target it now reaches.  `full_features_model.txt` is the same with
+# `--full-features`, taken before that path trained through a mask of
+# all 20 features.
 
 MODEL = os.path.join(os.path.dirname(__file__), "golden",
                      "default_model.sha256")
@@ -198,3 +200,11 @@ def test_default_model_file_digest(default_model):
     with open(default_model, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     assert digest == golden("model.txt", MODEL)
+
+
+def test_full_features_model_file_digest(tmp_path):
+    path = str(tmp_path / "model.txt")
+    assert cli.main(["train", "--full-features", "--out", path]) == 0
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == golden("full_features_model.txt", MODEL)

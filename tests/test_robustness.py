@@ -40,6 +40,14 @@ def test_eval_freq_closed_forms():
         assert eval_freq(const, w) == 3.0 + 0.0j
 
 
+def test_eval_freq_does_not_depend_on_scale():
+    # 1/(s + 1) written with subnormal coefficients: a pole test on
+    # den(jw) as written would take |den| ~ 1.4e-310 for a pole
+    tiny = make_tf([1e-310], [1e-310, 1e-310])
+    assert eval_freq(tiny, 1.0) == 0.5 - 0.5j
+    assert eval_freq(tiny, 0.0) == 1.0 + 0.0j
+
+
 def test_eval_freq_rejects_pole_on_axis():
     integrator = make_tf([1.0], [1.0, 0.0])
     with pytest.raises(ConfigError, match="pole on the evaluation grid"):

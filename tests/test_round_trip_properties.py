@@ -152,7 +152,8 @@ def test_classify_at_the_weight_limit():
     model = MlpModel(sizes=sizes, weights=[WEIGHT_LIMIT * s for s in signs],
                      biases=[np.full(n, WEIGHT_LIMIT) for n in sizes[1:]],
                      seed=0, norm_mean=np.zeros(RAW_DIM),
-                     norm_scale=np.ones(RAW_DIM)).validate()
+                     norm_scale=np.ones(RAW_DIM),
+                     mask_indices=np.arange(RAW_DIM)).validate()
     road, confidence = classify_quietly(model, np.full(RAW_DIM, 2 * Z_LIMIT))
     assert isinstance(road, RoadType)
     assert 0.0 <= confidence <= 1.0
@@ -169,6 +170,7 @@ def test_classify_with_every_output_saturated():
                      biases=[np.zeros(n) for n in sizes[1:-1]]
                      + [np.full(len(ROAD_ORDER), -1e4)],
                      seed=0, norm_mean=np.zeros(RAW_DIM),
-                     norm_scale=np.ones(RAW_DIM)).validate()
+                     norm_scale=np.ones(RAW_DIM),
+                     mask_indices=np.arange(RAW_DIM)).validate()
     assert classify_quietly(model, np.ones(RAW_DIM)) == (
         ROAD_ORDER[0], 1.0 / len(ROAD_ORDER))

@@ -75,12 +75,22 @@ def test_class_clip_noise_bed_and_peak():
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**20), duration_s=st.sampled_from((0.5, 3.5)))
 def test_class_clip_on_a_shared_bed_is_the_same_clip(seed, duration_s):
-    bed = _noise_bed(seed, duration_s)
+    class_clip(RoadType.ASPHALT, seed, duration_s)  # keeps the seed's bed
     for road in RoadType:
+        shared = class_clip(road, seed, duration_s)
+        _noise_bed.cache_clear()
         alone = class_clip(road, seed, duration_s)
-        shared = class_clip(road, seed, duration_s, bed=bed)
         assert shared.samples.tobytes() == alone.samples.tobytes()
         assert shared.label is alone.label is road
+
+
+def test_one_noise_bed_per_seed(tmp_path):
+    _noise_bed.cache_clear()
+    build_corpus(seed=3)
+    assert _noise_bed.cache_info().misses == 1
+    _noise_bed.cache_clear()
+    export_wavs(str(tmp_path), seed=3, clips_per_class=2)
+    assert _noise_bed.cache_info().misses == 2
 
 
 def test_centroids_order_the_surfaces():

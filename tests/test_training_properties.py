@@ -29,6 +29,7 @@ from arte_tcs.errors import SimulationDiverged
 from arte_tcs.synth_corpus import build_corpus
 
 LEARNING_RATE = 1.0
+FULL = SelectionMask(indices=np.arange(RAW_DIM))
 
 
 # --- the reference: the allocating loop --------------------------------
@@ -47,16 +48,11 @@ def reference_forward(model, x):
 
 
 def reference_train_mlp(ds, mask, seed=0, max_epochs=MAX_EPOCHS):
-    if ds.norm_mean is None:
-        ds.fit_normalization()
-    indices = (np.arange(ds.features.shape[1]) if mask is None
-               else np.array(mask.indices, dtype=int))
+    indices = np.array(mask.indices, dtype=int)
     xall = ds.normalized()[:, indices]
     y = one_hot(ds.labels)
-    model = _init_model(len(indices), seed)
-    model.norm_mean = ds.norm_mean[indices]
-    model.norm_scale = ds.norm_scale[indices]
-    model.mask_indices = indices
+    model = _init_model(seed, ds.norm_mean[indices], ds.norm_scale[indices],
+                        indices)
 
     n = xall.shape[0]
     last = len(model.weights) - 1
@@ -89,14 +85,15 @@ def reference_train_mlp(ds, mask, seed=0, max_epochs=MAX_EPOCHS):
 def outcome(train, features, labels, mask, seed, epochs):
     """The trained model's bytes, or the divergence message.
 
-    Each side gets its own dataset, as training fits its normalization.
+    Each side gets its own dataset, with its normalization fitted.
     numpy's warnings are silenced on both sides alike: huge features
     overflow the normalization, which both then report as a divergence.
     """
     ds = FeatureDataset(features.copy(), list(labels))
     try:
         with np.errstate(all="ignore"):
-            model = train(ds, mask, seed=seed, max_epochs=epochs)
+            model = train(ds.fit_normalization(), mask, seed=seed,
+                          max_epochs=epochs)
     except SimulationDiverged as exc:
         return "diverged: %s" % exc
     return [v.tobytes() for v in (model.norm_mean, model.norm_scale,
@@ -112,9 +109,9 @@ def assert_same_training(features, labels, mask, seed, epochs):
 
 @st.composite
 def masks(draw):
-    """None (all 20 features) or a sorted 3+2+2 selection."""
+    """All 20 features or a sorted 3+2+2 selection."""
     if draw(st.booleans()):
-        return None
+        return FULL
     kept = []
     for start, stop, k in FAMILIES:
         kept += draw(st.lists(st.integers(start, stop - 1), min_size=k,
@@ -150,18 +147,18 @@ def test_nan_feature_diverges_alike():
     features = rng.standard_normal((12, RAW_DIM))
     features[3, 7] = np.nan
     labels = [ROAD_ORDER[i % len(ROAD_ORDER)] for i in range(12)]
-    got = outcome(train_mlp, features, labels, None, 0, 10)
+    got = outcome(train_mlp, features, labels, FULL, 0, 10)
     assert got == "diverged: loss became non-finite at epoch 0"
-    assert got == outcome(reference_train_mlp, features, labels, None, 0, 10)
+    assert got == outcome(reference_train_mlp, features, labels, FULL, 0, 10)
 
 
 def test_training_stops_at_the_loss_target_alike():
     # one row is fitted below LOSS_TARGET in well under 1000 epochs
     features = np.random.default_rng(1).standard_normal((1, RAW_DIM))
     labels = [ROAD_ORDER[2]]
-    stopped = outcome(train_mlp, features, labels, None, 0, 1000)
-    assert stopped == outcome(train_mlp, features, labels, None, 0, 2000)
-    assert_same_training(features, labels, None, 0, 1000)
+    stopped = outcome(train_mlp, features, labels, FULL, 0, 1000)
+    assert stopped == outcome(train_mlp, features, labels, FULL, 0, 2000)
+    assert_same_training(features, labels, FULL, 0, 1000)
 
 
 def test_default_model_equals_the_textbook_loop():
@@ -178,7 +175,7 @@ def test_default_model_equals_the_textbook_loop():
 def test_forward_equals_the_textbook_forward(rows, n_in, seed, scale):
     # classify runs _forward on one row, training on the whole batch;
     # the scale drives the logistic into saturation
-    model = _init_model(n_in, seed)
+    model = _init_model(seed, np.zeros(n_in), np.ones(n_in), np.arange(n_in))
     rng = np.random.default_rng(seed)
     for w, b in zip(model.weights, model.biases):
         w *= scale
@@ -193,12 +190,12 @@ def test_forward_equals_the_textbook_forward(rows, n_in, seed, scale):
 def test_training_warns_on_exp_overflow(monkeypatch):
     # runaway output weights overflow exp in the logistic; training lets
     # numpy warn of it, where classify silences it
-    def runaway(n_in, seed):
-        model = _init_model(n_in, seed)
+    def runaway(*args):
+        model = _init_model(*args)
         model.biases[-1][:] = -1e3
         return model
 
     monkeypatch.setattr(arte_classifier, "_init_model", runaway)
     train, _ = split_dataset(build_corpus(seed=1), seed=4)
     with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
-        train_mlp(train, None, seed=0, max_epochs=1)
+        train_mlp(train, FULL, seed=0, max_epochs=1)
