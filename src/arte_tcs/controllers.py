@@ -4,19 +4,23 @@ Three anti-slip structures and an open-loop baseline that share three
 calls,
 
     set_estimate(road, lambda_opt, mu_peak)
-    law(dt, t_demand) -> law(v, w, t_applied) -> commanded torque
+    law(dt, t_demand) -> (kind, constants)
     update(v, w, t_applied, t_demand, dt) -> commanded torque
 
 so the simulation loop can swap them freely.  `set_estimate` hands over
 the road estimator's belief: the recognized road and the peak
-(lambda_opt, mu_peak) of its friction curve.  `law` binds the step size,
-the demand, the installed estimate and the constants derived from them
-(filter and observer coefficients, the demand clamp) once, and returns
-the per-step law that the plant kernel calls; it stays valid until the
-next `set_estimate`.  The controller's state (MFC's model speed and
-filter state, SRC's integrator, MTTE's `fd_hat` and previous wheel
-speed) stays on the object.  `update` is one step: `law(dt, t_demand)`
-applied once.  Each controller takes what it uses of the estimate:
+(lambda_opt, mu_peak) of its friction curve.  `law` computes, once per
+step size, demand and installed estimate, the constants of the per-step
+law (filter and observer coefficients, the demand clamp) and returns
+them with the law's kind; the per-step law itself is C, in the plant's
+kernel (`vehicle_plant`, `_kernel.c`), which runs it at every step of a
+span.  The controller's state (MFC's model speed and filter state, SRC's
+integrator, MTTE's `fd_hat` and previous wheel speed) stays on the
+object, readable by name; its `state` property hands it out as a list
+of floats, which the kernel reads and writes back at each span, and
+takes such a list back.  `update` is one step:
+`law(dt, t_demand)` applied once through `vehicle_plant.law_step`.  Each
+controller takes what it uses of the estimate:
 
 ModelFollowingControl
     Integrates a nominal wheel-speed model driven by the demand and
@@ -57,7 +61,8 @@ import math
 
 from .errors import ConfigError
 from .tire_road import DEFAULT_CURVES, RoadType
-from .vehicle_plant import VehicleParams, slip_ratio
+from .vehicle_plant import (LAW_CONSTANT, LAW_MFC, LAW_MTTE, LAW_SRC,
+                            VehicleParams, law_step)
 
 # the controller tags a scenario can name
 CONTROLLERS = ("mfc", "src", "mtte", "open")
@@ -84,12 +89,26 @@ MTTE_ROAD_ALPHA = {
 
 
 class Controller:
-    """The shared single-step call: each subclass defines `law`."""
+    """The shared single-step call: each subclass defines `law` and the
+    `state` its law carries from step to step."""
+
+    @property
+    def state(self):
+        """The law's state, as the list of floats the kernel reads and
+        writes back; none unless a subclass keeps one."""
+        return []
+
+    @state.setter
+    def state(self, values):
+        pass
 
     def update(self, v, w, t_applied, t_demand, dt):
         """Commanded torque for one step: the law for (dt, t_demand),
         applied once."""
-        return self.law(dt, t_demand)(v, w, t_applied)
+        state = self.state
+        t_cmd = law_step(self.law(dt, t_demand), state, v, w, t_applied)
+        self.state = state
+        return t_cmd
 
 
 class ModelFollowingControl(Controller):
@@ -120,21 +139,19 @@ class ModelFollowingControl(Controller):
         lim = self.params.torque_limit
         t_dem = min(max(t_demand, 0.0), lim)
         dw_model = dt * t_dem / self.j_model
-        gain = self.gain
         # first-order high-pass of the speed error, bilinear discretization
         a = 2.0 * self.params.tau_hp / dt
         b0 = a / (a + 1.0)
         a1 = (1.0 - a) / (a + 1.0)
+        return LAW_MFC, (t_dem, dw_model, self.gain, b0, a1, lim)
 
-        def law(v, w, t_applied):
-            self.w_model = w_model = self.w_model + dw_model
-            x = w - w_model
-            y = b0 * x + self.hp_state
-            self.hp_state = -b0 * x - a1 * y
-            t_cmd = t_dem - gain * y
-            # a nan command (from an overflowed filter state) maps to 0
-            return min(t_cmd, lim) if t_cmd >= 0.0 else 0.0
-        return law
+    @property
+    def state(self):
+        return [self.w_model, self.hp_state]
+
+    @state.setter
+    def state(self, values):
+        self.w_model, self.hp_state = values
 
 
 class SlipRatioControl(Controller):
@@ -158,22 +175,17 @@ class SlipRatioControl(Controller):
 
     def law(self, dt, t_demand):
         p = self.params
-        r, lambda_ref, base = p.r, self.lambda_ref, self.base
         hi = min(max(t_demand, 0.0), p.torque_limit, SRC_SATURATION)
-        kp, ki = SRC_KP, SRC_KI
+        return LAW_SRC, (p.r, self.lambda_ref, self.base, hi, SRC_KP, SRC_KI,
+                         dt)
 
-        def law(v, w, t_applied):
-            err = lambda_ref - slip_ratio(v, w, r)
-            u = base + kp * err + self.integ
-            # integrate unless saturated with the error pushing further out
-            if not ((u > hi and err > 0.0) or (u < 0.0 and err < 0.0)):
-                self.integ += ki * err * dt
-            if u > hi:
-                return hi
-            if u < 0.0:
-                return 0.0
-            return u
-        return law
+    @property
+    def state(self):
+        return [self.integ]
+
+    @state.setter
+    def state(self, values):
+        self.integ, = values
 
 
 class MaxTransmissibleTorque(Controller):
@@ -221,25 +233,21 @@ class MaxTransmissibleTorque(Controller):
         t_grip = (math.inf if self.fd_peak is None
                   else self.alpha * r * self.fd_peak)
         t_dem = min(max(t_demand, 0.0), p.torque_limit)
-        floor = MTTE_TORQUE_FLOOR
+        return LAW_MTTE, (dt, jw, r, lag_gain, scale, t_grip, t_dem,
+                          MTTE_TORQUE_FLOOR)
 
-        def law(v, w, t_applied):
-            w_prev = self._w_prev
-            dw = 0.0 if w_prev is None else (w - w_prev) / dt
-            self._w_prev = w
-            fd_raw = (t_applied - jw * dw) / r
-            fd_hat = self.fd_hat
-            self.fd_hat = fd_hat = fd_hat + lag_gain * (fd_raw - fd_hat)
+    @property
+    def state(self):
+        # the C law's has-previous flag stands for `_w_prev is not None`
+        w_prev = self._w_prev
+        if w_prev is None:
+            return [0.0, 0.0, self.fd_hat]
+        return [1.0, w_prev, self.fd_hat]
 
-            t_max = scale * fd_hat
-            if t_grip < t_max:
-                t_max = t_grip
-            # not `t_max < floor`, so that a nan ceiling (from an
-            # overflowed observer) falls to the floor
-            if not t_max >= floor:
-                t_max = floor
-            return t_dem if t_dem < t_max else t_max
-        return law
+    @state.setter
+    def state(self, values):
+        has_prev, w_prev, self.fd_hat = values
+        self._w_prev = w_prev if has_prev else None
 
 
 class OpenLoop(Controller):
@@ -252,5 +260,5 @@ class OpenLoop(Controller):
         """No slip control, so no use for a road estimate."""
 
     def law(self, dt, t_demand):
-        t_cmd = min(max(t_demand, 0.0), self.params.torque_limit)
-        return lambda v, w, t_applied: t_cmd
+        return LAW_CONSTANT, (min(max(t_demand, 0.0),
+                                  self.params.torque_limit),)

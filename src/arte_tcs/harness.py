@@ -9,10 +9,12 @@ estimator tick, so misclassification propagates into the torque path.
 on the config alone: the first step of each road segment, and the belief
 (road, lambda_opt, mu_peak) formed at each estimator tick -- the oracle's
 from the true road's curve, the classifier's from `arte_estimate`.  The
-run is cut into spans at those steps; each span is one call of the plant
-kernel (`make_plant_run`, built per segment) against the controller's law
-(rebound after `set_estimate` at each tick).  The kernel records V, w,
-T_cmd, T_applied and mu (at the start state, from its first RK4 stage).
+run is cut into spans at those steps; each span is one call of the C
+plant kernel (`make_plant_run`, per segment) against the controller's law
+(its constants recomputed after `set_estimate` at each tick, its state
+carried from span to span).  The kernel writes V, w, T_cmd, T_applied and
+mu (at the start state, from its first RK4 stage) straight into the five
+numpy columns, whose addresses it is given.
 The other columns are derived with the IEEE operations of their per-step
 definitions: t = k*dt, Vw = w*r and lambda as `slip_ratio`; the road
 columns, int8 indices into `ROADS` with -1 for "no estimate", are held
@@ -260,18 +262,17 @@ def run_scenario(cfg):
 
     columns = [np.empty(n_steps) for _ in range(5)]
     v_arr, w_arr, cmd_arr, app_arr, mu_arr = columns
-    # the kernel writes one element at a time, which costs less than half
-    # as much through a memoryview as through numpy's indexing
-    views = [memoryview(col) for col in columns]
+    pointers = [col.ctypes.data for col in columns]
     v, w, t_applied = cfg.v0, cfg.v0 / p.r, 0.0
-    law = ctrl.law(dt, cfg.torque_demand)
+    law, state = ctrl.law(dt, cfg.torque_demand), ctrl.state
     for lo, hi in zip(bounds, bounds[1:]):
         if lo in roads:
             run = make_plant_run(DEFAULT_CURVES[ROADS[roads[lo]]], p, dt)
         if lo in beliefs:
             ctrl.set_estimate(*beliefs[lo])
             law = ctrl.law(dt, cfg.torque_demand)
-        v, w, t_applied = run(law, v, w, t_applied, lo, hi, *views)
+        v, w, t_applied = run(law, state, v, w, t_applied, lo, hi, pointers)
+    ctrl.state = state
 
     # derived columns, each with the operations of its per-step definition
     vw_arr = w_arr * p.r

@@ -19,22 +19,31 @@ mechanical pair (V, w) by classic RK4 with the lagged torque evaluated
 at the stage times.  States are clamped non-negative (forward driving
 only).
 
-`make_plant_run(curve, params, dt)` builds the one kernel, once per road
+`make_plant_run(curve, params, dt)` returns the one kernel for a road
 segment: the curve's B/C/D/E, the normal load, the resistance
-coefficients, the torque limit and the lag decay are bound once.  The
-kernel owns the step loop: one call runs a span of steps against a
-controller law `law(v, w, t_applied) -> t_cmd`, writes the state, the
-command and mu at the start state (which its first RK4 stage computes
-anyway) to the trace columns, and names the step at which a run
-diverges.  The right-hand side is written out in the loop once per RK4
-stage, inlining `slip_ratio`, `mu_scalar`, `drive_force` and
-`driving_resistance` with the same IEEE operations in the same order, so
-its results are bit-identical to theirs and a step calls no Python
-function but the law.  `plant_step` is a one-step call of the kernel at
-a constant command.
+coefficients, the torque limit and the lag decay are bound once (and
+kept per curve, vehicle and step size).  The kernel is C, `_kernel.c`,
+and owns the step loop: one call runs a span of steps against a
+controller law, given as its kind (constant command, MFC, SRC or MTTE),
+its constants and its state, and writes the state, the command and mu
+at the start state (which its first RK4 stage computes anyway) to the
+trace columns, and names the step at which a run diverges.  The
+right-hand side inlines `slip_ratio`, `mu_scalar`, `drive_force` and
+`driving_resistance` with the same IEEE operations in the same order
+(the same libm atan and sin, no fused multiply-add), so its results are
+bit-identical to theirs.  `law_step` runs a law alone for one step, and
+`plant_step` is a one-step call of the kernel at a constant command.
+
+The kernel is built with gcc (`KERNEL_CFLAGS`) on the first call that
+needs it, never at import, into `__pycache__/_kernel-<digest>.so` beside
+this file, the digest of its source, the flags and the machine; when
+that directory cannot be written, into a temporary directory for the
+process.  It is loaded through ctypes.  Without gcc, or if the build
+fails, the call raises OSError naming gcc (exit 4 at the CLI).
 """
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, SimulationDiverged
@@ -97,152 +106,183 @@ def _diverged(what, k, dt):
     return SimulationDiverged("%s at t = %.9g s (step %d)" % (what, k * dt, k))
 
 
+# the law kinds of the C kernel: a constant command and the three laws
+LAW_CONSTANT, LAW_MFC, LAW_SRC, LAW_MTTE = range(4)
+_DIVERGED = ("non-finite state or command entering step",
+             "state became non-finite during step")
+_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "_kernel.c")
+KERNEL_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# where built kernels are kept, one file per digest of source, flags and
+# machine; a temporary directory stands in if this one cannot be written
+_KERNEL_DIR = os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__")
+_kernel = None  # the loaded kernel, once the first call has built it
+_plants = {}  # (id(curve), id(params), dt) -> (curve, params, constants)
+
+
+class _Kernel:
+    """The loaded library, its two entries typed, and the ctypes types
+    their arguments are built from."""
+
+    def __init__(self, path):
+        import ctypes
+
+        lib = ctypes.CDLL(path)
+        doubles = ctypes.POINTER(ctypes.c_double)
+        self.run_span = lib.arte_run_span
+        self.run_span.argtypes = ((doubles, ctypes.c_int, doubles, doubles,
+                                   doubles, ctypes.c_longlong,
+                                   ctypes.c_longlong)
+                                  + (ctypes.c_void_p,) * 5)
+        self.run_span.restype = ctypes.c_longlong
+        self.law_step = lib.arte_law_step
+        self.law_step.argtypes = (ctypes.c_int, doubles, doubles,
+                                  ctypes.c_double, ctypes.c_double,
+                                  ctypes.c_double)
+        self.law_step.restype = ctypes.c_double
+        self.double = ctypes.c_double
+        # plant_step's one-step records, written and never read
+        self._sink = ctypes.c_double()
+        self.sink = ctypes.addressof(self._sink)
+
+
+def _build_kernel(source, path):
+    """Compile `source` to `path` with gcc, through a temporary file in
+    the same directory that replaces `path` whole, so that two processes
+    building at once each load a complete library."""
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                               prefix=".kernel-", suffix=".tmp")
+    os.close(fd)
+    try:
+        try:
+            out = subprocess.run(
+                ["gcc", *KERNEL_CFLAGS, "-o", tmp, source, "-lm"],
+                capture_output=True, text=True)
+        except FileNotFoundError:
+            raise OSError("cannot build the plant kernel: gcc is not on "
+                          "PATH") from None
+        if out.returncode != 0:
+            first = (out.stderr.strip().splitlines() or ["no message"])[0]
+            raise OSError("gcc failed to build the plant kernel %s: %s"
+                          % (source, first))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load_kernel():
+    """The kernel library, built on the first call of the process (into
+    `_KERNEL_DIR`, unless a build for this source is there) and loaded.
+    OSError naming gcc if it cannot be built."""
+    global _kernel
+    if _kernel is not None:
+        return _kernel
+    import hashlib
+    import platform
+
+    with open(_KERNEL_SOURCE, "rb") as fh:
+        key = hashlib.sha256(fh.read())
+    key.update(" ".join(KERNEL_CFLAGS).encode() + b"\0"
+               + platform.machine().encode())
+    name = "_kernel-%s.so" % key.hexdigest()
+    path = os.path.join(_KERNEL_DIR, name)
+    if not os.path.exists(path):
+        directory = _KERNEL_DIR
+        try:
+            os.makedirs(directory, exist_ok=True)
+            writable = os.access(directory, os.W_OK | os.X_OK)
+        except OSError:
+            writable = False
+        if not writable:
+            import atexit
+            import shutil
+            import tempfile
+
+            directory = tempfile.mkdtemp(prefix="arte_tcs-kernel-")
+            atexit.register(shutil.rmtree, directory, True)
+        path = os.path.join(directory, name)
+        _build_kernel(_KERNEL_SOURCE, path)
+    _kernel = _Kernel(path)
+    return _kernel
+
+
 def make_plant_run(curve, params, dt):
-    """Step loop for one road curve, vehicle and step size.
+    """The C span kernel for one road curve, vehicle and step size.
 
-    Returns run(law, v, w, t_applied, lo, hi, v_col, w_col, cmd_col,
-    app_col, mu_col) -> (v, w, t_applied).  Step k of lo..hi-1 asks
-    law(v, w, t_applied) for the command, writes the state and the
-    command to column k and the friction coefficient at the start state
-    to mu_col[k], and the state after step hi-1 is returned.  A
-    non-finite state or command raises SimulationDiverged naming the step.
+    Returns run(law, state, v, w, t_applied, lo, hi, columns) -> (v, w,
+    t_applied).  `law` is (kind, constants) as a controller's
+    `law(dt, t_demand)` returns it, and `state` the list of the law's
+    state, which run reads and writes back in place.  `columns` holds the
+    addresses of five float64 arrays of at least hi values: V, w, T_cmd,
+    T_applied and mu.  Step k of lo..hi-1 asks the law for the command,
+    writes the state and the command to column k and the friction
+    coefficient at the start state to the mu column, and the state after
+    step hi-1 is returned.  A non-finite state or command raises
+    SimulationDiverged naming the step.
 
-    The right-hand side is written out once per RK4 stage, not called
-    as a helper: four Python calls a step cost about a sixth of the
-    snow-launch benchmark's time.  So a step calls only the law and the
-    `math` builtins.  Each stage computes slip (with the 0.1 floor), the
-    +-1 clamp, the Magic Formula, the load, the resistance (only while
-    moving) and the two accelerations, with the operations of
-    `slip_ratio`, `mu_scalar`, `drive_force` and `driving_resistance` in
-    their order; a change to one stage belongs in all four.
+    The kernel, `_kernel.c`, is built with gcc on the first call in a
+    process (OSError if it cannot be).  Its right-hand side does the
+    operations of `slip_ratio` (with the +-1 clamp), `mu_scalar`,
+    `drive_force` and `driving_resistance` (only while moving) in their
+    order, so it is bit-identical to them.  The plant constants are kept
+    per (curve, params) object and dt, for the next call.
     """
     if not 0.0 < dt <= 5e-3:
         raise ConfigError("plant step size must lie in (0, 5e-3] s")
-    b, c, d, e = curve.b, curve.c, curve.d, curve.e
-    r, m, jw = params.r, params.m_vehicle, params.jw
-    load = params.normal_load()
-    roll = params.mu_roll * params.m_vehicle * params.g
-    aero = 0.5 * params.rho_air * params.cda
-    lim = params.torque_limit
-    # exact first-order lag at the half and full step
-    decay = math.exp(-0.5 * dt / params.tau_motor)
-    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-    atan, sin, isfinite = math.atan, math.sin, math.isfinite
+    kernel = _kernel or _load_kernel()
+    double = kernel.double
+    key = (id(curve), id(params), dt)
+    entry = _plants.get(key)
+    if entry is None:
+        values = (curve.b, curve.c, curve.d, curve.e, params.r,
+                  params.m_vehicle, params.jw, params.normal_load(),
+                  params.mu_roll * params.m_vehicle * params.g,
+                  0.5 * params.rho_air * params.cda, params.torque_limit,
+                  # exact first-order lag at the half and full step
+                  math.exp(-0.5 * dt / params.tau_motor),
+                  0.5 * dt, dt / 6.0, dt)
+        if len(_plants) >= 64:
+            _plants.clear()
+        # the entry holds curve and params, so their ids stay theirs
+        entry = _plants[key] = (curve, params,
+                                (double * len(values))(*values))
+    plant = entry[2]
+    run_span = kernel.run_span
 
-    def run(law, v, w, t_applied, lo, hi, v_col, w_col, cmd_col, app_col,
-            mu_col):
-        # each step below leaves a finite state or raises, so only the
-        # entering state needs a check of its own
-        if not (isfinite(v) and isfinite(w) and isfinite(t_applied)):
-            raise _diverged("non-finite state or command entering step",
-                            lo, dt)
-        for k in range(lo, hi):
-            t_cmd = law(v, w, t_applied)
-            v_col[k] = v
-            w_col[k] = w
-            cmd_col[k] = t_cmd
-            app_col[k] = t_applied
-            if not isfinite(t_cmd):
-                raise _diverged("non-finite state or command entering step",
-                                k, dt)
-            if t_cmd > lim:
-                t_cmd = lim
-            elif t_cmd < -lim:
-                t_cmd = -lim
-            lag = (t_applied - t_cmd) * decay
-            t_half = t_cmd + lag
-            t_full = t_cmd + lag * decay
-
-            # stage 1, at the start state (v, w) and t_applied
-            vw = r * w
-            denom = vw if vw > v else v
-            if denom < 0.1:
-                denom = 0.1
-            lam = (vw - v) / denom
-            if lam > 1.0:
-                lam = 1.0
-            elif lam < -1.0:
-                lam = -1.0
-            bl = b * lam
-            mu = d * sin(c * atan(bl - e * (bl - atan(bl))))
-            mu_col[k] = mu
-            fd = mu * load
-            fdr = roll + aero * v * v if v > 0.0 else 0.0
-            k1v = (4.0 * fd - fdr) / m
-            k1w = (t_applied - r * fd) / jw
-
-            # stage 2, at (sv, sw) half a step along stage 1, and t_half
-            sv = v + half_dt * k1v
-            sw = w + half_dt * k1w
-            vw = r * sw
-            denom = vw if vw > sv else sv
-            if denom < 0.1:
-                denom = 0.1
-            lam = (vw - sv) / denom
-            if lam > 1.0:
-                lam = 1.0
-            elif lam < -1.0:
-                lam = -1.0
-            bl = b * lam
-            fd = d * sin(c * atan(bl - e * (bl - atan(bl)))) * load
-            fdr = roll + aero * sv * sv if sv > 0.0 else 0.0
-            k2v = (4.0 * fd - fdr) / m
-            k2w = (t_half - r * fd) / jw
-
-            # stage 3, at (sv, sw) half a step along stage 2, and t_half
-            sv = v + half_dt * k2v
-            sw = w + half_dt * k2w
-            vw = r * sw
-            denom = vw if vw > sv else sv
-            if denom < 0.1:
-                denom = 0.1
-            lam = (vw - sv) / denom
-            if lam > 1.0:
-                lam = 1.0
-            elif lam < -1.0:
-                lam = -1.0
-            bl = b * lam
-            fd = d * sin(c * atan(bl - e * (bl - atan(bl)))) * load
-            fdr = roll + aero * sv * sv if sv > 0.0 else 0.0
-            k3v = (4.0 * fd - fdr) / m
-            k3w = (t_half - r * fd) / jw
-
-            # stage 4, at (sv, sw) a full step along stage 3, and t_full
-            sv = v + dt * k3v
-            sw = w + dt * k3w
-            vw = r * sw
-            denom = vw if vw > sv else sv
-            if denom < 0.1:
-                denom = 0.1
-            lam = (vw - sv) / denom
-            if lam > 1.0:
-                lam = 1.0
-            elif lam < -1.0:
-                lam = -1.0
-            bl = b * lam
-            fd = d * sin(c * atan(bl - e * (bl - atan(bl)))) * load
-            fdr = roll + aero * sv * sv if sv > 0.0 else 0.0
-            k4v = (4.0 * fd - fdr) / m
-            k4w = (t_full - r * fd) / jw
-
-            v += sixth_dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            w += sixth_dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-
-            if not (isfinite(v) and isfinite(w)):
-                raise _diverged("state became non-finite during step", k, dt)
-            if v < 0.0:
-                v = 0.0
-            if w < 0.0:
-                w = 0.0
-            t_applied = t_full
-        return v, w, t_applied
-
+    def run(law, state, v, w, t_applied, lo, hi, columns):
+        kind, constants = law
+        held = (double * len(state))(*state)
+        x = (double * 3)(v, w, t_applied)
+        k = run_span(plant, kind, (double * len(constants))(*constants),
+                     held, x, lo, hi, *columns)
+        state[:] = held
+        if k >= 0:
+            raise _diverged(_DIVERGED[k & 1], k >> 1, dt)
+        return x[0], x[1], x[2]
     return run
 
 
+def law_step(law, state, v, w, t_applied):
+    """One step of a controller law (kind, constants): the command at
+    (v, w, t_applied); `state` is read and written back in place."""
+    kernel = _kernel or _load_kernel()
+    kind, constants = law
+    double = kernel.double
+    held = (double * len(state))(*state)
+    t_cmd = kernel.law_step(kind, (double * len(constants))(*constants),
+                            held, v, w, t_applied)
+    state[:] = held
+    return t_cmd
+
+
 def plant_step(v, w, t_applied, t_cmd, dt, curve, params):
-    """Advance one step; returns (v, w, t_applied) at t + dt."""
-    column = [0.0]  # the one-step records are not kept
-    return make_plant_run(curve, params, dt)(
-        lambda v, w, t_applied: t_cmd, v, w, t_applied, 0, 1,
-        column, column, column, column, column)
+    """Advance one step at the command t_cmd, as given (the kernel
+    clamps it and checks it is finite); returns (v, w, t_applied) at
+    t + dt."""
+    run = make_plant_run(curve, params, dt)
+    return run((LAW_CONSTANT, (t_cmd,)), [], v, w, t_applied, 0, 1,
+               (_kernel.sink,) * 5)

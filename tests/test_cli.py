@@ -16,6 +16,7 @@ import arte_tcs
 import arte_tcs.cli as cli
 import arte_tcs.errors as errors
 import arte_tcs.harness as harness
+import arte_tcs.vehicle_plant as vehicle_plant
 from arte_tcs.tire_road import DEFAULT_CURVES, RoadType, peak_friction
 
 
@@ -560,15 +561,67 @@ def test_unknown_subcommand_exits_two():
 def test_cli_import_loads_no_scipy_submodule():
     # scipy is imported where the audio path first needs it, so runs
     # without the estimator never pay for it; `fractions` (the nu-gap's
-    # exact arithmetic) and the trace CSV writer are deferred alike, to
-    # keep the import short
+    # exact arithmetic), the trace CSV writer and the C plant kernel are
+    # deferred alike, to keep the import short.  numpy itself imports
+    # ctypes, so the kernel is checked as the library it loads: its handle
+    # stays unset and no _kernel-*.so is mapped into the process
     src = os.path.dirname(os.path.dirname(os.path.abspath(arte_tcs.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     probe = ("import sys, arte_tcs.cli; print(' '.join(m for m in sys.modules"
              " if m.startswith(('scipy.signal', 'scipy.linalg'))"
-             " or m in ('fractions', 'arte_tcs._trace_csv')))")
+             " or m in ('fractions', 'arte_tcs._trace_csv')))\n"
+             "import arte_tcs.vehicle_plant as vp\n"
+             "print(vp._kernel is not None or '_kernel-' in "
+             "open('/proc/self/maps').read())")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == []
+    assert out.stdout.split() == ["False"]
+
+
+def test_simulate_without_gcc_exits_four(tmp_path, capsys, monkeypatch):
+    # an empty kernel cache and no gcc on PATH: one line naming gcc, no
+    # traceback and no trace file
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(cache))
+    monkeypatch.setattr(vehicle_plant, "_kernel", None)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    out = tmp_path / "trace.csv"
+    argv = ["simulate", "--config",
+            scen_file(tmp_path, "[scenario]\nduration_s = 0.01\n"),
+            "--out", str(out)]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert "gcc" in err
+    assert not out.exists()
+    assert os.listdir(cache) == []
+
+
+def test_two_processes_build_one_kernel(tmp_path):
+    # two interpreters build into one empty cache at once: each loads a
+    # whole library and takes the same step, and one library is left
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arte_tcs.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "import arte_tcs.vehicle_plant as vp\n"
+            "from arte_tcs.tire_road import DEFAULT_CURVES, RoadType\n"
+            "vp._KERNEL_DIR = sys.argv[1]\n"
+            "print(vp.plant_step(1.0, 4.0, 0.0, 100.0, 1e-4,"
+            " DEFAULT_CURVES[RoadType.SNOW], vp.VehicleParams()))")
+    cache = tmp_path / "cache"
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(cache)],
+                              env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+             for _ in range(2)]
+    outs = [proc.communicate(timeout=300) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outs
+    assert [stdout for stdout, _ in outs] == [
+        "(1.0002551561714126, 3.9559334964928254, 0.19980013326669166)\n"
+    ] * 2
+    left = os.listdir(cache)
+    assert len(left) == 1 and left[0].startswith("_kernel-")
+    assert left[0].endswith(".so")

@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arte_tcs.cli as cli
+import arte_tcs.controllers as controllers
+import arte_tcs.harness as harness
 import arte_tcs.vehicle_plant as vehicle_plant
 from arte_tcs.arte_classifier import prune_features, split_dataset, train_mlp, save_model
-from arte_tcs.controllers import CONTROLLERS, MaxTransmissibleTorque
+from arte_tcs.controllers import CONTROLLERS
 from arte_tcs.errors import ConfigError, SimulationDiverged
 from arte_tcs.harness import (ARTE_MODES, MAX_STEPS, NO_ESTIMATE,
                               ROAD_INDEX, ROADS, ScenarioConfig, SimTrace,
@@ -21,7 +23,7 @@ from arte_tcs.harness import (ARTE_MODES, MAX_STEPS, NO_ESTIMATE,
 from arte_tcs.synth_corpus import build_corpus
 from arte_tcs.tire_road import (DEFAULT_CURVES, MuLambdaCurve, RoadType,
                                 peak_friction)
-from arte_tcs.vehicle_plant import VehicleParams
+from arte_tcs.vehicle_plant import LAW_CONSTANT, VehicleParams
 
 _cache = {}
 
@@ -132,21 +134,22 @@ def test_wrong_road_estimates_never_crash_controllers():
 
 
 def nan_command_at(monkeypatch, step):
-    """Make MTTE's law command nan at the given step of the next run."""
-    real = MaxTransmissibleTorque.law
-    calls = []  # steps run so far, over every law built for the run
+    """Make the command nan at the given step of the next run: the span
+    that holds the step runs its law up to it, then a nan command."""
+    real = harness.make_plant_run
 
-    def law(self, dt, t_demand):
-        inner = real(self, dt, t_demand)
+    def make_plant_run(*args):
+        run = real(*args)
 
-        def law_with_nan(v, w, t_applied):
-            calls.append(None)
-            if len(calls) == step + 1:
-                return math.nan
-            return inner(v, w, t_applied)
-        return law_with_nan
+        def run_with_nan(law, state, v, w, t_applied, lo, hi, columns):
+            if lo <= step < hi:
+                v, w, t_applied = run(law, state, v, w, t_applied, lo, step,
+                                      columns)
+                law, state, lo = (LAW_CONSTANT, (math.nan,)), [], step
+            return run(law, state, v, w, t_applied, lo, hi, columns)
+        return run_with_nan
 
-    monkeypatch.setattr(MaxTransmissibleTorque, "law", law)
+    monkeypatch.setattr(harness, "make_plant_run", make_plant_run)
 
 
 def test_divergence_names_time_and_step(monkeypatch):
@@ -183,17 +186,24 @@ def test_divergence_inside_a_span_names_its_step(monkeypatch, tmp_path,
 
 def test_plant_python_calls_scale_with_spans_not_steps():
     # a structural guard on the plant kernel's speed: within a span, a
-    # step calls no Python function of the plant module (the controller
-    # law lives elsewhere), so the plant's call count follows the spans
+    # step calls no Python function of the plant module, nor of the
+    # controllers (their per-step laws are C too), so both call counts
+    # follow the spans
     cfg = ScenarioConfig(duration_s=0.25, controller="mtte",
                          arte_mode="oracle")
     calls = []
+    law_calls = []
 
     def profile(frame, event, arg):
-        if (event == "call"
-                and frame.f_code.co_filename == vehicle_plant.__file__):
+        if event != "call":
+            return
+        if frame.f_code.co_filename == vehicle_plant.__file__:
             calls.append(frame.f_code.co_name)
+        elif frame.f_code.co_filename == controllers.__file__:
+            law_calls.append(frame.f_code.co_name)
 
+    # the kernel is built and loaded once per process, not per run
+    vehicle_plant._load_kernel()
     sys.setprofile(profile)
     try:
         tr = run_scenario(cfg)
@@ -204,8 +214,12 @@ def test_plant_python_calls_scale_with_spans_not_steps():
     assert len(tr.t) == 2500
     assert calls.count("run") == spans
     # the rest are per run, segment or tick: the vehicle's validate, the
-    # kernel build and its normal_load, and one normal_load per estimate
+    # kernel's plant constants and their normal_load, and one normal_load
+    # per estimate
     assert len(calls) <= 3 * spans
+    # the controller's construction, its state out and back, and per tick
+    # one set_estimate and one law (one more law before the first span)
+    assert len(law_calls) <= 4 * spans
 
 
 def test_trace_csv_layout(tmp_path):

@@ -29,9 +29,9 @@ from arte_tcs.harness import (MAX_STEPS, ROAD_INDEX, ScenarioConfig,
                               _build_controller, _plan, run_scenario)
 from arte_tcs.tire_road import (DEFAULT_CURVES, MuLambdaCurve, RoadType,
                                 peak_friction)
-from arte_tcs.vehicle_plant import (VehicleParams, drive_force,
-                                    driving_resistance, make_plant_run,
-                                    plant_step, slip_ratio)
+from arte_tcs.vehicle_plant import (LAW_CONSTANT, VehicleParams,
+                                    drive_force, driving_resistance,
+                                    make_plant_run, plant_step, slip_ratio)
 
 PARAMS = VehicleParams()
 LIMIT = PARAMS.torque_limit
@@ -100,10 +100,10 @@ def bits(values):
 def kernel_step(run, v, w, t_applied, t_cmd):
     """One step of a kernel run at a constant command: the state after it,
     then the five recorded columns (V, w, T_cmd, T_applied, mu)."""
-    columns = [[None] for _ in range(5)]
-    state = run(lambda v, w, t_applied: t_cmd, v, w, t_applied, 0, 1,
-                *columns)
-    return state, [col[0] for col in columns]
+    columns = [np.full(1, np.nan) for _ in range(5)]
+    state = run((LAW_CONSTANT, (t_cmd,)), [], v, w, t_applied, 0, 1,
+                [col.ctypes.data for col in columns])
+    return state, [float(col[0]) for col in columns]
 
 
 def stage_example(v, w, t_applied, t_cmd, dt, road):

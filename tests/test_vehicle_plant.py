@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
 
 import numpy as np
 import pytest
 
+import arte_tcs.vehicle_plant as vehicle_plant
 from arte_tcs.errors import ConfigError, SimulationDiverged
 from arte_tcs.tire_road import DEFAULT_CURVES, MuLambdaCurve, RoadType
 from arte_tcs.vehicle_plant import (
@@ -176,3 +179,42 @@ def test_launch_from_rest_speeds_increase():
     assert all(b > a for a, b in zip(vs[1:], vs[2:]))
     assert all(b > a for a, b in zip(ws, ws[1:]))
     assert v > 0.1 and w * P.r > v
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # the run-time build does not use -Werror, so that a new compiler's
+    # warning cannot stop a run; this keeps the source clean instead
+    out = subprocess.run(
+        ["gcc", "-Wall", "-Wextra", "-Werror", *vehicle_plant.KERNEL_CFLAGS,
+         "-o", str(tmp_path / "kernel.so"), vehicle_plant._KERNEL_SOURCE,
+         "-lm"], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
+def test_kernel_builds_elsewhere_when_its_cache_cannot_be_made(tmp_path,
+                                                               monkeypatch):
+    # a file where the cache directory should be: the build goes to a
+    # temporary directory, and the step is the one the Python kernel took
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR",
+                        str(tmp_path / "file" / "cache"))
+    monkeypatch.setattr(vehicle_plant, "_kernel", None)
+    curve = DEFAULT_CURVES[RoadType.SNOW]
+    assert plant_step(1.0, 4.0, 0.0, 100.0, 1e-4, curve, P) == (
+        1.0002551561714126, 3.9559334964928254, 0.19980013326669166)
+    assert vehicle_plant._kernel is not None
+    assert os.listdir(tmp_path) == ["file"]
+
+
+def test_failed_kernel_build_names_gcc(tmp_path, monkeypatch):
+    broken = tmp_path / "_kernel.c"
+    broken.write_text("this is not C\n")
+    monkeypatch.setattr(vehicle_plant, "_KERNEL_SOURCE", str(broken))
+    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(vehicle_plant, "_kernel", None)
+    with pytest.raises(OSError, match=r"^gcc failed to build the plant "
+                       r"kernel .*_kernel\.c: "):
+        plant_step(1.0, 4.0, 0.0, 100.0, 1e-4, DEFAULT_CURVES[RoadType.SNOW],
+                   P)
+    # the temporary output is gone with the failed build
+    assert os.listdir(tmp_path / "cache") == []
