@@ -1,9 +1,11 @@
-/* The plant's span kernel and the traction control laws.
+/* The plant's span kernel, the traction control laws and the trace
+   CSV's rows.
 
    `arte_run_span` runs steps lo..hi-1 of the quarter-vehicle plant
    against one controller law; `arte_law_step` runs the law alone for one
-   step.  `vehicle_plant` builds this file with
-   gcc -O2 -ffp-contract=off and calls it through ctypes.
+   step; `arte_trace_rows` prints rows lo..hi-1 of a trace as CSV.
+   `vehicle_plant` builds this file with gcc -O2 -ffp-contract=off and
+   calls it through ctypes.
 
    Every expression does the IEEE operations of the Python it replaced,
    in the same order: no fused multiply-add (-ffp-contract=off), no
@@ -23,9 +25,25 @@
      LAW_MTTE      has_prev (0 or 1), w_prev, fd_hat
    Plant constants, as `make_plant_run` binds them:
      b, c, d, e, r, m, jw, load, roll, aero, lim, decay, half_dt,
-     sixth_dt, dt */
+     sixth_dt, dt
+
+   A trace cell is the bytes of Python's "%.9g" % x.  It is printed in
+   fixed notation when X, the decimal exponent of x rounded to 9
+   significant digits, lies in [-4, 8]: the 9-digit mantissa
+   rint(|x| * 10**(8 - X)) with its point after digit X + 1, trailing
+   zeros (and a bare point) dropped.  The powers of ten are exact, so
+   only the product rounds; where it lands on .5 the sign of its exact
+   error, fma(|x|, 10**(8 - X), -product), breaks the tie, so the
+   mantissa is rounded half to even on the exact binary value.  +-0,
+   +-inf and every nan are spelled out, since glibc prints a nan with
+   its sign bit set as "-nan" and Python prints "nan".  Every other cell
+   (exponent form, subnormals) is snprintf("%.9g"), which glibc rounds
+   correctly as Python does; it follows LC_NUMERIC, which Python leaves
+   at "C" and the CLI never changes. */
 
 #include <math.h>
+#include <stdio.h>
+#include <string.h>
 
 enum { LAW_CONSTANT, LAW_MFC, LAW_SRC, LAW_MTTE };
 enum { P_B, P_C, P_D, P_E, P_R, P_M, P_JW, P_LOAD, P_ROLL, P_AERO, P_LIM,
@@ -194,4 +212,144 @@ long long arte_run_span(const double *p, int kind, const double *lc,
     x[1] = w;
     x[2] = t_applied;
     return k < hi ? 2 * k : -1;
+}
+
+
+/* bytes per trace cell or road name, separator included, at most */
+enum { CELL_MAX = 17, NAME_SLOT = 8 };
+
+/* format_cell stores a cell from an integer, first character lowest */
+#if __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "the trace cell layout assumes a little-endian machine"
+#endif
+
+/* 10**0 .. 10**13, exact doubles */
+static const double pow10_exact[14] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+    1e13};
+/* 10**-5 .. 10**9, the nearest doubles */
+static const double pow10_near[15] = {
+    1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7,
+    1e8, 1e9};
+
+/* a * 10**(8 - x), x in [-5, 8], rounded half to even on its exact
+   value */
+static double mantissa9(double a, int x)
+{
+    double p = pow10_exact[8 - x], y = a * p, m = rint(y), err;
+
+    if (fabs(y - m) == 0.5) {
+        err = fma(a, p, -y);
+        if (err != 0.0)
+            m = floor(y) + (err > 0.0);
+    }
+    return m;
+}
+
+/* "%.9g" % x at out, unterminated; returns its length.  A fixed cell is
+   laid out in a 16-byte word, its first character in the lowest byte,
+   and all 16 bytes are stored whatever its length. */
+static int format_cell(double x, char *out)
+{
+    double a = fabs(x), m = 0.0;
+    unsigned __int128 cell, keep;
+    unsigned long long v, q;
+    unsigned d;
+    int e, n, len, neg = signbit(x) != 0;
+
+    if (isnan(x)) {
+        memcpy(out, "nan", 3);
+        return 3;
+    }
+    if (isinf(x)) {
+        memcpy(out, "-inf" + !neg, 4);
+        return 3 + neg;
+    }
+    if (a == 0.0) {
+        memcpy(out, "-0" + !neg, 2);
+        return 1 + neg;
+    }
+    e = 9;
+    if (a >= 1e-5 && a < 1e9) {
+        unsigned long long bits;
+
+        /* from the binary exponent k = floor(log2(a)), in [-17, 29]:
+           floor(k * log10(2)), for which 1233 / 4096 is close enough
+           over this range, is floor(log10(a)) or one below it, and a
+           comparison settles which.  The nearest double to a power of
+           ten may leave e one off, and rounding may carry m to 10**9,
+           so e is stepped once where m has not 9 digits. */
+        memcpy(&bits, &a, sizeof bits);
+        e = ((int)(bits >> 52) - 1023 + 4096) * 1233 / 4096 - 1233;
+        e += a >= pow10_near[e + 6];
+        m = mantissa9(a, e);
+        if (m >= 1e9) {
+            if (++e <= 8)
+                m = mantissa9(a, e);
+        } else if (m < 1e8 && e > -5) {
+            m = mantissa9(a, --e);
+        }
+    }
+    if (e < -4 || e > 8)
+        return snprintf(out, CELL_MAX, "%.9g", x);
+
+    /* digits 2-9 of m, one per byte: split into two 4-digit lanes, each
+       lane into two 2-digit lanes, each into two digits, by multiplies
+       and shifts exact for these ranges */
+    d = (unsigned)m;
+    v = d % 100000000 / 10000 | (unsigned long long)(d % 10000) << 32;
+    q = (v * 10486) >> 20 & 0x0000007F0000007FULL;
+    v = q | (v - q * 100) << 16;
+    q = (v * 103) >> 10 & 0x000F000F000F000FULL;
+    v = q | (v - q * 10) << 8;
+    /* significant digits, trailing zeros dropped */
+    n = v ? 2 + (63 - __builtin_clzll(v)) / 8 : 1;
+    cell = (unsigned __int128)(v + 0x3030303030303030ULL) << 8
+           | (unsigned)('0' + d / 100000000);
+    if (e < 0) {
+        /* "0." and -e - 1 zeros, then the digits */
+        cell = cell << 8 * (1 - e)
+               | (0x3030302E30ULL & ((1ULL << 8 * (1 - e)) - 1));
+        len = 1 - e + n;
+    } else {
+        /* the e + 1 integer digits, the point, the fraction digits */
+        keep = ((unsigned __int128)1 << 8 * (e + 1)) - 1;
+        cell = (cell & keep) | (cell & ~keep) << 8
+               | (unsigned __int128)'.' << 8 * (e + 1);
+        len = n > e + 1 ? n + 1 : e + 1;
+    }
+    if (neg)
+        cell = cell << 8 | '-';
+    memcpy(out, &cell, 16);
+    return len + neg;
+}
+
+/* Rows lo..hi-1 of a trace as CSV at out: per row the seven cells of
+   cols[0..6], then the names of road_true and road_est.  A road index
+   k selects the NUL-padded name at names + NAME_SLOT * (k + 1), so -1
+   (no estimate) is the first.  A row takes at most 7 * CELL_MAX +
+   2 * NAME_SLOT bytes.  Returns the number of bytes written. */
+long long arte_trace_rows(const double *const *cols,
+                          const signed char *road_true,
+                          const signed char *road_est, const char *names,
+                          long long lo, long long hi, char *out)
+{
+    char *o = out;
+    const char *name;
+    long long k;
+    int j;
+
+    for (k = lo; k < hi; k++) {
+        for (j = 0; j < 7; j++) {
+            o += format_cell(cols[j][k], o);
+            *o++ = ',';
+        }
+        for (name = names + NAME_SLOT * (road_true[k] + 1); *name; )
+            *o++ = *name++;
+        *o++ = ',';
+        for (name = names + NAME_SLOT * (road_est[k] + 1); *name; )
+            *o++ = *name++;
+        *o++ = '\n';
+    }
+    return o - out;
 }

@@ -22,9 +22,10 @@ from the plan's steps.  So every column is bit-identical to what a loop of
 single steps would record.  `SimTrace.road_true`/`road_est` decode the
 roads to `RoadType`/None and `write_trace_csv` maps them to names.
 
-`write_trace_csv` prints the same bytes as "%.9g" per float cell, its
-cells rendered in numpy by `_trace_csv`, and streams chunks of
-TRACE_CHUNK_ROWS rows to the file as blocks of NUL-padded 8-byte words.
+`write_trace_csv` prints the same bytes as "%.9g" per float cell: the C
+kernel (`_kernel.c`, loaded through `vehicle_plant` before the file is
+opened, so a missing gcc leaves no file) formats chunks of
+TRACE_CHUNK_ROWS rows into one reused buffer, which is written out.
 
 Scenario and curve files are INI files, read by one section reader
 (`_read_sections`) and one converter of float fields (`_from_section`);
@@ -47,7 +48,8 @@ from .robustness import FAMILY_BOXES, nu_gap, plant_family
 from .synth_corpus import SAMPLE_RATE, RoadStream, class_clip
 from .tire_road import DEFAULT_CURVES, MuLambdaCurve, RoadType, peak_friction
 # plant_step is not called here: bench/layertrace.py looks it up here
-from .vehicle_plant import VehicleParams, make_plant_run, plant_step
+from .vehicle_plant import (VehicleParams, _load_kernel, make_plant_run,
+                            plant_step)
 
 ARTE_MODES = ("off", "oracle", "classifier")
 ARTE_PERIOD_MIN = 0.1
@@ -55,23 +57,22 @@ ARTE_PERIOD_MIN = 0.1
 MAX_STEPS = 10_000_000
 
 TRACE_HEADER = "t,V,Vw,lambda,T_cmd,T_applied,mu,road_true,road_est"
-# rows formatted per write.  Each of the writer's work arrays holds rows x 7
-# values: at 2048 rows (112 KiB) the allocator reuses them chunk after
-# chunk; at 4096 rows each chunk faulted in about 400 fresh pages
+# rows formatted per write, into one buffer of TRACE_CHUNK_ROWS rows of at
+# most _TRACE_ROW_MAX bytes: seven cells of up to 16 bytes and two road
+# names of up to 7, each with its separator (CELL_MAX and NAME_SLOT in
+# _kernel.c)
 TRACE_CHUNK_ROWS = 2048
+_TRACE_ROW_MAX = 7 * 17 + 2 * 8
 
 # road index <-> road; index -1 (no estimate) selects the last entry
 ROADS = tuple(RoadType)
 ROAD_INDEX = {road: k for k, road in enumerate(ROADS)}
 NO_ESTIMATE = -1
 _ROAD_OBJECTS = np.array(ROADS + (None,), dtype=object)
-# by road index (-1 is "none"): the name in one word, NUL-padded, then
-# the separator: "," for road_true, "\n" for road_est
-_ROAD_NAMES = tuple(road.value for road in ROADS) + ("none",)
-_ROAD_WORDS = tuple(
-    np.frombuffer(b"".join(name.encode().ljust(7, b"\0") + sep
-                           for name in _ROAD_NAMES), dtype="<u8")
-    for sep in (b",", b"\n"))
+# by road index + 1: the name in 8 bytes, NUL-padded, "none" (index -1)
+# first
+_ROAD_NAME_SLOTS = b"".join(name.encode().ljust(8, b"\0") for name in
+                            ("none",) + tuple(road.value for road in ROADS))
 SCENARIO_FLOAT_KEYS = ("duration_s", "dt", "torque_demand", "arte_period_s",
                        "v0", "fd_hat0")
 
@@ -335,22 +336,31 @@ def compare(tcs_list, arte_modes, base_cfg):
 
 def write_trace_csv(path, trace):
     """The trace as CSV: TRACE_HEADER, then per step seven "%.9g" cells
-    and the true and estimated road names."""
-    # imported on first use, to keep it off the import path of every command
-    from ._trace_csv import fill_cells
-
-    columns = (trace.t, trace.v, trace.vw, trace.lam, trace.t_cmd,
-               trace.t_applied, trace.mu)
+    and the true and estimated road names.  OSError naming gcc, and no
+    file, if the kernel cannot be built."""
+    kernel = _load_kernel()
+    columns = [np.ascontiguousarray(col, dtype=np.float64) for col in (
+        trace.t, trace.v, trace.vw, trace.lam, trace.t_cmd,
+        trace.t_applied, trace.mu)]
+    roads = [np.ascontiguousarray(idx, dtype=np.int8)
+             for idx in (trace.road_true_idx, trace.road_est_idx)]
+    rows = len(columns[0])
+    if any(len(col) != rows for col in columns + roads):
+        raise ValueError("trace columns differ in length")
+    if rows and any(idx.min() < NO_ESTIMATE or idx.max() >= len(ROADS)
+                    for idx in roads):
+        raise ValueError("trace road index out of range")
+    cells = np.array([col.ctypes.data for col in columns], dtype=np.uintp)
+    out = np.empty(min(rows, TRACE_CHUNK_ROWS) * _TRACE_ROW_MAX, np.uint8)
+    sources = (cells.ctypes.data, roads[0].ctypes.data, roads[1].ctypes.data,
+               _ROAD_NAME_SLOTS)
     with open(path, "wb") as fh:
         fh.write(TRACE_HEADER.encode() + b"\n")
-        for lo in range(0, len(trace.t), TRACE_CHUNK_ROWS):
-            part = slice(lo, lo + TRACE_CHUNK_ROWS)
-            vals = np.stack([col[part] for col in columns], 1)
-            words = np.empty((len(vals), 3 * len(columns) + 2), dtype="<u8")
-            fill_cells(vals, words[:, :-2])
-            words[:, -2] = _ROAD_WORDS[0][trace.road_true_idx[part]]
-            words[:, -1] = _ROAD_WORDS[1][trace.road_est_idx[part]]
-            fh.write(words.tobytes().translate(None, b"\0"))
+        for lo in range(0, rows, TRACE_CHUNK_ROWS):
+            size = kernel.trace_rows(*sources, lo,
+                                     min(lo + TRACE_CHUNK_ROWS, rows),
+                                     out.ctypes.data)
+            fh.write(out[:size])
 
 
 def compare_lines(rows):

@@ -32,7 +32,8 @@ right-hand side inlines `slip_ratio`, `mu_scalar`, `drive_force` and
 `driving_resistance` with the same IEEE operations in the same order
 (the same libm atan and sin, no fused multiply-add), so its results are
 bit-identical to theirs.  `law_step` runs a law alone for one step, and
-`plant_step` is a one-step call of the kernel at a constant command.
+`plant_step` is a one-step call of the kernel at a constant command.  The
+same library formats the trace CSV's rows for `harness.write_trace_csv`.
 
 The kernel is built with gcc (`KERNEL_CFLAGS`) on the first call that
 needs it, never at import, into `__pycache__/_kernel-<digest>.so` beside
@@ -121,8 +122,9 @@ _plants = {}  # (id(curve), id(params), dt) -> (curve, params, constants)
 
 
 class _Kernel:
-    """The loaded library, its two entries typed, and the ctypes types
-    their arguments are built from."""
+    """The loaded library, its three entries typed, and the argument
+    buffers that every call fills: the package runs one thread, and no
+    entry calls back into Python, so one set serves all calls."""
 
     def __init__(self, path):
         import ctypes
@@ -140,7 +142,17 @@ class _Kernel:
                                   ctypes.c_double, ctypes.c_double,
                                   ctypes.c_double)
         self.law_step.restype = ctypes.c_double
+        self.trace_rows = lib.arte_trace_rows
+        self.trace_rows.argtypes = ((ctypes.c_void_p,) * 3
+                                    + (ctypes.c_char_p, ctypes.c_longlong,
+                                       ctypes.c_longlong, ctypes.c_void_p))
+        self.trace_rows.restype = ctypes.c_longlong
         self.double = ctypes.c_double
+        # a law's constants (at most 8) and state (at most 3), and the
+        # plant state (v, w, t_applied)
+        self.constants = (ctypes.c_double * 8)()
+        self.state = (ctypes.c_double * 3)()
+        self.x = (ctypes.c_double * 3)()
         # plant_step's one-step records, written and never read
         self._sink = ctypes.c_double()
         self.sink = ctypes.addressof(self._sink)
@@ -252,14 +264,15 @@ def make_plant_run(curve, params, dt):
                                 (double * len(values))(*values))
     plant = entry[2]
     run_span = kernel.run_span
+    buffer, held, x = kernel.constants, kernel.state, kernel.x
 
     def run(law, state, v, w, t_applied, lo, hi, columns):
         kind, constants = law
-        held = (double * len(state))(*state)
-        x = (double * 3)(v, w, t_applied)
-        k = run_span(plant, kind, (double * len(constants))(*constants),
-                     held, x, lo, hi, *columns)
-        state[:] = held
+        buffer[:len(constants)] = constants
+        held[:len(state)] = state
+        x[0], x[1], x[2] = v, w, t_applied
+        k = run_span(plant, kind, buffer, held, x, lo, hi, *columns)
+        state[:] = held[:len(state)]
         if k >= 0:
             raise _diverged(_DIVERGED[k & 1], k >> 1, dt)
         return x[0], x[1], x[2]
@@ -271,11 +284,11 @@ def law_step(law, state, v, w, t_applied):
     (v, w, t_applied); `state` is read and written back in place."""
     kernel = _kernel or _load_kernel()
     kind, constants = law
-    double = kernel.double
-    held = (double * len(state))(*state)
-    t_cmd = kernel.law_step(kind, (double * len(constants))(*constants),
-                            held, v, w, t_applied)
-    state[:] = held
+    kernel.constants[:len(constants)] = constants
+    held = kernel.state
+    held[:len(state)] = state
+    t_cmd = kernel.law_step(kind, kernel.constants, held, v, w, t_applied)
+    state[:] = held[:len(state)]
     return t_cmd
 
 

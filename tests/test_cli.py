@@ -561,17 +561,18 @@ def test_unknown_subcommand_exits_two():
 def test_cli_import_loads_no_scipy_submodule():
     # scipy is imported where the audio path first needs it, so runs
     # without the estimator never pay for it; `fractions` (the nu-gap's
-    # exact arithmetic), the trace CSV writer and the C plant kernel are
-    # deferred alike, to keep the import short.  numpy itself imports
-    # ctypes, so the kernel is checked as the library it loads: its handle
-    # stays unset and no _kernel-*.so is mapped into the process
+    # exact arithmetic) and the C kernel (the plant, the laws and the
+    # trace CSV's rows) are deferred alike, to keep the import short.
+    # numpy itself imports ctypes, so the kernel is checked as the library
+    # it loads: its handle stays unset and no _kernel-*.so is mapped into
+    # the process
     src = os.path.dirname(os.path.dirname(os.path.abspath(arte_tcs.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     probe = ("import sys, arte_tcs.cli; print(' '.join(m for m in sys.modules"
              " if m.startswith(('scipy.signal', 'scipy.linalg'))"
-             " or m in ('fractions', 'arte_tcs._trace_csv')))\n"
+             " or m == 'fractions'))\n"
              "import arte_tcs.vehicle_plant as vp\n"
              "print(vp._kernel is not None or '_kernel-' in "
              "open('/proc/self/maps').read())")

@@ -238,6 +238,34 @@ def test_trace_csv_layout(tmp_path):
     assert path.read_text().splitlines()[1].split(",")[8] == "none"
 
 
+def test_trace_written_without_gcc_leaves_no_file(tmp_path, monkeypatch):
+    # the kernel formats the rows, so it is loaded before the file is
+    # opened: with an empty kernel cache and no gcc on PATH, no file
+    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(vehicle_plant, "_kernel", None)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    roads = np.full(3, NO_ESTIMATE, dtype=np.int8)
+    trace = SimTrace(*np.zeros((7, 3)), road_true_idx=roads,
+                     road_est_idx=roads, dt=1e-4)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(OSError, match="gcc"):
+        write_trace_csv(path, trace)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("road", [NO_ESTIMATE - 1, len(ROADS)])
+def test_trace_road_index_out_of_range_leaves_no_file(tmp_path, road):
+    # the kernel reads a road's name at its index, so the writer checks
+    # the indices before it opens the file
+    roads = np.array([0, road, 1], dtype=np.int8)
+    trace = SimTrace(*np.zeros((7, 3)), road_true_idx=roads[::-1].copy(),
+                     road_est_idx=roads, dt=1e-4)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="road index"):
+        write_trace_csv(path, trace)
+    assert not path.exists()
+
+
 def test_compare_rows_and_csv():
     base = ScenarioConfig(duration_s=1.0)
     rows = compare(("src", "mtte"), ("off", "oracle"), base)

@@ -2,16 +2,18 @@
 bytes of one `TRACE_ROW % row` per step, the per-row formatter it
 replaced, which stays here as the reference.
 
-Cells come from all doubles and from the cases the writer's numpy path
-must get right: every decimal exponent X from -5 to 7 and every printed
-fraction length from 0 to 12; doubles whose 9-digit rounding is an exact
-binary tie (half to even); doubles next to a decimal midpoint, where the
-rounded product lands on .5 but the exact one does not.  Row counts cross
-the writer's chunk boundaries.  The repo's warning filter turns any numpy
-RuntimeWarning in the writer into a failure.
+Cells come from all doubles and from the cases the C kernel's cell
+formatter must get right: every decimal exponent X from -5 to 8 and every
+printed fraction length from 0 to 12; doubles whose 9-digit rounding is
+an exact binary tie (half to even); doubles next to a decimal midpoint,
+where the rounded product lands on .5 but the exact one does not; the
+boundaries of fixed notation, where rounding carries a cell into the
+next decimal exponent; a nan with its sign bit set.  Row counts cross
+the writer's chunk boundaries.
 """
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +27,10 @@ from arte_tcs.harness import (ROADS, TRACE_CHUNK_ROWS, TRACE_HEADER,
 TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s\n"
 ROAD_NAMES = [road.value for road in ROADS] + ["none"]
 
+# a nan with its sign bit set, which glibc's printf prints as "-nan"
+SIGNED_NAN = struct.unpack("<d", struct.pack("<Q", 0xfff8000000000001))[0]
 SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
-            math.nan, math.inf, -math.inf, 1e300, -1e300,
+            math.nan, SIGNED_NAN, math.inf, -math.inf, 1e300, -1e300,
             1.7976931348623157e308)
 # next to 9-digit midpoints: fl(x * 10**(8 - X)) ends in .5 while the
 # exact product lies below it (first of each pair) or above it (second)
@@ -36,6 +40,10 @@ NEAR_MIDPOINTS = [0.0006625859194999999, 0.0009504144605,
                   6734893.274999999, 6734893.275]
 # exact binary ties at the ninth digit: half to even rounds them down
 EXACT_TIES = [1234567.125, 2.0 ** -13, -2.0 ** -13]
+# rounding carries each into the next decimal exponent: "100000000",
+# "1e+09", "0.0001" and "1e-05"
+NOTATION_BOUNDARIES = [99999999.95, 999999999.5, 9.99999999995e-05,
+                       9.9999999994e-06]
 
 
 def reference_csv(trace):
@@ -51,7 +59,7 @@ def reference_csv(trace):
 @st.composite
 def decimals(draw):
     """The double nearest a decimal of exponent X with up to 9 digits."""
-    x = draw(st.integers(-5, 7))
+    x = draw(st.integers(-5, 8))
     places = draw(st.integers(max(0, -x), 8 - x))
     digits = draw(st.integers(10 ** (x + places), 10 ** (x + places + 1) - 1))
     return draw(st.sampled_from((1, -1))) * digits / 10 ** places
@@ -72,7 +80,7 @@ def binary_ties(draw):
 @st.composite
 def near_midpoints(draw):
     """A 9-digit decimal midpoint of exponent X, or a double beside it."""
-    x = draw(st.integers(-5, 7))
+    x = draw(st.integers(-5, 8))
     k = draw(st.integers(10**8, 10**9 - 1))
     mid = Fraction(2 * k + 1, 2) * Fraction(10) ** (x - 8)
     value = mid.numerator / mid.denominator
@@ -100,6 +108,8 @@ def out_dir(tmp_path_factory):
 @example(values=NEAR_MIDPOINTS + EXACT_TIES, roads=[-1, 0, 1, 2, 3],
          rows=len(NEAR_MIDPOINTS + EXACT_TIES))
 @example(values=list(SPECIALS), roads=[3, -1], rows=4097)
+@example(values=NOTATION_BOUNDARIES + [-v for v in NOTATION_BOUNDARIES],
+         roads=[0], rows=8)
 def test_trace_csv_bytes_match_reference(out_dir, values, roads, rows):
     # column j, step i holds values[(j * rows + i) % len(values)]
     columns = np.resize(np.array(values, dtype=float), (7, rows))
