@@ -1,18 +1,22 @@
-/* The plant's span kernel, the traction control laws and the trace
-   CSV's rows.
+/* The plant's span kernel, the traction control laws, the trace CSV's
+   rows, and the road audio's AR filter and the LPC Levinson solve.
 
    `arte_run_span` runs steps lo..hi-1 of the quarter-vehicle plant
    against one controller law; `arte_law_step` runs the law alone for one
-   step; `arte_trace_rows` prints rows lo..hi-1 of a trace as CSV.
+   step; `arte_trace_rows` prints rows lo..hi-1 of a trace as CSV;
+   `arte_ar_filter` is scipy.signal.lfilter with its state carried in and
+   out (`synth_corpus`); `arte_levinson` solves the symmetric Toeplitz
+   normal equations of LPC as scipy's solve_toeplitz does (`arte_dsp`).
    `vehicle_plant` builds this file with gcc -O2 -ffp-contract=off and
    calls it through ctypes.
 
-   Every expression does the IEEE operations of the Python it replaced,
-   in the same order: no fused multiply-add (-ffp-contract=off), no
-   reassociation, and the same libm atan and sin that CPython's `math`
-   calls.  So the trace is bit for bit what the Python step loop wrote.
-   The comparisons keep the Python's NaN behaviour: a test that is false
-   for NaN stays false for NaN.
+   Every expression does the IEEE operations of the Python or scipy code
+   it replaced, in the same order: no fused multiply-add
+   (-ffp-contract=off), no reassociation, and the same libm atan and sin
+   that CPython's `math` calls.  So the trace is bit for bit what the
+   Python step loop wrote, and the audio and its features are what scipy
+   gave.  The comparisons keep the Python's NaN behaviour: a test that is
+   false for NaN stays false for NaN.
 
    Law constants, by kind (set by each controller's `law(dt, t_demand)`):
      LAW_CONSTANT  t_cmd
@@ -352,4 +356,109 @@ long long arte_trace_rows(const double *const *cols,
         *o++ = '\n';
     }
     return o - out;
+}
+
+/* The longest filter (taps of a and of b) and the largest Levinson
+   system that the stack arrays below hold; the Python wrappers read
+   them, and the entries return -1 beyond them. */
+enum { MAX_TAPS = 64 };
+const int arte_max_taps = MAX_TAPS;
+
+/* scipy.signal.lfilter(b, a, x, zi=z) in place, for na > 1 taps of a
+   and nb <= na of b, as its direct form II transposed: b zero-padded to
+   na, both divided by a[0], then per sample
+       y = z[0] + b[0] * x
+       z[i - 1] = z[i] + x * b[i] - y * a[i]    (0 < i < na - 1)
+       z[na - 2] = x * b[na - 1] - y * a[na - 1]
+   with every x * b[i] kept (x * 0 is -0 for a negative x), and y stored
+   over x.  z holds na - 1 values, read and written back.  Returns 0, or
+   -1 for a size out of range or a[0] == 0. */
+int arte_ar_filter(const double *b, int nb, const double *a, int na,
+                   double *x, long long len, double *z)
+{
+    double bn[MAX_TAPS], an[MAX_TAPS], xk, yk;
+    long long k;
+    int i;
+
+    if (na < 2 || na > MAX_TAPS || nb < 1 || nb > na || a[0] == 0.0)
+        return -1;
+    for (i = 0; i < na; i++) {
+        bn[i] = (i < nb ? b[i] : 0.0) / a[0];
+        an[i] = a[i] / a[0];
+    }
+    for (k = 0; k < len; k++) {
+        xk = x[k];
+        yk = z[0] + bn[0] * xk;
+        for (i = 1; i < na - 1; i++)
+            z[i - 1] = z[i] + xk * bn[i] - yk * an[i];
+        z[na - 2] = xk * bn[na - 1] - yk * an[na - 1];
+        x[k] = yk;
+    }
+    return 0;
+}
+
+/* The solution x of T x = r[1..n], T the symmetric Toeplitz matrix of
+   r[0..n-1], by the Levinson recursion of scipy's solve_toeplitz (its
+   `levinson`, after Alan Miller's toeplitz.f90): x, and the forward and
+   backward vectors g and h, grown one order at a time, each sum in its
+   order.  Returns 0, 1 for a singular principal minor, or -1 for n out
+   of 1..MAX_TAPS. */
+int arte_levinson(const double *r, int n, double *x)
+{
+    /* t is the operand solve_toeplitz hands to levinson: the first row
+       reversed without the diagonal, then the first column */
+    double t[2 * MAX_TAPS - 1], g[MAX_TAPS], h[MAX_TAPS];
+    double x_num, x_den, g_num, h_num, g_den, c1, c2, gj, gk, hj, hk;
+    const double *b = r + 1;
+    int m, j, k;
+
+    if (n < 1 || n > MAX_TAPS)
+        return -1;
+    for (j = 0; j < 2 * n - 1; j++)
+        t[j] = r[j < n - 1 ? n - 1 - j : j - (n - 1)];
+    if (t[n - 1] == 0.0)
+        return 1;
+    x[0] = b[0] / t[n - 1];
+    if (n == 1)
+        return 0;
+    g[0] = t[n - 2] / t[n - 1];
+    h[0] = t[n] / t[n - 1];
+    for (m = 1; m < n; m++) {
+        x_num = -b[m];
+        x_den = -t[n - 1];
+        for (j = 0; j < m; j++) {
+            x_num = x_num + t[n + m - j - 1] * x[j];
+            x_den = x_den + t[n + m - j - 1] * g[m - j - 1];
+        }
+        if (x_den == 0.0)
+            return 1;
+        x[m] = x_num / x_den;
+        for (j = 0; j < m; j++)
+            x[j] = x[j] - x[m] * g[m - j - 1];
+        if (m == n - 1)
+            break;
+        g_num = -t[n - m - 2];
+        h_num = -t[n + m];
+        g_den = -t[n - 1];
+        for (j = 0; j < m; j++) {
+            g_num = g_num + t[n + j - m - 1] * g[j];
+            h_num = h_num + t[n + m - j - 1] * h[j];
+            g_den = g_den + t[n + j - m - 1] * h[m - j - 1];
+        }
+        if (g_den == 0.0)
+            return 1;
+        g[m] = c1 = g_num / g_den;
+        h[m] = c2 = h_num / x_den;
+        for (j = 0, k = m - 1; j < (m + 1) >> 1; j++, k--) {
+            gj = g[j];
+            gk = g[k];
+            hj = h[j];
+            hk = h[k];
+            g[j] = gj - c1 * hk;
+            g[k] = gk - c1 * hj;
+            h[j] = hj - c2 * gk;
+            h[k] = hk - c2 * gj;
+        }
+    }
+    return 0;
 }

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AudioFormatError, ConfigError
+from .vehicle_plant import _load_kernel
 
 SUPPORTED_RATES = (16000, 44100)
 FRAME_SECONDS = 0.1
@@ -112,11 +113,9 @@ def lpc(frame, order=LPC_ORDER):
 
 
 def _lpc(frame, order=LPC_ORDER):
-    # imported here so that runs without the estimator never load scipy;
-    # levinson is the solver inside solve_toeplitz, whose argument checks
-    # cost more than the solve itself
-    from scipy.linalg._solve_toeplitz import levinson
     x = np.asarray(frame.samples, dtype=np.float64)
+    if order < 1:
+        raise ConfigError("LPC order must be at least 1")
     if len(x) <= 2 * order:
         raise ConfigError("frame too short for LPC order %d" % order)
     r = np.array([np.dot(x[: len(x) - k], x[k:]) for k in range(order + 1)])
@@ -126,11 +125,23 @@ def _lpc(frame, order=LPC_ORDER):
         raise ConfigError("all-zero frame has no LPC model")
     r /= r[0]  # finite r[0] bounds all r[k], so r is a finite float64
     r[0] *= 1.0 + 1e-9  # keeps the normal equations strictly positive definite
-    # the symmetric Toeplitz matrix of r[:order] as solve_toeplitz hands it
-    # to levinson: its first row reversed without the diagonal, then its
-    # first column
-    vals = np.concatenate((r[order - 1:0:-1], r[:order]))
-    return levinson(vals, r[1:order + 1])[0]
+    return _levinson(r, order)
+
+
+def _levinson(r, order):
+    """The x with T x = r[1:order + 1], T the symmetric Toeplitz matrix of
+    r[:order], r a float64 array: the kernel's `arte_levinson`, bit for
+    bit the recursion inside scipy's `solve_toeplitz`.  ConfigError for an
+    order beyond the kernel's bound or a singular principal minor."""
+    kernel = _load_kernel()
+    if not 0 < order <= kernel.max_taps or len(r) <= order:
+        raise ConfigError("Levinson takes 1 to %d equations and their "
+                          "right-hand side" % kernel.max_taps)
+    x = np.empty(order)
+    if kernel.levinson(r.ctypes.data, order, x.ctypes.data):
+        raise ConfigError("LPC normal equations have a singular principal "
+                          "minor")
+    return x
 
 
 def reflection_coefficients(coeffs):

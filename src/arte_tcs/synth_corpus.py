@@ -24,6 +24,7 @@ from .arte_dsp import (AudioClip, extract_raw, frame_length,
 from .arte_classifier import FeatureDataset
 from .errors import ConfigError
 from .tire_road import RoadType
+from .vehicle_plant import _load_kernel
 
 SAMPLE_RATE = 16000
 DEFAULT_DURATION_S = 3.5
@@ -70,8 +71,6 @@ def _ar_output(road, n, seed):
     """n samples of the road's AR filter, driven from rest by white noise
     plus its impulses, all drawn from one generator: the normals first,
     then the hit mask, the amplitudes and the signs."""
-    # imported here so that runs without the estimator never load scipy
-    from scipy.signal import lfilter
     den, impulse_rate = ROAD_SOUNDS[road]
     rng = np.random.default_rng(seed)
     drive = rng.standard_normal(n)
@@ -80,7 +79,23 @@ def _ar_output(road, n, seed):
         count = int(hits.sum())
         drive[hits] += (rng.uniform(3.0, 6.0, count)
                         * rng.choice((-1.0, 1.0), count))
-    return lfilter([1.0], den, drive)
+    _ar_filter(1.0, den, drive, np.zeros(len(den) - 1))
+    return drive
+
+
+def _ar_filter(gain, den, x, z):
+    """scipy's lfilter([gain], den, x, zi=z) in place, through the
+    kernel's `arte_ar_filter`, bit for bit: den, x and z are contiguous
+    float64 arrays, and x and z become the output and the final state.
+    ConfigError for a filter beyond the kernel's bound or a state of the
+    wrong length."""
+    kernel = _load_kernel()
+    if not 1 < len(den) <= kernel.max_taps or len(z) != len(den) - 1:
+        raise ConfigError("an AR filter takes 2 to %d taps and one state "
+                          "value fewer" % kernel.max_taps)
+    if kernel.ar_filter(np.array([gain]).ctypes.data, 1, den.ctypes.data,
+                        len(den), x.ctypes.data, len(x), z.ctypes.data):
+        raise ConfigError("an AR filter needs a[0] not 0")
 
 
 def _peak(x):
@@ -136,15 +151,17 @@ def build_corpus(seed=0):
 def export_wavs(root, seed=0, clips_per_class=1):
     """Write `<root>/<road>/<seed>_<index>.wav` files; returns the paths,
     road by road.  Clip i of every road is seed + i, so the files are
-    written index by index, one noise bed each."""
+    written index by index, one noise bed each.  A road's directory is
+    made once its first clip is synthesized, so a kernel that cannot be
+    built leaves none."""
     roads = list(RoadType)
-    for road in roads:
-        os.makedirs(os.path.join(root, road.value), exist_ok=True)
     paths = [os.path.join(root, road.value, "%d_%d.wav" % (seed, i))
              for road in roads for i in range(clips_per_class)]
     for i in range(clips_per_class):
         for road, path in zip(roads, paths[i::clips_per_class]):
-            write_wav(path, class_clip(road, seed + i))
+            clip = class_clip(road, seed + i)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write_wav(path, clip)
     return paths
 
 
@@ -186,7 +203,6 @@ def _stream_levels():
 def _stream_blocks(segments, seed):
     """The stream of `RoadStream(segments, seed)` in consecutive blocks of
     STREAM_BLOCK samples, from sample -PREROLL on."""
-    from scipy.signal import lfilter
     drive_rng, hit_rng, kick_rng, bed_rng = (
         np.random.default_rng(s)
         for s in np.random.SeedSequence([seed, STREAM_TAG]).spawn(4))
@@ -215,10 +231,10 @@ def _stream_blocks(segments, seed):
                 # (-6, -3] or [3, 6), as the corpus's hits
                 kicks = kick[lo:hi][hits]
                 x[hits] += kicks + np.copysign(3.0, kicks)
-            y, zi = lfilter([gain], den, x, zi=zi)
+            _ar_filter(gain, den, x, zi)
             part = out[lo:hi]
             part *= bed_gain
-            part += y
+            part += x
             lo = hi
         pos += STREAM_BLOCK
         yield out

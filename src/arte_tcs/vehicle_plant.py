@@ -33,7 +33,11 @@ right-hand side inlines `slip_ratio`, `mu_scalar`, `drive_force` and
 (the same libm atan and sin, no fused multiply-add), so its results are
 bit-identical to theirs.  `law_step` runs a law alone for one step, and
 `plant_step` is a one-step call of the kernel at a constant command.  The
-same library formats the trace CSV's rows for `harness.write_trace_csv`.
+same library formats the trace CSV's rows for `harness.write_trace_csv`
+(`arte_trace_rows`), runs the road audio's AR filter for `synth_corpus`
+(`arte_ar_filter`, scipy's lfilter bit for bit) and solves the LPC
+normal equations for `arte_dsp` (`arte_levinson`, the Levinson recursion
+of scipy's solve_toeplitz bit for bit).
 
 The kernel is built with gcc (`KERNEL_CFLAGS`) on the first call that
 needs it, never at import, into `__pycache__/_kernel-<digest>.so` beside
@@ -122,7 +126,7 @@ _plants = {}  # (id(curve), id(params), dt) -> (curve, params, constants)
 
 
 class _Kernel:
-    """The loaded library, its three entries typed, and the argument
+    """The loaded library, its five entries typed, and the argument
     buffers that every call fills: the package runs one thread, and no
     entry calls back into Python, so one set serves all calls."""
 
@@ -147,6 +151,16 @@ class _Kernel:
                                     + (ctypes.c_char_p, ctypes.c_longlong,
                                        ctypes.c_longlong, ctypes.c_void_p))
         self.trace_rows.restype = ctypes.c_longlong
+        address, size = ctypes.c_void_p, ctypes.c_int
+        self.ar_filter = lib.arte_ar_filter
+        self.ar_filter.argtypes = (address, size, address, size, address,
+                                   ctypes.c_longlong, address)
+        self.ar_filter.restype = ctypes.c_int
+        self.levinson = lib.arte_levinson
+        self.levinson.argtypes = (address, size, address)
+        self.levinson.restype = ctypes.c_int
+        # the most taps of a filter, and the largest Levinson system
+        self.max_taps = size.in_dll(lib, "arte_max_taps").value
         self.double = ctypes.c_double
         # a law's constants (at most 8) and state (at most 3), and the
         # plant state (v, w, t_applied)

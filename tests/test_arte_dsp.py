@@ -5,9 +5,11 @@ import wave
 import numpy as np
 import pytest
 
+from arte_tcs import vehicle_plant
 from arte_tcs.arte_dsp import (
     AudioClip,
     Frame,
+    _levinson,
     band_edges,
     band_energies,
     cepstrum,
@@ -178,6 +180,24 @@ def test_lpc_errors():
         lpc(Frame(np.zeros(1600), 0))
     with pytest.raises(ConfigError):
         lpc(Frame(np.ones(15), 0))
+
+
+def test_lpc_rejects_an_order_below_one():
+    for order in (0, -3):
+        with pytest.raises(ConfigError, match="order"):
+            lpc(noise_frame(), order)
+
+
+def test_levinson_guards():
+    # the kernel solves at most max_taps equations on its stack, and a
+    # singular principal minor ends in the documented error
+    taps = vehicle_plant._load_kernel().max_taps
+    r = np.linspace(1.0, 0.5, taps + 2)
+    for order, given in ((0, r), (taps + 1, r), (3, r[:3])):
+        with pytest.raises(ConfigError, match="1 to %d equations" % taps):
+            _levinson(given, order)
+    with pytest.raises(ConfigError, match="singular principal minor"):
+        _levinson(np.ones(3), 2)
 
 
 NON_FINITE_FRAMES = {

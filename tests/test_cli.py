@@ -558,46 +558,76 @@ def test_unknown_subcommand_exits_two():
     assert err.value.code == 2
 
 
-def test_cli_import_loads_no_scipy_submodule():
-    # scipy is imported where the audio path first needs it, so runs
-    # without the estimator never pay for it; `fractions` (the nu-gap's
-    # exact arithmetic) and the C kernel (the plant, the laws and the
-    # trace CSV's rows) are deferred alike, to keep the import short.
-    # numpy itself imports ctypes, so the kernel is checked as the library
-    # it loads: its handle stays unset and no _kernel-*.so is mapped into
-    # the process
+def test_cli_import_loads_no_scipy_submodule(tmp_path, model_path):
+    # scipy is no run-time dependency, and `fractions` (the nu-gap's exact
+    # arithmetic) and the C kernel (the plant, the laws, the trace CSV's
+    # rows, the AR filter and Levinson) are deferred to keep the import
+    # short.  numpy itself imports ctypes, so the kernel is checked as the
+    # library it loads: its handle stays unset and no _kernel-*.so is
+    # mapped into the process
     src = os.path.dirname(os.path.dirname(os.path.abspath(arte_tcs.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = ("import sys, arte_tcs.cli; print(' '.join(m for m in sys.modules"
-             " if m.startswith(('scipy.signal', 'scipy.linalg'))"
-             " or m == 'fractions'))\n"
+    scipy_modules = ("(m for m in sys.modules"
+                     " if m.partition('.')[0] == 'scipy')")
+    probe = ("import sys, arte_tcs.cli\n"
+             "print(*%s, *(m for m in sys.modules if m == 'fractions'))\n"
              "import arte_tcs.vehicle_plant as vp\n"
              "print(vp._kernel is not None or '_kernel-' in "
-             "open('/proc/self/maps').read())")
+             "open('/proc/self/maps').read())" % scipy_modules)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.split() == ["False"]
+    # the audio path filters and solves in the kernel: a fresh `train`
+    # and a classifier-mode `simulate` load no scipy module either
+    probe = ("import sys, arte_tcs.cli\n"
+             "print(arte_tcs.cli.main(sys.argv[1:]), *%s)" % scipy_modules)
+    config = scen_file(tmp_path, "[scenario]\nduration_s = 0.2\n"
+                       "arte_mode = classifier\nmodel = %s\n" % model_path)
+    for argv in (["train", "--out", str(tmp_path / "model.txt"),
+                  "--epochs", "1"],
+                 ["simulate", "--config", config,
+                  "--out", str(tmp_path / "trace.csv")]):
+        out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=120)
+        assert out.stdout.splitlines()[-1] == "0", argv
 
 
-def test_simulate_without_gcc_exits_four(tmp_path, capsys, monkeypatch):
-    # an empty kernel cache and no gcc on PATH: one line naming gcc, no
-    # traceback and no trace file
+def exits_four_without_gcc(tmp_path, capsys, monkeypatch, argv, out):
+    """With an empty kernel cache and no gcc on PATH, `argv` exits 4 with
+    one line naming gcc, no traceback and nothing at `out`."""
     cache = tmp_path / "cache"
     monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(cache))
     monkeypatch.setattr(vehicle_plant, "_kernel", None)
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
-    out = tmp_path / "trace.csv"
-    argv = ["simulate", "--config",
-            scen_file(tmp_path, "[scenario]\nduration_s = 0.01\n"),
-            "--out", str(out)]
     assert cli.main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and err.count("\n") == 1
     assert "gcc" in err
     assert not out.exists()
     assert os.listdir(cache) == []
+
+
+def test_simulate_without_gcc_exits_four(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "trace.csv"
+    argv = ["simulate", "--config",
+            scen_file(tmp_path, "[scenario]\nduration_s = 0.01\n"),
+            "--out", str(out)]
+    exits_four_without_gcc(tmp_path, capsys, monkeypatch, argv, out)
+
+
+@pytest.mark.parametrize("command", ("train", "features", "synth"))
+def test_audio_command_without_gcc_exits_four(tmp_path, capsys, monkeypatch,
+                                              wav_tree, command):
+    # the audio path filters and solves in the kernel
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--out", str(out)],
+            "features": ["features", "--out", str(out),
+                         os.path.join(wav_tree, "snow", "0_0.wav")],
+            "synth": ["synth", "--out", str(out)]}[command]
+    exits_four_without_gcc(tmp_path, capsys, monkeypatch, argv, out)
 
 
 def test_two_processes_build_one_kernel(tmp_path):

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from arte_tcs import vehicle_plant
 from arte_tcs.arte_dsp import (EPS_FLOOR, LPC_ORDER, N_BANDS, BAND_LOW_HZ,
-                               Frame, band_edges, band_energies, cepstrum,
-                               extract_raw, lpc)
+                               Frame, _levinson, band_edges, band_energies,
+                               cepstrum, extract_raw, lpc)
 from arte_tcs.errors import AudioFormatError, ConfigError
 
 MIN_LEN, MAX_LEN = 21, 4410
@@ -88,9 +89,10 @@ def test_band_energy_parseval_on_any_noise(n, seed, exponent):
 
 # --- the same bits as the straightforward routes ------------------------
 #
-# lpc calls scipy's private Levinson solver, and the band sums run over
-# slices of bins; these pin both to the public, obvious forms bit for bit,
-# so a scipy upgrade that moves or changes `levinson` fails here first.
+# lpc solves its normal equations with the kernel's Levinson recursion,
+# and the band sums run over slices of bins; these pin both bit for bit to
+# the public, obvious forms, scipy's `solve_toeplitz` (a test-only
+# reference) and boolean masks.
 
 def noise_frame(n, seed, exponent):
     return Frame(10.0 ** exponent
@@ -129,6 +131,45 @@ def band_energies_by_masks(frame):
 def test_lpc_is_solve_toeplitz_bit_for_bit(n, seed, exponent):
     frame = noise_frame(n, seed, exponent)
     assert lpc(frame).tobytes() == lpc_by_solve_toeplitz(frame).tobytes()
+
+
+@st.composite
+def toeplitz_systems(draw):
+    """r[0..n] of a random symmetric positive-definite Toeplitz system,
+    n up to the kernel's bound, normalized and ridged as `_lpc` does: the
+    autocorrelation of a sum of damped or pure sinusoids in white noise
+    of any level."""
+    n = draw(st.integers(1, vehicle_plant._load_kernel().max_taps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 8))
+    k = np.arange(n + 1)
+    weights = rng.uniform(0.0, 1.0, count)
+    radii = rng.uniform(0.0, 1.0, count) ** draw(st.sampled_from((0.0, 0.1)))
+    angles = rng.uniform(0.0, math.pi, count)
+    r = (weights * radii ** k[:, None] * np.cos(angles * k[:, None])).sum(1)
+    r[0] += 10.0 ** draw(st.floats(-12.0, 0.0))
+    r /= r[0]
+    r[0] *= 1.0 + 1e-9
+    return r, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=toeplitz_systems())
+def test_levinson_is_scipys_bit_for_bit(system):
+    from numpy.linalg import LinAlgError
+    from scipy.linalg import solve_toeplitz
+    from scipy.linalg._solve_toeplitz import levinson
+    r, n = system
+    try:
+        expected = levinson(np.concatenate((r[n - 1:0:-1], r[:n])),
+                            r[1:n + 1])[0]
+    except LinAlgError:
+        with pytest.raises(ConfigError, match="singular"):
+            _levinson(r, n)
+        return
+    assert _levinson(r, n).tobytes() == expected.tobytes()
+    assert (solve_toeplitz((r[:n], r[:n]), r[1:n + 1]).tobytes()
+            == expected.tobytes())
 
 
 @settings(max_examples=60, deadline=None)

@@ -179,7 +179,7 @@ def test_plan_memory_does_not_grow_with_the_run(model_path):
     the run's 1.6 million samples (12.8 MB per float array)."""
     cfg = ScenarioConfig(duration_s=100.0, road_schedule=FOUR_ROADS,
                          arte_mode="classifier", model_path=model_path)
-    harness._plan(replace(cfg, duration_s=1.0), 10_000)  # loads scipy
+    harness._plan(replace(cfg, duration_s=1.0), 10_000)  # loads the kernel
     peaks = []
     for n in (100_000, 1_000_000):
         tracemalloc.start()

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import periodogram
+from scipy.signal import lfilter, periodogram
 
 from arte_tcs.arte_classifier import (ROAD_ORDER, bootstrap_intra, kl_distance,
                                       prune_features, split_dataset)
 from arte_tcs.arte_dsp import lpc, load_wav, reflection_coefficients, sample_frames
 from arte_tcs.errors import ConfigError
-from arte_tcs.synth_corpus import (OVERLAP_SNR_DB, ROAD_SOUNDS, _noise_bed,
-                                   build_corpus, class_clip, export_wavs,
-                                   synth_clip)
+from arte_tcs import vehicle_plant
+from arte_tcs.synth_corpus import (OVERLAP_SNR_DB, ROAD_SOUNDS, _ar_filter,
+                                   _noise_bed, build_corpus, class_clip,
+                                   export_wavs, synth_clip)
 from arte_tcs.tire_road import RoadType
 
 
@@ -50,6 +51,44 @@ def test_road_sounds_are_stable_fourth_order_filters():
             assert impulse_rate > 0.0
         else:
             assert impulse_rate == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(road=st.sampled_from(list(RoadType)),
+       gain=st.floats(-10.0, 10.0, allow_subnormal=False),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000),
+       cuts=st.lists(st.integers(0, 3000), max_size=6),
+       from_rest=st.booleans())
+def test_ar_filter_in_chunks_is_one_lfilter_call(road, gain, seed, n, cuts,
+                                                 from_rest):
+    # as `_stream_blocks` runs it: x cut at random points, the state
+    # carried from chunk to chunk, gives the bytes of one lfilter call
+    den = ROAD_SOUNDS[road][0]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    x[rng.random(n) < 0.02] *= 6.0
+    zi = np.zeros(4) if from_rest else rng.standard_normal(4)
+    y, zf = lfilter([gain], den, x, zi=zi)
+    z = zi.copy()
+    bounds = [0, *sorted(c % (n + 1) for c in cuts), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        _ar_filter(gain, den, x[lo:hi], z)
+    assert x.tobytes() == y.tobytes()
+    assert z.tobytes() == zf.tobytes()
+
+
+def test_ar_filter_rejects_what_the_kernel_cannot_hold():
+    # the kernel keeps at most max_taps coefficients on its stack
+    taps = vehicle_plant._load_kernel().max_taps
+    x = np.ones(8)
+    for den, z in ((np.ones(taps + 1), np.zeros(taps)),
+                   (np.ones(1), np.zeros(0)),
+                   (np.ones(5), np.zeros(5))):
+        with pytest.raises(ConfigError, match="taps"):
+            _ar_filter(1.0, den, x, z)
+    with pytest.raises(ConfigError, match=r"a\[0\]"):
+        _ar_filter(1.0, np.array([0.0, 1.0]), x, np.zeros(1))
+    assert x.tobytes() == np.ones(8).tobytes()
 
 
 def test_class_clip_noise_bed_and_peak():
