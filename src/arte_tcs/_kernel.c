@@ -6,7 +6,10 @@
    step; `arte_trace_rows` prints rows lo..hi-1 of a trace as CSV;
    `arte_ar_filter` is scipy.signal.lfilter with its state carried in and
    out (`synth_corpus`); `arte_levinson` solves the symmetric Toeplitz
-   normal equations of LPC as scipy's solve_toeplitz does (`arte_dsp`).
+   normal equations of LPC by Durbin's recursion, the symmetric form of
+   the Levinson recursion in scipy's solve_toeplitz, with its bytes
+   (`arte_dsp`).  One RK4 stage (`stage`) serves the four of a plant
+   step, and one slip (`slip`) the plant and the SRC law.
    `vehicle_plant` builds this file with gcc -O2 -ffp-contract=off and
    calls it through ctypes.
 
@@ -53,6 +56,17 @@ enum { LAW_CONSTANT, LAW_MFC, LAW_SRC, LAW_MTTE };
 enum { P_B, P_C, P_D, P_E, P_R, P_M, P_JW, P_LOAD, P_ROLL, P_AERO, P_LIM,
        P_DECAY, P_HALF_DT, P_SIXTH_DT, P_DT };
 
+/* The slip of (v, w) at wheel radius r, with the 0.1 denominator
+   floor: `slip_ratio`. */
+static double slip(double r, double v, double w)
+{
+    double vw = r * w, denom = vw > v ? vw : v;
+
+    if (denom < 0.1)
+        denom = 0.1;
+    return (vw - v) / denom;
+}
+
 double arte_law_step(int kind, const double *c, double *s, double v,
                      double w, double t_applied)
 {
@@ -68,11 +82,7 @@ double arte_law_step(int kind, const double *c, double *s, double v,
         return t_cmd >= 0.0 ? (c[5] < t_cmd ? c[5] : t_cmd) : 0.0;
     }
     case LAW_SRC: {
-        double vw = c[0] * w, denom, err, u, hi = c[3];
-        denom = vw > v ? vw : v;
-        if (denom < 0.1)
-            denom = 0.1;
-        err = c[1] - (vw - v) / denom;
+        double err = c[1] - slip(c[0], v, w), u, hi = c[3];
         u = c[2] + c[4] * err + s[0];
         /* integrate unless saturated with the error pushing further out */
         if (!((u > hi && err > 0.0) || (u < 0.0 && err < 0.0)))
@@ -105,27 +115,27 @@ double arte_law_step(int kind, const double *c, double *s, double v,
     }
 }
 
-/* The Magic Formula's mu at the slip of (v, w): slip with the 0.1
-   denominator floor, then the +-1 clamp. */
-static double stage_mu(const double *p, double v, double w)
+/* One RK4 stage at (v, w) and motor torque t: the Magic Formula's mu at
+   the slip clamped to +-1, which is returned, and the accelerations of
+   v and w, written to dv and dw.  `inline`: without it gcc -O2 calls it
+   out of line, and a plant step runs a few per cent slower. */
+static inline double stage(const double *p, double v, double w, double t,
+                           double *dv, double *dw)
 {
-    double vw = p[P_R] * w, denom, lam, bl;
-    denom = vw > v ? vw : v;
-    if (denom < 0.1)
-        denom = 0.1;
-    lam = (vw - v) / denom;
+    double lam = slip(p[P_R], v, w), bl, mu, fd;
+
     if (lam > 1.0)
         lam = 1.0;
     else if (lam < -1.0)
         lam = -1.0;
     bl = p[P_B] * lam;
-    return p[P_D] * sin(p[P_C] * atan(bl - p[P_E] * (bl - atan(bl))));
-}
-
-/* Running resistance at chassis speed v: zero unless moving. */
-static double resistance(const double *p, double v)
-{
-    return v > 0.0 ? p[P_ROLL] + p[P_AERO] * v * v : 0.0;
+    mu = p[P_D] * sin(p[P_C] * atan(bl - p[P_E] * (bl - atan(bl))));
+    fd = mu * p[P_LOAD];
+    /* the running resistance acts only while moving */
+    *dv = (4.0 * fd - (v > 0.0 ? p[P_ROLL] + p[P_AERO] * v * v : 0.0))
+          / p[P_M];
+    *dw = (t - p[P_R] * fd) / p[P_JW];
+    return mu;
 }
 
 /* Steps lo..hi-1 from the state x = (v, w, t_applied), which is
@@ -140,18 +150,18 @@ long long arte_run_span(const double *p, int kind, const double *lc,
                         double *v_col, double *w_col, double *cmd_col,
                         double *app_col, double *mu_col)
 {
-    const double r = p[P_R], m = p[P_M], jw = p[P_JW], load = p[P_LOAD];
     const double lim = p[P_LIM], decay = p[P_DECAY], dt = p[P_DT];
     const double half_dt = p[P_HALF_DT], sixth_dt = p[P_SIXTH_DT];
     double v = x[0], w = x[1], t_applied = x[2];
     long long k;
+    int why = 0;
 
-    /* each step below leaves a finite state or returns, so only the
+    /* each step below leaves a finite state or breaks, so only the
        entering state needs a check of its own */
     if (!(isfinite(v) && isfinite(w) && isfinite(t_applied)))
         return 2 * lo;
     for (k = lo; k < hi; k++) {
-        double t_cmd, lag, t_half, t_full, mu, fd, sv, sw;
+        double t_cmd, lag, t_half, t_full;
         double k1v, k1w, k2v, k2w, k3v, k3w, k4v, k4w;
 
         t_cmd = arte_law_step(kind, lc, ls, v, w, t_applied);
@@ -169,42 +179,19 @@ long long arte_run_span(const double *p, int kind, const double *lc,
         t_half = t_cmd + lag;
         t_full = t_cmd + lag * decay;
 
-        /* stage 1, at the start state (v, w) and t_applied */
-        mu = stage_mu(p, v, w);
-        mu_col[k] = mu;
-        fd = mu * load;
-        k1v = (4.0 * fd - resistance(p, v)) / m;
-        k1w = (t_applied - r * fd) / jw;
-
-        /* stage 2, at (sv, sw) half a step along stage 1, and t_half */
-        sv = v + half_dt * k1v;
-        sw = w + half_dt * k1w;
-        fd = stage_mu(p, sv, sw) * load;
-        k2v = (4.0 * fd - resistance(p, sv)) / m;
-        k2w = (t_half - r * fd) / jw;
-
-        /* stage 3, at (sv, sw) half a step along stage 2, and t_half */
-        sv = v + half_dt * k2v;
-        sw = w + half_dt * k2w;
-        fd = stage_mu(p, sv, sw) * load;
-        k3v = (4.0 * fd - resistance(p, sv)) / m;
-        k3w = (t_half - r * fd) / jw;
-
-        /* stage 4, at (sv, sw) a full step along stage 3, and t_full */
-        sv = v + dt * k3v;
-        sw = w + dt * k3w;
-        fd = stage_mu(p, sv, sw) * load;
-        k4v = (4.0 * fd - resistance(p, sv)) / m;
-        k4w = (t_full - r * fd) / jw;
-
+        /* at the start state and t_applied, then half a step along the
+           first and second slopes at t_half, a full step along the
+           third at t_full */
+        mu_col[k] = stage(p, v, w, t_applied, &k1v, &k1w);
+        stage(p, v + half_dt * k1v, w + half_dt * k1w, t_half, &k2v, &k2w);
+        stage(p, v + half_dt * k2v, w + half_dt * k2w, t_half, &k3v, &k3w);
+        stage(p, v + dt * k3v, w + dt * k3w, t_full, &k4v, &k4w);
         v += sixth_dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v);
         w += sixth_dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w);
 
         if (!(isfinite(v) && isfinite(w))) {
-            x[0] = v;
-            x[1] = w;
-            x[2] = t_applied;
-            return 2 * k + 1;
+            why = 1;
+            break;
         }
         if (v < 0.0)
             v = 0.0;
@@ -215,7 +202,7 @@ long long arte_run_span(const double *p, int kind, const double *lc,
     x[0] = v;
     x[1] = w;
     x[2] = t_applied;
-    return k < hi ? 2 * k : -1;
+    return k < hi ? 2 * k + why : -1;
 }
 
 
@@ -358,9 +345,9 @@ long long arte_trace_rows(const double *const *cols,
     return o - out;
 }
 
-/* The longest filter (taps of a and of b) and the largest Levinson
-   system that the stack arrays below hold; the Python wrappers read
-   them, and the entries return -1 beyond them. */
+/* The longest filter (taps of a and of b), which the stack arrays
+   below hold, and the largest Levinson system; the Python wrappers read
+   it, and the entries return -1 beyond it. */
 enum { MAX_TAPS = 64 };
 const int arte_max_taps = MAX_TAPS;
 
@@ -399,65 +386,38 @@ int arte_ar_filter(const double *b, int nb, const double *a, int na,
 
 /* The solution x of T x = r[1..n], T the symmetric Toeplitz matrix of
    r[0..n-1], by the Levinson recursion of scipy's solve_toeplitz (its
-   `levinson`, after Alan Miller's toeplitz.f90): x, and the forward and
-   backward vectors g and h, grown one order at a time, each sum in its
-   order.  Returns 0, 1 for a singular principal minor, or -1 for n out
-   of 1..MAX_TAPS. */
+   `levinson`, after Alan Miller's toeplitz.f90) in Durbin's symmetric
+   form.  For a symmetric T, scipy's backward vector h equals its forward
+   vector g value for value, and since the right-hand side is r[1..n]
+   itself, so does x: the three are one vector, grown one order at a
+   time and updated in pairs in place.  Every sum and update is scipy's,
+   in its order, with T's entries read as r[|i - j|].  Returns 0, 1 for a
+   singular principal minor, or -1 for n out of 1..MAX_TAPS. */
 int arte_levinson(const double *r, int n, double *x)
 {
-    /* t is the operand solve_toeplitz hands to levinson: the first row
-       reversed without the diagonal, then the first column */
-    double t[2 * MAX_TAPS - 1], g[MAX_TAPS], h[MAX_TAPS];
-    double x_num, x_den, g_num, h_num, g_den, c1, c2, gj, gk, hj, hk;
-    const double *b = r + 1;
+    double num, den, c, xj, xk;
     int m, j, k;
 
     if (n < 1 || n > MAX_TAPS)
         return -1;
-    for (j = 0; j < 2 * n - 1; j++)
-        t[j] = r[j < n - 1 ? n - 1 - j : j - (n - 1)];
-    if (t[n - 1] == 0.0)
+    if (r[0] == 0.0)
         return 1;
-    x[0] = b[0] / t[n - 1];
-    if (n == 1)
-        return 0;
-    g[0] = t[n - 2] / t[n - 1];
-    h[0] = t[n] / t[n - 1];
+    x[0] = r[1] / r[0];
     for (m = 1; m < n; m++) {
-        x_num = -b[m];
-        x_den = -t[n - 1];
+        num = -r[m + 1];
+        den = -r[0];
         for (j = 0; j < m; j++) {
-            x_num = x_num + t[n + m - j - 1] * x[j];
-            x_den = x_den + t[n + m - j - 1] * g[m - j - 1];
+            num = num + r[m - j] * x[j];
+            den = den + r[m - j] * x[m - j - 1];
         }
-        if (x_den == 0.0)
+        if (den == 0.0)
             return 1;
-        x[m] = x_num / x_den;
-        for (j = 0; j < m; j++)
-            x[j] = x[j] - x[m] * g[m - j - 1];
-        if (m == n - 1)
-            break;
-        g_num = -t[n - m - 2];
-        h_num = -t[n + m];
-        g_den = -t[n - 1];
-        for (j = 0; j < m; j++) {
-            g_num = g_num + t[n + j - m - 1] * g[j];
-            h_num = h_num + t[n + m - j - 1] * h[j];
-            g_den = g_den + t[n + j - m - 1] * h[m - j - 1];
-        }
-        if (g_den == 0.0)
-            return 1;
-        g[m] = c1 = g_num / g_den;
-        h[m] = c2 = h_num / x_den;
+        x[m] = c = num / den;
         for (j = 0, k = m - 1; j < (m + 1) >> 1; j++, k--) {
-            gj = g[j];
-            gk = g[k];
-            hj = h[j];
-            hk = h[k];
-            g[j] = gj - c1 * hk;
-            g[k] = gk - c1 * hj;
-            h[j] = hj - c2 * gk;
-            h[k] = hk - c2 * gj;
+            xj = x[j];
+            xk = x[k];
+            x[j] = xj - c * xk;
+            x[k] = xk - c * xj;
         }
     }
     return 0;

@@ -273,7 +273,6 @@ def run_scenario(cfg):
             ctrl.set_estimate(*beliefs[lo])
             law = ctrl.law(dt, cfg.torque_demand)
         v, w, t_applied = run(law, state, v, w, t_applied, lo, hi, pointers)
-    ctrl.state = state
 
     # derived columns, each with the operations of its per-step definition
     vw_arr = w_arr * p.r

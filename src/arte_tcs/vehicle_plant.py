@@ -36,8 +36,9 @@ bit-identical to theirs.  `law_step` runs a law alone for one step, and
 same library formats the trace CSV's rows for `harness.write_trace_csv`
 (`arte_trace_rows`), runs the road audio's AR filter for `synth_corpus`
 (`arte_ar_filter`, scipy's lfilter bit for bit) and solves the LPC
-normal equations for `arte_dsp` (`arte_levinson`, the Levinson recursion
-of scipy's solve_toeplitz bit for bit).
+normal equations for `arte_dsp` (`arte_levinson`, Durbin's recursion: the
+Levinson recursion of scipy's solve_toeplitz in its symmetric form, where
+the forward, backward and solution vectors are one, bit for bit).
 
 The kernel is built with gcc (`KERNEL_CFLAGS`) on the first call that
 needs it, never at import, into `__pycache__/_kernel-<digest>.so` beside
@@ -188,11 +189,11 @@ def _build_kernel(source, path):
                 ["gcc", *KERNEL_CFLAGS, "-o", tmp, source, "-lm"],
                 capture_output=True, text=True)
         except FileNotFoundError:
-            raise OSError("cannot build the plant kernel: gcc is not on "
-                          "PATH") from None
+            raise OSError("cannot build the compiled kernel: gcc is not "
+                          "on PATH") from None
         if out.returncode != 0:
             first = (out.stderr.strip().splitlines() or ["no message"])[0]
-            raise OSError("gcc failed to build the plant kernel %s: %s"
+            raise OSError("gcc failed to build the compiled kernel %s: %s"
                           % (source, first))
         os.replace(tmp, path)
     finally:

@@ -135,12 +135,22 @@ def test_lpc_is_solve_toeplitz_bit_for_bit(n, seed, exponent):
 
 @st.composite
 def toeplitz_systems(draw):
-    """r[0..n] of a random symmetric positive-definite Toeplitz system,
-    n up to the kernel's bound, normalized and ridged as `_lpc` does: the
-    autocorrelation of a sum of damped or pure sinusoids in white noise
-    of any level."""
+    """r[0..n] of a random symmetric Toeplitz system, n up to the
+    kernel's bound.  A third are normalized and ridged as `_lpc` does,
+    positive definite: the autocorrelation of a sum of damped or pure
+    sinusoids in white noise of any level.  The rest are arbitrary, as
+    the recursion rests on symmetry alone: random signs and scales, or
+    values rounded to one decimal, which makes some principal minors
+    exactly singular."""
     n = draw(st.integers(1, vehicle_plant._load_kernel().max_taps))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    form = draw(st.sampled_from(("lpc", "scaled", "rounded")))
+    if form == "scaled":
+        return rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-50.0, 50.0,
+                                                                 n + 1), n
+    if form == "rounded":
+        scale = draw(st.sampled_from((0.3, 1.0, 3.0)))
+        return np.round(scale * rng.standard_normal(n + 1), 1), n
     count = draw(st.integers(1, 8))
     k = np.arange(n + 1)
     weights = rng.uniform(0.0, 1.0, count)

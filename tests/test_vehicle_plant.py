@@ -212,7 +212,7 @@ def test_failed_kernel_build_names_gcc(tmp_path, monkeypatch):
     monkeypatch.setattr(vehicle_plant, "_KERNEL_SOURCE", str(broken))
     monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(vehicle_plant, "_kernel", None)
-    with pytest.raises(OSError, match=r"^gcc failed to build the plant "
+    with pytest.raises(OSError, match=r"^gcc failed to build the compiled "
                        r"kernel .*_kernel\.c: "):
         plant_step(1.0, 4.0, 0.0, 100.0, 1e-4, DEFAULT_CURVES[RoadType.SNOW],
                    P)
