@@ -132,8 +132,8 @@ def _levinson(r, order):
     """The x with T x = r[1:order + 1], T the symmetric Toeplitz matrix of
     r[:order], r a float64 array: the kernel's `arte_levinson`, Durbin's
     symmetric form of the recursion inside scipy's `solve_toeplitz`, bit
-    for bit.  ConfigError for an
-    order beyond the kernel's bound or a singular principal minor."""
+    for bit.  ConfigError for an order beyond the kernel's bound or a
+    singular principal minor."""
     kernel = _load_kernel()
     if not 0 < order <= kernel.max_taps or len(r) <= order:
         raise ConfigError("Levinson takes 1 to %d equations and their "
