@@ -4,11 +4,11 @@
    `arte_run_span` runs steps lo..hi-1 of the quarter-vehicle plant
    against one controller law; `arte_law_step` runs the law alone for one
    step; `arte_trace_rows` prints rows lo..hi-1 of a trace as CSV;
-   `arte_ar_filter` is scipy.signal.lfilter with its state carried in and
-   out (`synth_corpus`); `arte_levinson` solves the symmetric Toeplitz
-   normal equations of LPC by Durbin's recursion, the symmetric form of
-   the Levinson recursion in scipy's solve_toeplitz, with its bytes
-   (`arte_dsp`).  One RK4 stage (`stage`) serves the four of a plant
+   `arte_ar_filter` is scipy.signal.lfilter([gain], a) with its state
+   carried in and out (`synth_corpus`); `arte_levinson` solves the
+   symmetric Toeplitz normal equations of LPC by Durbin's recursion, the
+   symmetric form of the Levinson recursion in scipy's solve_toeplitz,
+   with its bytes (`arte_dsp`).  One RK4 stage (`stage`) serves the four of a plant
    step, and one slip (`slip`) the plant and the SRC law.
    `vehicle_plant` builds this file with gcc -O2 -ffp-contract=off and
    calls it through ctypes.
@@ -345,40 +345,40 @@ long long arte_trace_rows(const double *const *cols,
     return o - out;
 }
 
-/* The longest filter (taps of a and of b), which the stack arrays
-   below hold, and the largest Levinson system; the Python wrappers read
-   it, and the entries return -1 beyond it. */
+/* The most taps of a filter and the largest Levinson system, which the
+   stack arrays below hold; the wrappers read it, the entries refuse more. */
 enum { MAX_TAPS = 64 };
 const int arte_max_taps = MAX_TAPS;
 
-/* scipy.signal.lfilter(b, a, x, zi=z) in place, for na > 1 taps of a
-   and nb <= na of b, as its direct form II transposed: b zero-padded to
-   na, both divided by a[0], then per sample
-       y = z[0] + b[0] * x
-       z[i - 1] = z[i] + x * b[i] - y * a[i]    (0 < i < na - 1)
-       z[na - 2] = x * b[na - 1] - y * a[na - 1]
-   with every x * b[i] kept (x * 0 is -0 for a negative x), and y stored
-   over x.  z holds na - 1 values, read and written back.  Returns 0, or
-   -1 for a size out of range or a[0] == 0. */
-int arte_ar_filter(const double *b, int nb, const double *a, int na,
-                   double *x, long long len, double *z)
+/* scipy.signal.lfilter([gain], a, x, zi=z) in place, for na > 1 taps
+   of a, as its direct form II transposed: the numerator is gain
+   zero-padded to na taps, both divided by a[0], then per sample
+       y = z[0] + b0 * x                        b0 = gain / a[0]
+       z[i - 1] = z[i] + x * bz - y * a[i]      bz = 0.0 / a[0]
+       z[na - 2] = x * bz - y * a[na - 1]       (0 < i < na - 1)
+   with every x * bz kept, as scipy keeps it: it is -0 for some signs of
+   x and a[0], which decides the sign of a zero state or output.  y is
+   stored over x; z holds na - 1 values, read and written back.  Returns
+   0, or -1 for na out of range or a[0] == 0. */
+int arte_ar_filter(double gain, const double *a, int na, double *x,
+                   long long len, double *z)
 {
-    double bn[MAX_TAPS], an[MAX_TAPS], xk, yk;
+    double an[MAX_TAPS], b0, bz, xk, yk;
     long long k;
     int i;
 
-    if (na < 2 || na > MAX_TAPS || nb < 1 || nb > na || a[0] == 0.0)
+    if (na < 2 || na > MAX_TAPS || a[0] == 0.0)
         return -1;
-    for (i = 0; i < na; i++) {
-        bn[i] = (i < nb ? b[i] : 0.0) / a[0];
+    b0 = gain / a[0];
+    bz = 0.0 / a[0];
+    for (i = 0; i < na; i++)
         an[i] = a[i] / a[0];
-    }
     for (k = 0; k < len; k++) {
         xk = x[k];
-        yk = z[0] + bn[0] * xk;
+        yk = z[0] + b0 * xk;
         for (i = 1; i < na - 1; i++)
-            z[i - 1] = z[i] + xk * bn[i] - yk * an[i];
-        z[na - 2] = xk * bn[na - 1] - yk * an[na - 1];
+            z[i - 1] = z[i] + xk * bz - yk * an[i];
+        z[na - 2] = xk * bz - yk * an[na - 1];
         x[k] = yk;
     }
     return 0;

@@ -30,6 +30,7 @@ LOSS_TARGET = 7.25e-3
 # upper bound on training epochs, for `train_mlp` and `arte-tcs train`
 MAX_EPOCHS = 5000
 VAR_FLOOR = 1e-9
+BOOTSTRAP_TRIALS = 5  # half-splits of a class in `bootstrap_intra`, seed 0
 # normalized features are clipped here: far beyond anything a trained model
 # sees, and near enough that any finite feature vector keeps the first
 # layer finite for weights and biases up to WEIGHT_LIMIT
@@ -154,8 +155,8 @@ def kl_distance(ds, a, b):
     return _gauss_kl(xa, xb)
 
 
-def bootstrap_intra(ds, road, trials=5, seed=0):
-    """Same-class KL noise floor from repeated half-splits.
+def bootstrap_intra(ds, road):
+    """Same-class KL noise floor from BOOTSTRAP_TRIALS half-splits.
 
     Each trial permutes the class rows, fits diagonal Gaussians to the
     two halves and reports their symmetric KL. The max over trials is a
@@ -164,10 +165,10 @@ def bootstrap_intra(ds, road, trials=5, seed=0):
     rows = ds.class_rows(road)
     if len(rows) < 4:
         raise ConfigError("need at least 4 samples to half-split a class")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     half = len(rows) // 2
-    out = np.empty(trials)
-    for t in range(trials):
+    out = np.empty(BOOTSTRAP_TRIALS)
+    for t in range(BOOTSTRAP_TRIALS):
         perm = rng.permutation(len(rows))
         out[t] = _gauss_kl(rows[perm[:half]], rows[perm[half:]])
     return out

@@ -27,7 +27,6 @@ BAND_LOW_HZ = 50.0
 class AudioClip:
     samples: np.ndarray
     sample_rate: int
-    label: object = None
 
 
 @dataclass
@@ -104,28 +103,25 @@ def sample_frames(clip, n, seed):
 # of `_lpc` and `extract_raw`, not warned of.  `extract_raw` enters one
 # np.errstate for all its parts; the public parts each enter their own.
 @np.errstate(over="ignore", invalid="ignore")
-def lpc(frame, order=LPC_ORDER):
-    """Autocorrelation-method predictor coefficients.
-
-    Returns a with x[t] ~ a[0]*x[t-1] + ... + a[order-1]*x[t-order].
-    """
-    return _lpc(frame, order)
+def lpc(frame):
+    """Autocorrelation-method predictor coefficients of the fixed order
+    p = LPC_ORDER: a with x[t] ~ a[0]*x[t-1] + ... + a[p-1]*x[t-p]."""
+    return _lpc(frame)
 
 
-def _lpc(frame, order=LPC_ORDER):
+def _lpc(frame):
     x = np.asarray(frame.samples, dtype=np.float64)
-    if order < 1:
-        raise ConfigError("LPC order must be at least 1")
-    if len(x) <= 2 * order:
-        raise ConfigError("frame too short for LPC order %d" % order)
-    r = np.array([np.dot(x[: len(x) - k], x[k:]) for k in range(order + 1)])
+    if len(x) <= 2 * LPC_ORDER:
+        raise ConfigError("frame too short for LPC order %d" % LPC_ORDER)
+    r = np.array([np.dot(x[: len(x) - k], x[k:])
+                  for k in range(LPC_ORDER + 1)])
     if not math.isfinite(r[0]):
         raise AudioFormatError("frame energy is not finite")
     if r[0] <= 0.0:
         raise ConfigError("all-zero frame has no LPC model")
     r /= r[0]  # finite r[0] bounds all r[k], so r is a finite float64
     r[0] *= 1.0 + 1e-9  # keeps the normal equations strictly positive definite
-    return _levinson(r, order)
+    return _levinson(r, LPC_ORDER)
 
 
 def _levinson(r, order):

@@ -15,12 +15,12 @@ law (filter and observer coefficients, the demand clamp) and returns
 them with the law's kind; the per-step law itself is C, in the plant's
 kernel (`vehicle_plant`, `_kernel.c`), which runs it at every step of a
 span.  The controller's state (MFC's model speed and filter state, SRC's
-integrator, MTTE's `fd_hat` and previous wheel speed) stays on the
-object, readable by name; its `state` property hands it out as a list
-of floats, which the kernel reads and writes back at each span, and
-takes such a list back.  `update` is one step:
-`law(dt, t_demand)` applied once through `vehicle_plant.law_step`.  Each
-controller takes what it uses of the estimate:
+integrator, MTTE's previous wheel speed and `fd_hat`) is one list of
+floats, `state`, in the kernel's layout, which the kernel reads and
+writes back in place at each span and step; the named fields are views
+of its slots.  `update` is one step: `law(dt, t_demand)` applied once
+through `vehicle_plant.law_step`.  Each controller takes what it uses of
+the estimate:
 
 ModelFollowingControl
     Integrates a nominal wheel-speed model driven by the demand and
@@ -61,8 +61,7 @@ import math
 
 from .errors import ConfigError
 from .tire_road import DEFAULT_CURVES, RoadType
-from .vehicle_plant import (LAW_CONSTANT, LAW_MFC, LAW_MTTE, LAW_SRC,
-                            VehicleParams, law_step)
+from .vehicle_plant import LAW_CONSTANT, LAW_MFC, LAW_MTTE, LAW_SRC, law_step
 
 # the controller tags a scenario can name
 CONTROLLERS = ("mfc", "src", "mtte", "open")
@@ -88,37 +87,31 @@ MTTE_ROAD_ALPHA = {
 }
 
 
+def _slot(i):
+    """A named field that views slot i of the controller's `state`."""
+    return property(lambda self: self.state[i],
+                    lambda self, value: self.state.__setitem__(i, value))
+
+
 class Controller:
     """The shared single-step call: each subclass defines `law` and the
-    `state` its law carries from step to step."""
-
-    @property
-    def state(self):
-        """The law's state, as the list of floats the kernel reads and
-        writes back; none unless a subclass keeps one."""
-        return []
-
-    @state.setter
-    def state(self, values):
-        pass
+    `state` list its law carries from step to step."""
 
     def update(self, v, w, t_applied, t_demand, dt):
         """Commanded torque for one step: the law for (dt, t_demand),
         applied once."""
-        state = self.state
-        t_cmd = law_step(self.law(dt, t_demand), state, v, w, t_applied)
-        self.state = state
-        return t_cmd
+        return law_step(self.law(dt, t_demand), self.state, v, w, t_applied)
 
 
 class ModelFollowingControl(Controller):
-    def __init__(self, params=None):
-        self.params = VehicleParams() if params is None else params
-        if not self.params.tau_hp > 0.0:
+    w_model, hp_state = _slot(0), _slot(1)
+
+    def __init__(self, params):
+        if not params.tau_hp > 0.0:
             raise ConfigError("high-pass time constant must be positive")
+        self.params = params
         self.gain = MFC_GAIN
-        self.w_model = 0.0
-        self.hp_state = 0.0
+        self.state = [0.0, 0.0]  # w_model, hp_state
         self.j_model = self._inertia(MFC_LAMBDA_NOMINAL)
 
     def _inertia(self, lam):
@@ -145,19 +138,13 @@ class ModelFollowingControl(Controller):
         a1 = (1.0 - a) / (a + 1.0)
         return LAW_MFC, (t_dem, dw_model, self.gain, b0, a1, lim)
 
-    @property
-    def state(self):
-        return [self.w_model, self.hp_state]
-
-    @state.setter
-    def state(self, values):
-        self.w_model, self.hp_state = values
-
 
 class SlipRatioControl(Controller):
-    def __init__(self, params=None):
-        self.params = VehicleParams() if params is None else params
-        self.integ = 0.0
+    integ = _slot(0)
+
+    def __init__(self, params):
+        self.params = params
+        self.state = [0.0]  # integ
         self.set_estimate(RoadType.ASPHALT, SRC_LAMBDA_REF, SRC_MU_REF)
 
     def set_estimate(self, road, lambda_opt, mu_peak):
@@ -179,34 +166,36 @@ class SlipRatioControl(Controller):
         return LAW_SRC, (p.r, self.lambda_ref, self.base, hi, SRC_KP, SRC_KI,
                          dt)
 
-    @property
-    def state(self):
-        return [self.integ]
-
-    @state.setter
-    def state(self, values):
-        self.integ, = values
-
 
 class MaxTransmissibleTorque(Controller):
-    def __init__(self, params=None, alpha=MTTE_ALPHA_DEFAULT, tau_obs=None,
-                 fd_hat0=0.0):
-        self.params = VehicleParams() if params is None else params
-        self.tau_obs = self.params.tau_motor if tau_obs is None else tau_obs
-        if self.tau_obs <= 0.0:
+    fd_hat = _slot(2)
+
+    def __init__(self, params, alpha=MTTE_ALPHA_DEFAULT, fd_hat0=0.0):
+        # the observer's time constant is the motor lag's
+        if params.tau_motor <= 0.0:
             raise ConfigError("observer time constant must be positive")
         if not (0.0 < alpha <= 1.0):
             raise ConfigError("relaxation factor must lie in (0, 1]")
+        self.params = params
         self.alpha = alpha
+        self.state = [0.0, 0.0, 0.0]  # has_prev, w_prev, fd_hat
         self.fd_hat = fd_hat0
         self.fd_peak = None
-        self._w_prev = None
-        p = self.params
-        inertia = (p.m_vehicle / 4.0) * p.r * p.r
+        inertia = (params.m_vehicle / 4.0) * params.r * params.r
         if not inertia > 0.0:
             raise ConfigError("equivalent inertia m_vehicle/4 * r^2 "
                               "underflows to zero")
-        self.c = p.jw / inertia
+        self.c = params.jw / inertia
+
+    @property
+    def _w_prev(self):
+        """The previous wheel speed; None while the flag is 0."""
+        has_prev, w_prev = self.state[0:2]
+        return w_prev if has_prev else None
+
+    @_w_prev.setter
+    def _w_prev(self, w):
+        self.state[0:2] = (0.0, 0.0) if w is None else (1.0, w)
 
     def set_estimate(self, road, lambda_opt, mu_peak):
         """Adopt the surface-matched relaxation factor and the grip
@@ -222,7 +211,7 @@ class MaxTransmissibleTorque(Controller):
 
     def law(self, dt, t_demand):
         p = self.params
-        tau = self.tau_obs
+        tau = p.tau_motor
         if dt > tau / 5.0:
             raise ConfigError("step %g too coarse for time constant %g"
                               % (dt, tau))
@@ -236,25 +225,13 @@ class MaxTransmissibleTorque(Controller):
         return LAW_MTTE, (dt, jw, r, lag_gain, scale, t_grip, t_dem,
                           MTTE_TORQUE_FLOOR)
 
-    @property
-    def state(self):
-        # the C law's has-previous flag stands for `_w_prev is not None`
-        w_prev = self._w_prev
-        if w_prev is None:
-            return [0.0, 0.0, self.fd_hat]
-        return [1.0, w_prev, self.fd_hat]
-
-    @state.setter
-    def state(self, values):
-        has_prev, w_prev, self.fd_hat = values
-        self._w_prev = w_prev if has_prev else None
-
 
 class OpenLoop(Controller):
     """Pass the demand straight through (baseline, no slip control)."""
 
-    def __init__(self, params=None):
-        self.params = VehicleParams() if params is None else params
+    def __init__(self, params):
+        self.params = params
+        self.state = []
 
     def set_estimate(self, road, lambda_opt, mu_peak):
         """No slip control, so no use for a road estimate."""

@@ -11,10 +11,10 @@ on the config alone: the first step of each road segment, and the belief
 from the true road's curve, the classifier's from `arte_estimate`.  The
 run is cut into spans at those steps; each span is one call of the C
 plant kernel (`make_plant_run`, per segment) against the controller's law
-(its constants recomputed after `set_estimate` at each tick, its state
-carried from span to span).  The kernel writes V, w, T_cmd, T_applied and
-mu (at the start state, from its first RK4 stage) straight into the five
-numpy columns, whose addresses it is given.
+(its constants recomputed after `set_estimate` at each tick) and its state
+list, which the kernel writes in place, so it ends with the run's state.
+The kernel writes V, w, T_cmd, T_applied and mu (at the start state, from
+its first RK4 stage) straight into the five numpy columns it is given.
 The other columns are derived with the IEEE operations of their per-step
 definitions: t = k*dt, Vw = w*r and lambda as `slip_ratio`; the road
 columns, int8 indices into `ROADS` with -1 for "no estimate", are held
@@ -152,7 +152,6 @@ class SimTrace:
     mu: np.ndarray
     road_true_idx: np.ndarray
     road_est_idx: np.ndarray  # NO_ESTIMATE where the estimator is off
-    dt: float
 
     @property
     def road_true(self):
@@ -264,15 +263,15 @@ def run_scenario(cfg):
     columns = [np.empty(n_steps) for _ in range(5)]
     v_arr, w_arr, cmd_arr, app_arr, mu_arr = columns
     pointers = [col.ctypes.data for col in columns]
-    v, w, t_applied = cfg.v0, cfg.v0 / p.r, 0.0
-    law, state = ctrl.law(dt, cfg.torque_demand), ctrl.state
+    x = cfg.v0, cfg.v0 / p.r, 0.0  # the plant state (v, w, t_applied)
+    law = ctrl.law(dt, cfg.torque_demand)
     for lo, hi in zip(bounds, bounds[1:]):
         if lo in roads:
             run = make_plant_run(DEFAULT_CURVES[ROADS[roads[lo]]], p, dt)
         if lo in beliefs:
             ctrl.set_estimate(*beliefs[lo])
             law = ctrl.law(dt, cfg.torque_demand)
-        v, w, t_applied = run(law, state, v, w, t_applied, lo, hi, pointers)
+        x = run(law, ctrl.state, *x, lo, hi, pointers)
 
     # derived columns, each with the operations of its per-step definition
     vw_arr = w_arr * p.r
@@ -283,7 +282,7 @@ def run_scenario(cfg):
                     road_true_idx=_held_column(segments, n_steps),
                     road_est_idx=_held_column(
                         [(k, ROAD_INDEX[b[0]]) for k, b in beliefs.items()],
-                        n_steps), dt=dt)
+                        n_steps))
 
 
 def slip_deviation(trace):
@@ -411,11 +410,11 @@ def _from_section(cls, section, keys):
     return cls(**values)
 
 
-def load_curve_overrides(path, base=None):
+def load_curve_overrides(path):
     """Road -> curve from an INI file of [road] sections with keys b, c, d
-    and e: `base` (defaults if None) with the file's roads replaced. Two
-    sections naming one road ([snow], [Snow]) are a ConfigError."""
-    out = dict(DEFAULT_CURVES if base is None else base)
+    and e: the default curves with the file's roads replaced. Two sections
+    naming one road ([snow], [Snow]) are a ConfigError."""
+    out = dict(DEFAULT_CURVES)
     seen = {}
     for section, keys in _read_sections(path).items():
         road = RoadType.from_name(section)

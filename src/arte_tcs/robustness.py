@@ -250,10 +250,9 @@ def _shrunk(box):
 
 def plant_family(tcs, params, arte_on=False):
     """Nominal plant plus the worst corner of the uncertainty box."""
-    tag = str(tcs).lower()
-    if tag not in FAMILY_BOXES:
+    if tcs not in FAMILY_BOXES:
         raise ConfigError("unknown controller tag %r" % (tcs,))
-    box = FAMILY_BOXES[tag]
+    box = FAMILY_BOXES[tcs]
     if arte_on:
         box = _shrunk(box)
     (s_lo, s_hi), (a_lo, a_hi) = box

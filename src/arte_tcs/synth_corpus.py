@@ -59,12 +59,12 @@ ROAD_SOUNDS = {
 
 
 def synth_clip(road, duration_s=DEFAULT_DURATION_S, seed=0):
-    """The road's AR-filtered excitation, peak-normalized to 0.9, labeled."""
+    """The road's AR-filtered excitation, peak-normalized to 0.9."""
     if duration_s < 0.5:
         raise ConfigError("clip duration must be at least 0.5 s")
     x = _ar_output(road, int(round(duration_s * SAMPLE_RATE)), seed)
     x *= 0.9 / _peak(x)
-    return AudioClip(samples=x, sample_rate=SAMPLE_RATE, label=road)
+    return AudioClip(samples=x, sample_rate=SAMPLE_RATE)
 
 
 def _ar_output(road, n, seed):
@@ -93,8 +93,8 @@ def _ar_filter(gain, den, x, z):
     if not 1 < len(den) <= kernel.max_taps or len(z) != len(den) - 1:
         raise ConfigError("an AR filter takes 2 to %d taps and one state "
                           "value fewer" % kernel.max_taps)
-    if kernel.ar_filter(np.array([gain]).ctypes.data, 1, den.ctypes.data,
-                        len(den), x.ctypes.data, len(x), z.ctypes.data):
+    if kernel.ar_filter(gain, den.ctypes.data, len(den), x.ctypes.data,
+                        len(x), z.ctypes.data):
         raise ConfigError("an AR filter needs a[0] not 0")
 
 
@@ -115,7 +115,7 @@ def _noise_bed(seed, duration_s=DEFAULT_DURATION_S):
 
 
 def class_clip(road, seed=0, duration_s=DEFAULT_DURATION_S):
-    """One labeled clip for a road class under the shared noise bed at
+    """One clip for a road class under the shared noise bed at
     OVERLAP_SNR_DB, deterministic in seed; peak at most 1."""
     clean = synth_clip(road, duration_s, seed=_clean_seed(road, seed)).samples
     noise, noise_ms = _noise_bed(seed, duration_s)
@@ -127,7 +127,7 @@ def class_clip(road, seed=0, duration_s=DEFAULT_DURATION_S):
     peak = _peak(mixed)
     if peak > 1.0:
         mixed /= peak
-    return AudioClip(mixed, SAMPLE_RATE, road)
+    return AudioClip(mixed, SAMPLE_RATE)
 
 
 def _clean_seed(road, seed):

@@ -42,10 +42,10 @@ the forward, backward and solution vectors are one, bit for bit).
 
 The kernel is built with gcc (`KERNEL_CFLAGS`) on the first call that
 needs it, never at import, into `__pycache__/_kernel-<digest>.so` beside
-this file, the digest of its source, the flags and the machine; when
-that directory cannot be written, into a temporary directory for the
-process.  It is loaded through ctypes.  Without gcc, or if the build
-fails, the call raises OSError naming gcc (exit 4 at the CLI).
+this file (digest of source, flags and machine; other builds there are
+removed), or a temporary directory if that one cannot be written, and
+loaded through ctypes.  Without gcc, or if the build fails, the call
+raises OSError naming gcc (exit 4 at the CLI).
 """
 
 import math
@@ -154,7 +154,7 @@ class _Kernel:
         self.trace_rows.restype = ctypes.c_longlong
         address, size = ctypes.c_void_p, ctypes.c_int
         self.ar_filter = lib.arte_ar_filter
-        self.ar_filter.argtypes = (address, size, address, size, address,
+        self.ar_filter.argtypes = (ctypes.c_double, address, size, address,
                                    ctypes.c_longlong, address)
         self.ar_filter.restype = ctypes.c_int
         self.levinson = lib.arte_levinson
@@ -208,6 +208,8 @@ def _load_kernel():
     global _kernel
     if _kernel is not None:
         return _kernel
+    import contextlib
+    import glob
     import hashlib
     import platform
 
@@ -233,6 +235,12 @@ def _load_kernel():
             atexit.register(shutil.rmtree, directory, True)
         path = os.path.join(directory, name)
         _build_kernel(_KERNEL_SOURCE, path)
+        # drop the builds of other sources (a process that has loaded one
+        # keeps it)
+        stale = glob.glob(os.path.join(glob.escape(directory), "_kernel-*.so"))
+        for old in set(stale) - {path}:
+            with contextlib.suppress(OSError):
+                os.remove(old)
     _kernel = _Kernel(path)
     return _kernel
 

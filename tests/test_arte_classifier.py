@@ -106,11 +106,11 @@ def test_bootstrap_intra_floor_and_determinism():
     rng = np.random.default_rng(6)
     ds = two_class_ds(rng.standard_normal((30, 7)),
                       5.0 + rng.standard_normal((30, 7)))
-    vals = bootstrap_intra(ds, A, trials=5, seed=0)
+    vals = bootstrap_intra(ds, A)
     assert vals.shape == (5,)
     # same-distribution halves sit far below the 5-sigma class gap
     assert vals.max() < kl_distance(ds, A, S) / 10.0
-    assert np.array_equal(vals, bootstrap_intra(ds, A, trials=5, seed=0))
+    assert np.array_equal(vals, bootstrap_intra(ds, A))
 
 
 def test_bootstrap_intra_needs_four_samples():

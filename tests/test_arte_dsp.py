@@ -182,12 +182,6 @@ def test_lpc_errors():
         lpc(Frame(np.ones(15), 0))
 
 
-def test_lpc_rejects_an_order_below_one():
-    for order in (0, -3):
-        with pytest.raises(ConfigError, match="order"):
-            lpc(noise_frame(), order)
-
-
 def test_levinson_guards():
     # the kernel solves at most max_taps equations on its stack, and a
     # singular principal minor ends in the documented error

@@ -13,7 +13,8 @@ from arte_tcs.controllers import (
 )
 from arte_tcs.errors import ConfigError
 from arte_tcs.tire_road import DEFAULT_CURVES, RoadType, peak_friction
-from arte_tcs.vehicle_plant import VehicleParams, plant_step, slip_ratio
+from arte_tcs.vehicle_plant import (VehicleParams, make_plant_run, plant_step,
+                                    slip_ratio)
 
 P = VehicleParams()
 # resistance-free variant for analytic comparisons
@@ -52,7 +53,7 @@ def test_mtte_observer_lag_step_response():
     # a step of the raw force estimate: fd_raw = t_applied / r at dw = 0
     tau = 0.05
     dt = 1e-3
-    m = MaxTransmissibleTorque(P, tau_obs=tau)
+    m = MaxTransmissibleTorque(dataclasses.replace(P, tau_motor=tau))
     n = int(round(tau / dt))
     for _ in range(n):
         m.update(0.0, 0.0, P.r, 0.0, dt)
@@ -60,7 +61,7 @@ def test_mtte_observer_lag_step_response():
 
 
 def test_mtte_rejects_coarse_observer_step():
-    m = MaxTransmissibleTorque(P, tau_obs=0.05)
+    m = MaxTransmissibleTorque(dataclasses.replace(P, tau_motor=0.05))
     with pytest.raises(ConfigError):
         m.update(0.0, 0.0, P.r, 0.0, 0.02)
     # exactly tau/5 is still allowed
@@ -181,7 +182,8 @@ def test_mtte_coupling_constant():
 
 def test_mtte_cap_formula():
     # huge observer time constant pins fd_hat at its prior
-    m = MaxTransmissibleTorque(P, alpha=0.8, tau_obs=1e12, fd_hat0=500.0)
+    m = MaxTransmissibleTorque(dataclasses.replace(P, tau_motor=1e12),
+                               alpha=0.8, fd_hat0=500.0)
     tc = m.update(0.0, 0.0, 0.0, 700.0, 1e-3)
     assert tc == pytest.approx((1.0 + m.c / 0.8) * P.r * 500.0, rel=1e-9)
 
@@ -211,7 +213,8 @@ def test_mtte_observer_settles_in_five_time_constants():
 
 def test_mtte_grip_ceiling():
     # snow: relaxation 0.9, and a peak friction that carries 1000 N
-    m = MaxTransmissibleTorque(P, tau_obs=1e12, fd_hat0=1e6)
+    m = MaxTransmissibleTorque(dataclasses.replace(P, tau_motor=1e12),
+                               fd_hat0=1e6)
     m.set_estimate(RoadType.SNOW, 0.05, 1000.0 / P.normal_load())
     assert m.alpha == MTTE_ROAD_ALPHA[RoadType.SNOW] == 0.9
     tc = m.update(0.0, 0.0, 0.0, 700.0, 1e-3)
@@ -223,6 +226,8 @@ def test_mtte_validation():
         MaxTransmissibleTorque(P, alpha=0.0)
     with pytest.raises(ConfigError):
         MaxTransmissibleTorque(P, alpha=1.2)
+    with pytest.raises(ConfigError, match="observer time constant"):
+        MaxTransmissibleTorque(dataclasses.replace(P, tau_motor=0.0))
     m = MaxTransmissibleTorque(P)
     with pytest.raises(ConfigError):
         m.set_estimate(RoadType.SNOW, 0.05, -5.0 / P.normal_load())
@@ -287,6 +292,33 @@ def test_replay_reproduces_outputs_bit_exactly():
         first = run(ctrl)
         second = run(ctrl)
         assert first == second
+
+
+@pytest.mark.parametrize("make,names", [
+    (lambda: SlipRatioControl(P), ("integ",)),
+    (lambda: MaxTransmissibleTorque(P, fd_hat0=3000.0), ("fd_hat", "_w_prev")),
+], ids=["src", "mtte"])
+def test_a_span_leaves_its_state_on_the_controller(make, names):
+    # 200 steps of the snow launch, with the snow peak installed, as one
+    # kernel span over the controller's own state list and step by step
+    # through update: the same state, moved from its start
+    snow = RoadType.SNOW
+    curve, dt, demand, n = DEFAULT_CURVES[snow], 1e-4, 400.0, 200
+    start, spanned, stepped = make(), make(), make()
+    for ctrl in (spanned, stepped):
+        ctrl.set_estimate(snow, *peak_friction(curve))
+    v, w, ta = 1.0, 1.0 / P.r, 0.0
+    columns = [np.empty(n) for _ in range(5)]
+    make_plant_run(curve, P, dt)(spanned.law(dt, demand), spanned.state,
+                                 v, w, ta, 0, n,
+                                 [col.ctypes.data for col in columns])
+    for _ in range(n):
+        tc = stepped.update(v, w, ta, demand, dt)
+        v, w, ta = plant_step(v, w, ta, tc, dt, curve, P)
+    for name in names:
+        assert float(getattr(spanned, name)).hex() == float(
+            getattr(stepped, name)).hex()
+        assert getattr(spanned, name) != getattr(start, name)
 
 
 def test_open_loop_passes_demand():

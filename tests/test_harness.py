@@ -50,7 +50,7 @@ def hand_trace(lam, torque, dt=0.1):
                     mu=np.zeros(n),
                     road_true_idx=np.full(n, ROAD_INDEX[RoadType.SNOW],
                                           np.int8),
-                    road_est_idx=np.full(n, NO_ESTIMATE, np.int8), dt=dt)
+                    road_est_idx=np.full(n, NO_ESTIMATE, np.int8))
 
 
 def test_slip_deviation_hand_values():
@@ -217,8 +217,9 @@ def test_plant_python_calls_scale_with_spans_not_steps():
     # kernel's plant constants and their normal_load, and one normal_load
     # per estimate
     assert len(calls) <= 3 * spans
-    # the controller's construction, its state out and back, and per tick
-    # one set_estimate and one law (one more law before the first span)
+    # the controller's construction, and per tick one set_estimate and
+    # one law (one more law before the first span); the kernel writes the
+    # controller's state list in place, through no Python call
     assert len(law_calls) <= 4 * spans
 
 
@@ -246,7 +247,7 @@ def test_trace_written_without_gcc_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
     roads = np.full(3, NO_ESTIMATE, dtype=np.int8)
     trace = SimTrace(*np.zeros((7, 3)), road_true_idx=roads,
-                     road_est_idx=roads, dt=1e-4)
+                     road_est_idx=roads)
     path = tmp_path / "trace.csv"
     with pytest.raises(OSError, match="gcc"):
         write_trace_csv(path, trace)
@@ -259,7 +260,7 @@ def test_trace_road_index_out_of_range_leaves_no_file(tmp_path, road):
     # the indices before it opens the file
     roads = np.array([0, road, 1], dtype=np.int8)
     trace = SimTrace(*np.zeros((7, 3)), road_true_idx=roads[::-1].copy(),
-                     road_est_idx=roads, dt=1e-4)
+                     road_est_idx=roads)
     path = tmp_path / "trace.csv"
     with pytest.raises(ValueError, match="road index"):
         write_trace_csv(path, trace)

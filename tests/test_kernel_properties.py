@@ -337,12 +337,10 @@ def test_c_kernel_matches_python_reference_bit_for_bit(curve, params, dt, law,
 
     ctrl = controller_with(kind, attrs)
     cols = [np.full(hi, FILL) for _ in range(5)]
-    state = ctrl.state
     run = make_plant_run(curve, params, dt)
     got, got_err = outcome(lambda: run(
-        (kind, constants), state, *entering, lo, hi,
+        (kind, constants), ctrl.state, *entering, lo, hi,
         [col.ctypes.data for col in cols]))
-    ctrl.state = state
 
     assert got_err == want_err
     if want is not None:
@@ -354,9 +352,7 @@ def test_c_kernel_matches_python_reference_bit_for_bit(curve, params, dt, law,
     # one more step of the law alone, as `Controller.update` runs it
     v, w, t_applied = entering
     want = reference_law(kind, constants, ref_state)(v, w, t_applied)
-    state = ctrl.state
-    got = law_step((kind, constants), state, v, w, t_applied)
-    ctrl.state = state
+    got = law_step((kind, constants), ctrl.state, v, w, t_applied)
     assert bits([got]) == bits([want])
     assert state_bits(ctrl, kind) == state_bits(ref_state, kind)
 

@@ -32,7 +32,6 @@ def test_clip_length_and_peak():
     clip = synth_clip(RoadType.ASPHALT, seed=0)
     assert len(clip.samples) == 56000
     assert clip.sample_rate == 16000
-    assert clip.label is RoadType.ASPHALT
     assert np.max(np.abs(clip.samples)) == pytest.approx(0.9)
 
 
@@ -77,6 +76,36 @@ def test_ar_filter_in_chunks_is_one_lfilter_call(road, gain, seed, n, cuts,
     assert z.tobytes() == zf.tobytes()
 
 
+def signed_zeros(rng, v, share):
+    """v with about `share` of its entries set to +0 or -0 at random."""
+    hit = rng.random(len(v)) < share
+    v[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), negative_lead=st.booleans(),
+       gain=st.floats(-10.0, 10.0, allow_subnormal=False)
+       | st.sampled_from((0.0, -0.0)),
+       zero_share=st.sampled_from((0.0, 0.3, 1.0)), n=st.integers(1, 300))
+def test_gain_only_ar_filter_is_lfilter_bit_for_bit(seed, negative_lead, gain,
+                                                   zero_share, n):
+    # any denominator the kernel holds, its leading tap of either sign and
+    # not 1, with +-0 in x, zi and the gain: the kernel's 0 / a[0] taps
+    # keep scipy's signed zeros
+    rng = np.random.default_rng(seed)
+    taps = int(rng.integers(2, vehicle_plant._load_kernel().max_taps + 1))
+    den = signed_zeros(rng, rng.standard_normal(taps), 0.1)
+    den[0] = rng.uniform(0.25, 4.0) * (-1.0 if negative_lead else 1.0)
+    x = signed_zeros(rng, rng.standard_normal(n), zero_share)
+    zi = signed_zeros(rng, rng.standard_normal(taps - 1), zero_share)
+    y, zf = lfilter([gain], den, x, zi=zi)
+    z = zi.copy()
+    _ar_filter(gain, den, x, z)
+    assert x.tobytes() == y.tobytes()
+    assert z.tobytes() == zf.tobytes()
+
+
 def test_ar_filter_rejects_what_the_kernel_cannot_hold():
     # the kernel keeps at most max_taps coefficients on its stack
     taps = vehicle_plant._load_kernel().max_taps
@@ -99,7 +128,6 @@ def test_class_clip_noise_bed_and_peak():
         for k, road in enumerate(RoadType):
             clean = synth_clip(road, seed=1000 * seed + k).samples
             mixed = class_clip(road, seed)
-            assert mixed.label is road
             peak = np.max(np.abs(mixed.samples))
             assert peak <= 1.0
             if peak == 1.0:
@@ -120,7 +148,6 @@ def test_class_clip_on_a_shared_bed_is_the_same_clip(seed, duration_s):
         _noise_bed.cache_clear()
         alone = class_clip(road, seed, duration_s)
         assert shared.samples.tobytes() == alone.samples.tobytes()
-        assert shared.label is alone.label is road
 
 
 def test_one_noise_bed_per_seed(tmp_path):

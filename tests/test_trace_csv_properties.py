@@ -115,7 +115,7 @@ def test_trace_csv_bytes_match_reference(out_dir, values, roads, rows):
     columns = np.resize(np.array(values, dtype=float), (7, rows))
     road_idx = np.resize(np.array(roads, dtype=np.int8), (2, rows))
     trace = SimTrace(*columns, road_true_idx=road_idx[0],
-                     road_est_idx=road_idx[1], dt=1e-4)
+                     road_est_idx=road_idx[1])
     path = out_dir / "trace.csv"
     write_trace_csv(path, trace)
     assert path.read_bytes() == reference_csv(trace)

@@ -206,6 +206,22 @@ def test_kernel_builds_elsewhere_when_its_cache_cannot_be_made(tmp_path,
     assert os.listdir(tmp_path) == ["file"]
 
 
+def test_a_kernel_build_removes_stale_builds(tmp_path, monkeypatch):
+    # the build of another source version goes once this one is built,
+    # and this one loads
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "_kernel-0000.so").write_bytes(b"a stale build")
+    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(cache))
+    monkeypatch.setattr(vehicle_plant, "_kernel", None)
+    curve = DEFAULT_CURVES[RoadType.SNOW]
+    assert plant_step(1.0, 4.0, 0.0, 100.0, 1e-4, curve, P) == (
+        1.0002551561714126, 3.9559334964928254, 0.19980013326669166)
+    built, = os.listdir(cache)
+    assert built != "_kernel-0000.so"
+    assert built.startswith("_kernel-") and built.endswith(".so")
+
+
 def test_failed_kernel_build_names_gcc(tmp_path, monkeypatch):
     broken = tmp_path / "_kernel.c"
     broken.write_text("this is not C\n")
