@@ -8,9 +8,13 @@ estimator tick, so misclassification propagates into the torque path.
 `run_scenario` plans, runs spans, then derives columns.  The plan depends
 on the config alone: the first step of each road segment, and the belief
 (road, lambda_opt, mu_peak) formed at each estimator tick -- the oracle's
-from the true road's curve, the classifier's from `arte_estimate`.  The
-run is cut into spans at those steps; each span is one call of the C
-plant kernel (`make_plant_run`, per segment) against the controller's law
+from the true road's curve, the classifier's from `arte_estimate`.  As no
+belief depends on the run, a classifier run forms its beliefs ahead, in
+one worker thread, while the caller's thread runs the spans and takes
+each belief at its tick; off and oracle runs use one thread.  (A belief
+that depends on the run, as ROADMAP items 6 and 9 would have, cannot be
+formed ahead; `_plan` says what it would need.)  The run is cut into
+spans at those steps; each span is one call of the C plant kernel (`make_plant_run`, per segment) against the controller's law
 (its constants recomputed after `set_estimate` at each tick) and its state
 list, which the kernel writes in place, so it ends with the run's state.
 The kernel writes V, w, T_cmd, T_applied and mu (at the start state, from
@@ -35,6 +39,8 @@ an unknown section or key is a ConfigError.
 import bisect
 import configparser
 import math
+import queue
+import threading
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -206,14 +212,16 @@ def _first_step(x, n, dt):
 
 
 def _plan(cfg, n):
-    """(segments, beliefs): what a run of n steps does, before it runs.
+    """(segments, ticks, beliefs): what a run of n steps does, before it
+    runs.
 
     `segments` holds (first step, road index) of each schedule entry due
-    before step n; of entries due at one step the later wins.  `beliefs`
-    maps each estimator tick's first step to the (road, lambda_opt,
-    mu_peak) installed there.  `_first_step` searches from 0, yet no two
-    ticks share a step and each lies after the last, as in a per-step
-    loop: ticks are arte_period_s >= 0.1 s apart, steps at most 5e-3 s.
+    before step n; of entries due at one step the later wins.  `ticks`
+    lists each estimator tick's first step, and `beliefs` yields the
+    (road, lambda_opt, mu_peak) installed at each tick, in their order.
+    `_first_step` searches from 0, yet no two ticks share a step and each
+    lies after the last, as in a per-step loop: ticks are arte_period_s
+    >= 0.1 s apart, steps at most 5e-3 s.
 
     The oracle believes the true road at the tick.  The classifier hears
     the run's `RoadStream`, seeded by cfg.seed, whose segments start at
@@ -223,32 +231,83 @@ def _plan(cfg, n):
     fixed per road (see `RoadStream`), so no belief depends on audio after
     its tick: changing the schedule after a time changes no belief
     installed at or before it.
+
+    Nor does any belief depend on the run, so the classifier's are formed
+    ahead (`_formed_ahead`).  The model, its mask and the stream are
+    loaded here, on the caller's thread, so a bad model fails before any
+    span.  Each window and its `arte_estimate` (this module's name, read
+    at each call, so a patch of `harness.arte_estimate` applies) run in
+    one worker thread, started by the first belief asked for.  The worker
+    calls the kernel's AR filter and Levinson, so the kernel is loaded
+    here too, and no two threads build it at once.  A belief that depends
+    on the run, such as ROADMAP item 9's audio that follows the wheel
+    speed or item 6's policy over the run's own state, cannot be formed
+    ahead: it has to be formed at its tick, after the span before it has
+    run, on the caller's thread or by a worker that is handed that span's
+    end state and waited for.
     """
     dt, sched = cfg.dt, cfg.road_schedule
     starts = {_first_step(t, n, dt): ROAD_INDEX[road] for t, road in sched}
     starts.pop(n, None)
-    beliefs = {}
-    if cfg.arte_mode == "classifier":
-        model = load_model(cfg.model_path)
-        mask = SelectionMask(indices=model.mask_indices)
-        # sample j is heard at j * h; m samples reach past the last step
-        h = 1.0 / SAMPLE_RATE
-        m = math.ceil(n * dt / h) + 1
-        audio = {_first_step(t, m, h): road for t, road in sched}
-        audio.pop(m, None)
-        stream = RoadStream(audio.items(), cfg.seed)
+    ticks = []
     next_arte = math.inf if cfg.arte_mode == "off" else 0.0
     while (k := _first_step(next_arte - 1e-12, n, dt)) < n:
-        if cfg.arte_mode == "oracle":
+        ticks.append(k)
+        next_arte += cfg.arte_period_s
+    if cfg.arte_mode != "classifier":
+        def oracle(k):
             # the true road at step k: the last entry with t <= k*dt
             road = sched[bisect.bisect_right(sched, k * dt,
                                              key=lambda e: e[0]) - 1][1]
-            beliefs[k] = (road,) + peak_friction(DEFAULT_CURVES[road])
-        else:
-            window = stream.window(_first_step(k * dt, m, h))
-            beliefs[k] = arte_estimate(model, mask, window)
-        next_arte += cfg.arte_period_s
-    return list(starts.items()), beliefs
+            return (road,) + peak_friction(DEFAULT_CURVES[road])
+        return list(starts.items()), ticks, (oracle(k) for k in ticks)
+    model = load_model(cfg.model_path)
+    mask = SelectionMask(indices=model.mask_indices)
+    # sample j is heard at j * h; m samples reach past the last step
+    h = 1.0 / SAMPLE_RATE
+    m = math.ceil(n * dt / h) + 1
+    audio = {_first_step(t, m, h): road for t, road in sched}
+    audio.pop(m, None)
+    stream = RoadStream(audio.items(), cfg.seed)
+    # loaded on this thread, so that the worker never builds it as well
+    _load_kernel()
+
+    def belief(k):
+        return arte_estimate(model, mask, stream.window(_first_step(k * dt,
+                                                                    m, h)))
+    return list(starts.items()), ticks, _formed_ahead(belief, ticks)
+
+
+def _formed_ahead(form, ticks):
+    """Yield form(k) for each k of ticks, each formed ahead of its turn by
+    one worker thread and passed back through a queue.  An exception of
+    form is raised here, with its own type, in place of its tick's value.
+    The worker starts at the first value asked for; closing the generator
+    stops it after the value it is forming and joins it."""
+    formed = queue.SimpleQueue()
+    stop = threading.Event()
+
+    def work():
+        for k in ticks:
+            if stop.is_set():
+                return
+            try:
+                formed.put((form(k), None))
+            except BaseException as exc:
+                formed.put((None, exc))
+                return
+
+    worker = threading.Thread(target=work, name="arte-tcs beliefs")
+    worker.start()
+    try:
+        for _ in ticks:
+            value, exc = formed.get()
+            if exc is not None:
+                raise exc
+            yield value
+    finally:
+        stop.set()
+        worker.join()
 
 
 def run_scenario(cfg):
@@ -256,22 +315,34 @@ def run_scenario(cfg):
     p, dt = cfg.params, cfg.dt
     ctrl = _build_controller(cfg)
     n_steps = int(round(cfg.duration_s / dt))
-    segments, beliefs = _plan(cfg, n_steps)
+    segments, ticks, beliefs = _plan(cfg, n_steps)
     roads = dict(segments)
-    bounds = sorted(roads.keys() | beliefs.keys()) + [n_steps]
+    tick_set = set(ticks)
+    bounds = sorted(roads.keys() | tick_set) + [n_steps]
+    held = []  # (first step, road index) of each belief installed
 
     columns = [np.empty(n_steps) for _ in range(5)]
     v_arr, w_arr, cmd_arr, app_arr, mu_arr = columns
     pointers = [col.ctypes.data for col in columns]
     x = cfg.v0, cfg.v0 / p.r, 0.0  # the plant state (v, w, t_applied)
     law = ctrl.law(dt, cfg.torque_demand)
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo in roads:
-            run = make_plant_run(DEFAULT_CURVES[ROADS[roads[lo]]], p, dt)
-        if lo in beliefs:
-            ctrl.set_estimate(*beliefs[lo])
-            law = ctrl.law(dt, cfg.torque_demand)
-        x = run(law, ctrl.state, *x, lo, hi, pointers)
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo in roads:
+                run = make_plant_run(DEFAULT_CURVES[ROADS[roads[lo]]], p, dt)
+            if lo in tick_set:
+                belief = next(beliefs)
+                held.append((lo, ROAD_INDEX[belief[0]]))
+                ctrl.set_estimate(*belief)
+                law = ctrl.law(dt, cfg.torque_demand)
+            x = run(law, ctrl.state, *x, lo, hi, pointers)
+    except Exception:
+        # an estimator error wins, as when every belief was formed first
+        for _ in beliefs:
+            pass
+        raise
+    finally:
+        beliefs.close()
 
     # derived columns, each with the operations of its per-step definition
     vw_arr = w_arr * p.r
@@ -280,9 +351,7 @@ def run_scenario(cfg):
     return SimTrace(t=np.arange(n_steps) * dt, v=v_arr, vw=vw_arr,
                     lam=lam_arr, t_cmd=cmd_arr, t_applied=app_arr, mu=mu_arr,
                     road_true_idx=_held_column(segments, n_steps),
-                    road_est_idx=_held_column(
-                        [(k, ROAD_INDEX[b[0]]) for k, b in beliefs.items()],
-                        n_steps))
+                    road_est_idx=_held_column(held, n_steps))
 
 
 def slip_deviation(trace):

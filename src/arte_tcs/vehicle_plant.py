@@ -128,8 +128,13 @@ _plants = {}  # (id(curve), id(params), dt) -> (curve, params, constants)
 
 class _Kernel:
     """The loaded library, its five entries typed, and the argument
-    buffers that every call fills: the package runs one thread, and no
-    entry calls back into Python, so one set serves all calls."""
+    buffers that every span, law and plant step fills.  Thread contract:
+    only the thread that runs a scenario uses those buffers (`constants`,
+    `state` and `x`, through `make_plant_run`'s `run`, `law_step` and
+    `plant_step`); the worker that forms a classifier run's beliefs calls
+    only `ar_filter` and `levinson`, which take arrays their caller owns.
+    No entry calls back into Python, and ctypes releases the GIL for each
+    call, so the two threads' calls run at once."""
 
     def __init__(self, path):
         import ctypes

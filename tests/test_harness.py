@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,7 +14,7 @@ import arte_tcs.harness as harness
 import arte_tcs.vehicle_plant as vehicle_plant
 from arte_tcs.arte_classifier import prune_features, split_dataset, train_mlp, save_model
 from arte_tcs.controllers import CONTROLLERS
-from arte_tcs.errors import ConfigError, SimulationDiverged
+from arte_tcs.errors import AudioFormatError, ConfigError, SimulationDiverged
 from arte_tcs.harness import (ARTE_MODES, MAX_STEPS, NO_ESTIMATE,
                               ROAD_INDEX, ROADS, ScenarioConfig, SimTrace,
                               _build_controller, compare, compare_lines,
@@ -182,6 +183,107 @@ def test_divergence_inside_a_span_names_its_step(monkeypatch, tmp_path,
     assert capsys.readouterr().err.endswith(
         " at t = 0.1234 s (step 1234)\n")
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    """The model `arte-tcs train` writes with its default seeds."""
+    train, _ = split_dataset(build_corpus(seed=1), 0.3, seed=4)
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    save_model(path, train_mlp(train, prune_features(train), seed=0))
+    return str(path)
+
+
+def estimate_failing_at(monkeypatch, tick):
+    """Make `arte_estimate` raise AudioFormatError at the given tick (from
+    0) of each run that follows; a run forms no belief after the one that
+    failed, so the next run's count starts where it stopped."""
+    real = harness.arte_estimate
+    calls = []
+
+    def arte_estimate(model, mask, window):
+        calls.append(tick)
+        if len(calls) % (tick + 1) == 0:
+            raise AudioFormatError("window %d unreadable" % tick)
+        return real(model, mask, window)
+
+    monkeypatch.setattr(harness, "arte_estimate", arte_estimate)
+
+
+def test_only_a_classifier_run_starts_a_thread_and_none_outlives_it(
+        model_path, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    cfg = ScenarioConfig(duration_s=0.5, arte_mode="classifier",
+                         model_path=model_path)
+    before = threading.active_count()
+    for mode in ("off", "oracle"):
+        run_scenario(replace(cfg, arte_mode=mode))
+        assert started == []
+    run_scenario(cfg)
+    assert len(started) == 1
+    assert threading.active_count() == before
+
+    with monkeypatch.context() as patch:
+        nan_command_at(patch, 1234)
+        with pytest.raises(SimulationDiverged):
+            run_scenario(cfg)
+    assert len(started) == 2
+    assert threading.active_count() == before
+
+    with monkeypatch.context() as patch:
+        estimate_failing_at(patch, 0)
+        with pytest.raises(AudioFormatError):
+            run_scenario(cfg)
+    assert len(started) == 3
+    assert threading.active_count() == before
+
+
+def test_an_estimator_error_wins_over_an_earlier_divergence(
+        model_path, monkeypatch, tmp_path, capsys):
+    # every belief is formed ahead of the spans, so the estimator's error
+    # at the fifth tick (step 4000) wins over a divergence at step 1234,
+    # which the spans reach first
+    estimate_failing_at(monkeypatch, 4)
+    nan_command_at(monkeypatch, 1234)
+    cfg = ScenarioConfig(duration_s=1.0, arte_mode="classifier",
+                         model_path=model_path)
+    with pytest.raises(AudioFormatError, match="^window 4 unreadable$"):
+        run_scenario(cfg)
+
+    scenario = tmp_path / "classifier.ini"
+    scenario.write_text("[scenario]\nduration_s = 1.0\narte_mode = classifier"
+                        "\nmodel = %s\n" % model_path)
+    out = tmp_path / "trace.csv"
+    assert cli.main(["simulate", "--config", str(scenario),
+                     "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "i/o error: window 4 unreadable\n"
+    assert not out.exists()
+
+
+def test_a_classifier_run_builds_the_kernel_once(model_path, monkeypatch,
+                                                 tmp_path):
+    # the spans and the worker forming the beliefs both need the kernel;
+    # it is built once, before the worker starts
+    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(tmp_path))
+    monkeypatch.setattr(vehicle_plant, "_kernel", None)
+    builds = []
+    build = vehicle_plant._build_kernel
+
+    def counted(source, path):
+        builds.append(path)
+        build(source, path)
+
+    monkeypatch.setattr(vehicle_plant, "_build_kernel", counted)
+    run_scenario(ScenarioConfig(duration_s=0.5, arte_mode="classifier",
+                                model_path=model_path))
+    assert len(builds) == 1
 
 
 def test_plant_python_calls_scale_with_spans_not_steps():

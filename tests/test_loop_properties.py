@@ -369,7 +369,8 @@ def test_plan_fires_where_a_per_step_loop_would(run):
     cfg, n = run
     dt, sched = cfg.dt, cfg.road_schedule
     times = [t for t, _ in sched]
-    segments, beliefs = _plan(cfg, n)
+    segments, ticks, formed = _plan(cfg, n)
+    beliefs = dict(zip(ticks, formed, strict=True))
 
     starts = [k for k, _ in segments]
     assert starts[0] == 0
@@ -385,7 +386,6 @@ def test_plan_fires_where_a_per_step_loop_would(run):
         assert is_first_step(k, times[j], dt)
         assert index == ROAD_INDEX[sched[j][1]]
 
-    ticks = list(beliefs)
     if cfg.arte_mode == "off":
         assert ticks == []
     else:

@@ -1,8 +1,11 @@
 """The road audio a run's classifier hears (`synth_corpus.RoadStream`) and
 the beliefs `harness._plan` forms from it: causal, seeded apart from the
-training corpus, and held in memory that does not grow with the run."""
+training corpus, held in memory that does not grow with the run, and,
+formed ahead in a worker thread, the run that beliefs formed at their
+ticks give, bit for bit."""
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -13,14 +16,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arte_tcs.harness as harness
-from arte_tcs.arte_classifier import (arte_estimate, prune_features,
-                                      save_model, split_dataset, train_mlp)
+from arte_tcs.arte_classifier import (SelectionMask, arte_estimate,
+                                      load_model, prune_features, save_model,
+                                      split_dataset, train_mlp)
 from arte_tcs.arte_dsp import Frame, extract_raw, frame_length
-from arte_tcs.harness import ScenarioConfig
+from arte_tcs.harness import (NO_ESTIMATE, ROAD_INDEX, ScenarioConfig,
+                              _build_controller, _first_step, run_scenario)
 from arte_tcs.synth_corpus import (SAMPLE_RATE, RoadStream, _ar_output,
                                    _noise_bed, _stream_levels, build_corpus,
                                    class_clip)
-from arte_tcs.tire_road import RoadType
+from arte_tcs.tire_road import DEFAULT_CURVES, RoadType
+from arte_tcs.vehicle_plant import make_plant_run, slip_ratio
 
 WINDOW = frame_length(SAMPLE_RATE)
 FOUR_ROADS = ((0.0, RoadType.ASPHALT), (2.03, RoadType.SNOW),
@@ -45,9 +51,11 @@ def heard(cfg):
         return arte_estimate(model, mask, window)
 
     with mock.patch.object(harness, "arte_estimate", recording):
-        _, beliefs = harness._plan(cfg, int(round(cfg.duration_s / cfg.dt)))
+        _, ticks, beliefs = harness._plan(cfg,
+                                          int(round(cfg.duration_s / cfg.dt)))
+        formed = list(beliefs)
     return {k: (belief, window)
-            for (k, belief), window in zip(beliefs.items(), windows)}
+            for k, belief, window in zip(ticks, formed, windows, strict=True)}
 
 
 def test_levels_are_those_of_the_seed_0_corpus_clip():
@@ -174,19 +182,106 @@ def test_later_schedule_changes_no_earlier_belief(model_path, case, period):
             assert np.array_equal(after[k][1], window)
 
 
+def drain(plan):
+    """Form every belief of a plan, keeping none."""
+    for _ in plan[2]:
+        pass
+
+
 def test_plan_memory_does_not_grow_with_the_run(model_path):
     """A 100 s run's plan holds one block and one window of audio, not
     the run's 1.6 million samples (12.8 MB per float array)."""
     cfg = ScenarioConfig(duration_s=100.0, road_schedule=FOUR_ROADS,
                          arte_mode="classifier", model_path=model_path)
-    harness._plan(replace(cfg, duration_s=1.0), 10_000)  # loads the kernel
+    # loads the kernel and the stream's levels
+    drain(harness._plan(replace(cfg, duration_s=1.0), 10_000))
     peaks = []
     for n in (100_000, 1_000_000):
-        tracemalloc.start()
+        tracemalloc.start()  # traces the worker thread's allocations too
         try:
-            harness._plan(cfg, n)
+            drain(harness._plan(cfg, n))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert max(peaks) < 5e6
     assert peaks[1] < peaks[0] + 1e6
+
+
+def serial_run(cfg, model_path):
+    """The columns of cfg's classifier run, each belief formed on this
+    thread at its tick, from `RoadStream.window` and `arte_estimate`, and
+    each span between ticks and switches run through `make_plant_run`."""
+    p, dt, sched = cfg.params, cfg.dt, cfg.road_schedule
+    n = int(round(cfg.duration_s / dt))
+    model = load_model(model_path)
+    mask = SelectionMask(indices=model.mask_indices)
+    h = 1.0 / SAMPLE_RATE
+    m = math.ceil(n * dt / h) + 1
+    audio = {_first_step(t, m, h): road for t, road in sched}
+    audio.pop(m, None)
+    stream = RoadStream(audio.items(), cfg.seed)
+    segments = {_first_step(t, n, dt): road for t, road in sched}
+    segments.pop(n, None)
+    ticks, next_arte = [], 0.0
+    while (k := _first_step(next_arte - 1e-12, n, dt)) < n:
+        ticks.append(k)
+        next_arte += cfg.arte_period_s
+
+    ctrl = _build_controller(cfg)
+    columns = [np.empty(n) for _ in range(5)]
+    pointers = [col.ctypes.data for col in columns]
+    true_idx = np.empty(n, np.int8)
+    est_idx = np.full(n, NO_ESTIMATE, np.int8)
+    x = cfg.v0, cfg.v0 / p.r, 0.0
+    law = ctrl.law(dt, cfg.torque_demand)
+    bounds = sorted(segments.keys() | set(ticks)) + [n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo in segments:
+            run = make_plant_run(DEFAULT_CURVES[segments[lo]], p, dt)
+            true_idx[lo:] = ROAD_INDEX[segments[lo]]
+        if lo in ticks:
+            belief = arte_estimate(model, mask, stream.window(
+                _first_step(lo * dt, m, h)))
+            ctrl.set_estimate(*belief)
+            law = ctrl.law(dt, cfg.torque_demand)
+            est_idx[lo:] = ROAD_INDEX[belief[0]]
+        x = run(law, ctrl.state, *x, lo, hi, pointers)
+    v, w, t_cmd, t_applied, mu = columns
+    vw = [b * p.r for b in w.tolist()]
+    lam = [slip_ratio(a, b, p.r) for a, b in zip(v.tolist(), w.tolist())]
+    return {"t": [k * dt for k in range(n)], "v": v, "vw": vw, "lam": lam,
+            "t_cmd": t_cmd, "t_applied": t_applied, "mu": mu,
+            "road_true_idx": true_idx, "road_est_idx": est_idx}
+
+
+@st.composite
+def classifier_runs(draw):
+    duration = draw(st.floats(0.3, 1.5))
+    switches = sorted(set(draw(st.lists(st.floats(0.01, duration),
+                                        max_size=3))))
+    schedule = tuple(zip([0.0] + switches,
+                         draw(st.lists(roads, min_size=len(switches) + 1,
+                                       max_size=len(switches) + 1))))
+    return ScenarioConfig(duration_s=duration, road_schedule=schedule,
+                          controller=draw(st.sampled_from(("src", "mtte"))),
+                          arte_mode="classifier",
+                          seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=classifier_runs())
+def test_beliefs_formed_ahead_give_the_serial_run_bit_for_bit(model_path,
+                                                               cfg):
+    cfg = replace(cfg, model_path=model_path)
+    # the threads trade the interpreter lock every microsecond, so that
+    # the worker's beliefs interleave the spans as finely as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        trace = run_scenario(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    for name, want in serial_run(cfg, model_path).items():
+        got = getattr(trace, name)
+        assert got.dtype == np.asarray(want).dtype
+        assert got.tobytes() == np.asarray(want).tobytes(), name
