@@ -8,8 +8,8 @@
    carried in and out (`synth_corpus`); `arte_levinson` solves the
    symmetric Toeplitz normal equations of LPC by Durbin's recursion, the
    symmetric form of the Levinson recursion in scipy's solve_toeplitz,
-   with its bytes (`arte_dsp`).  One RK4 stage (`stage`) serves the four of a plant
-   step, and one slip (`slip`) the plant and the SRC law.
+   with its bytes (`arte_dsp`).  One RK4 stage (`stage`) serves the four
+   of a plant step, and one slip (`slip`) the plant and the SRC law.
    `vehicle_plant` builds this file with gcc -O2 -ffp-contract=off and
    calls it through ctypes.
 

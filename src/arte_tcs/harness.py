@@ -14,9 +14,12 @@ one worker thread, while the caller's thread runs the spans and takes
 each belief at its tick; off and oracle runs use one thread.  (A belief
 that depends on the run, as ROADMAP items 6 and 9 would have, cannot be
 formed ahead; `_plan` says what it would need.)  The run is cut into
-spans at those steps; each span is one call of the C plant kernel (`make_plant_run`, per segment) against the controller's law
-(its constants recomputed after `set_estimate` at each tick) and its state
+spans at those steps; each span is one call of the C plant kernel
+(`make_plant_run`, per segment) against the controller's law (its
+constants recomputed after `set_estimate` at each tick) and its state
 list, which the kernel writes in place, so it ends with the run's state.
+A run shares no buffer with another, so scenarios may run on several
+threads at once.
 The kernel writes V, w, T_cmd, T_applied and mu (at the start state, from
 its first RK4 stage) straight into the five numpy columns it is given.
 The other columns are derived with the IEEE operations of their per-step
@@ -237,14 +240,12 @@ def _plan(cfg, n):
     loaded here, on the caller's thread, so a bad model fails before any
     span.  Each window and its `arte_estimate` (this module's name, read
     at each call, so a patch of `harness.arte_estimate` applies) run in
-    one worker thread, started by the first belief asked for.  The worker
-    calls the kernel's AR filter and Levinson, so the kernel is loaded
-    here too, and no two threads build it at once.  A belief that depends
-    on the run, such as ROADMAP item 9's audio that follows the wheel
-    speed or item 6's policy over the run's own state, cannot be formed
-    ahead: it has to be formed at its tick, after the span before it has
-    run, on the caller's thread or by a worker that is handed that span's
-    end state and waited for.
+    one worker thread, started by the first belief asked for.  A belief
+    that depends on the run, such as ROADMAP item 9's audio that follows
+    the wheel speed or item 6's policy over the run's own state, cannot be
+    formed ahead: it has to be formed at its tick, after the span before
+    it has run, on the caller's thread or by a worker that is handed that
+    span's end state and waited for.
     """
     dt, sched = cfg.dt, cfg.road_schedule
     starts = {_first_step(t, n, dt): ROAD_INDEX[road] for t, road in sched}
@@ -269,8 +270,6 @@ def _plan(cfg, n):
     audio = {_first_step(t, m, h): road for t, road in sched}
     audio.pop(m, None)
     stream = RoadStream(audio.items(), cfg.seed)
-    # loaded on this thread, so that the worker never builds it as well
-    _load_kernel()
 
     def belief(k):
         return arte_estimate(model, mask, stream.window(_first_step(k * dt,

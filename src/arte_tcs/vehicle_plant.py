@@ -21,9 +21,10 @@ only).
 
 `make_plant_run(curve, params, dt)` returns the one kernel for a road
 segment: the curve's B/C/D/E, the normal load, the resistance
-coefficients, the torque limit and the lag decay are bound once (and
-kept per curve, vehicle and step size).  The kernel is C, `_kernel.c`,
-and owns the step loop: one call runs a span of steps against a
+coefficients, the torque limit and the lag decay are bound once, into
+buffers that this run owns with those of the law and the plant state, so
+runs on several threads share none.  The kernel is C, `_kernel.c`, and
+owns the step loop: one call runs a span of steps against a
 controller law, given as its kind (constant command, MFC, SRC or MTTE),
 its constants and its state, and writes the state, the command and mu
 at the start state (which its first RK4 stage computes anyway) to the
@@ -44,12 +45,14 @@ The kernel is built with gcc (`KERNEL_CFLAGS`) on the first call that
 needs it, never at import, into `__pycache__/_kernel-<digest>.so` beside
 this file (digest of source, flags and machine; other builds there are
 removed), or a temporary directory if that one cannot be written, and
-loaded through ctypes.  Without gcc, or if the build fails, the call
-raises OSError naming gcc (exit 4 at the CLI).
+loaded through ctypes; a lock makes it one build and one load per
+process, however many threads ask at once.  Without gcc, or if the build
+fails, the call raises OSError naming gcc (exit 4 at the CLI).
 """
 
 import math
 import os
+import threading
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, SimulationDiverged
@@ -123,18 +126,13 @@ KERNEL_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # machine; a temporary directory stands in if this one cannot be written
 _KERNEL_DIR = os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__")
 _kernel = None  # the loaded kernel, once the first call has built it
-_plants = {}  # (id(curve), id(params), dt) -> (curve, params, constants)
+_kernel_lock = threading.Lock()  # held while the kernel is built and loaded
 
 
 class _Kernel:
-    """The loaded library, its five entries typed, and the argument
-    buffers that every span, law and plant step fills.  Thread contract:
-    only the thread that runs a scenario uses those buffers (`constants`,
-    `state` and `x`, through `make_plant_run`'s `run`, `law_step` and
-    `plant_step`); the worker that forms a classifier run's beliefs calls
-    only `ar_filter` and `levinson`, which take arrays their caller owns.
-    No entry calls back into Python, and ctypes releases the GIL for each
-    call, so the two threads' calls run at once."""
+    """The loaded library and its five entries, typed.  Every entry works
+    on buffers its caller owns and calls no Python, and ctypes releases
+    the GIL for each call, so calls from several threads run at once."""
 
     def __init__(self, path):
         import ctypes
@@ -168,14 +166,6 @@ class _Kernel:
         # the most taps of a filter, and the largest Levinson system
         self.max_taps = size.in_dll(lib, "arte_max_taps").value
         self.double = ctypes.c_double
-        # a law's constants (at most 8) and state (at most 3), and the
-        # plant state (v, w, t_applied)
-        self.constants = (ctypes.c_double * 8)()
-        self.state = (ctypes.c_double * 3)()
-        self.x = (ctypes.c_double * 3)()
-        # plant_step's one-step records, written and never read
-        self._sink = ctypes.c_double()
-        self.sink = ctypes.addressof(self._sink)
 
 
 def _build_kernel(source, path):
@@ -208,11 +198,21 @@ def _build_kernel(source, path):
 
 def _load_kernel():
     """The kernel library, built on the first call of the process (into
-    `_KERNEL_DIR`, unless a build for this source is there) and loaded.
+    `_KERNEL_DIR`, unless a build for this source is there) and loaded,
+    under `_kernel_lock`, so threads that ask at once share one build.
     OSError naming gcc if it cannot be built."""
     global _kernel
     if _kernel is not None:
         return _kernel
+    with _kernel_lock:
+        if _kernel is None:
+            _kernel = _Kernel(_kernel_path())
+        return _kernel
+
+
+def _kernel_path():
+    """The path of the kernel built from `_KERNEL_SOURCE`, built there
+    first if it is not."""
     import contextlib
     import glob
     import hashlib
@@ -246,8 +246,7 @@ def _load_kernel():
         for old in set(stale) - {path}:
             with contextlib.suppress(OSError):
                 os.remove(old)
-    _kernel = _Kernel(path)
-    return _kernel
+    return path
 
 
 def make_plant_run(curve, params, dt):
@@ -268,31 +267,26 @@ def make_plant_run(curve, params, dt):
     process (OSError if it cannot be).  Its right-hand side does the
     operations of `slip_ratio` (with the +-1 clamp), `mu_scalar`,
     `drive_force` and `driving_resistance` (only while moving) in their
-    order, so it is bit-identical to them.  The plant constants are kept
-    per (curve, params) object and dt, for the next call.
+    order, so it is bit-identical to them.  The plant constants and the
+    buffers that run fills are this run's own: a run is used by one thread
+    at a time, and runs on other threads share nothing with it.
     """
     if not 0.0 < dt <= 5e-3:
         raise ConfigError("plant step size must lie in (0, 5e-3] s")
     kernel = _kernel or _load_kernel()
     double = kernel.double
-    key = (id(curve), id(params), dt)
-    entry = _plants.get(key)
-    if entry is None:
-        values = (curve.b, curve.c, curve.d, curve.e, params.r,
-                  params.m_vehicle, params.jw, params.normal_load(),
-                  params.mu_roll * params.m_vehicle * params.g,
-                  0.5 * params.rho_air * params.cda, params.torque_limit,
-                  # exact first-order lag at the half and full step
-                  math.exp(-0.5 * dt / params.tau_motor),
-                  0.5 * dt, dt / 6.0, dt)
-        if len(_plants) >= 64:
-            _plants.clear()
-        # the entry holds curve and params, so their ids stay theirs
-        entry = _plants[key] = (curve, params,
-                                (double * len(values))(*values))
-    plant = entry[2]
+    values = (curve.b, curve.c, curve.d, curve.e, params.r,
+              params.m_vehicle, params.jw, params.normal_load(),
+              params.mu_roll * params.m_vehicle * params.g,
+              0.5 * params.rho_air * params.cda, params.torque_limit,
+              # exact first-order lag at the half and full step
+              math.exp(-0.5 * dt / params.tau_motor),
+              0.5 * dt, dt / 6.0, dt)
+    plant = (double * len(values))(*values)
     run_span = kernel.run_span
-    buffer, held, x = kernel.constants, kernel.state, kernel.x
+    # a law's constants (at most 8) and state (at most 3), and the plant
+    # state (v, w, t_applied)
+    buffer, held, x = (double * 8)(), (double * 3)(), (double * 3)()
 
     def run(law, state, v, w, t_applied, lo, hi, columns):
         kind, constants = law
@@ -312,10 +306,10 @@ def law_step(law, state, v, w, t_applied):
     (v, w, t_applied); `state` is read and written back in place."""
     kernel = _kernel or _load_kernel()
     kind, constants = law
-    kernel.constants[:len(constants)] = constants
-    held = kernel.state
-    held[:len(state)] = state
-    t_cmd = kernel.law_step(kind, kernel.constants, held, v, w, t_applied)
+    double = kernel.double
+    held = (double * 3)(*state)
+    t_cmd = kernel.law_step(kind, (double * 8)(*constants), held, v, w,
+                            t_applied)
     state[:] = held[:len(state)]
     return t_cmd
 
@@ -325,5 +319,7 @@ def plant_step(v, w, t_applied, t_cmd, dt, curve, params):
     clamps it and checks it is finite); returns (v, w, t_applied) at
     t + dt."""
     run = make_plant_run(curve, params, dt)
+    # the step's records, written and never read
+    sink = (_kernel.double * 1)()
     return run((LAW_CONSTANT, (t_cmd,)), [], v, w, t_applied, 0, 1,
-               (_kernel.sink,) * 5)
+               (sink,) * 5)

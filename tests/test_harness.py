@@ -269,8 +269,9 @@ def test_an_estimator_error_wins_over_an_earlier_divergence(
 
 def test_a_classifier_run_builds_the_kernel_once(model_path, monkeypatch,
                                                  tmp_path):
-    # the spans and the worker forming the beliefs both need the kernel;
-    # it is built once, before the worker starts
+    # the spans and the worker forming the beliefs both need the kernel,
+    # and whichever thread asks first builds it; the other waits for that
+    # build and loads no second one
     monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(tmp_path))
     monkeypatch.setattr(vehicle_plant, "_kernel", None)
     builds = []
@@ -284,6 +285,48 @@ def test_a_classifier_run_builds_the_kernel_once(model_path, monkeypatch,
     run_scenario(ScenarioConfig(duration_s=0.5, arte_mode="classifier",
                                 model_path=model_path))
     assert len(builds) == 1
+
+
+def test_concurrent_runs_equal_serial_runs(model_path):
+    # four threads run the oracle MFC, SRC and MTTE and a classifier SRC
+    # run, each in its own order, over a schedule whose switches fall
+    # between steps; each run owns its kernel buffers, so every column is
+    # the serial run's, byte for byte
+    sched = ((0.0, RoadType.SNOW), (0.23456, RoadType.ASPHALT),
+             (0.61234, RoadType.GRAVEL), (0.90001, RoadType.SNOW))
+    base = ScenarioConfig(duration_s=1.2, road_schedule=sched,
+                          arte_mode="oracle")
+    cfgs = [replace(base, controller=tag) for tag in ("mfc", "src", "mtte")]
+    cfgs.append(replace(base, controller="src", arte_mode="classifier",
+                        model_path=model_path))
+    want = [run_scenario(cfg) for cfg in cfgs]
+    got = {}
+    start = threading.Barrier(4)
+
+    def work(i):
+        start.wait()
+        for j in range(len(cfgs)):
+            k = (i + j) % len(cfgs)
+            got[i, k] = run_scenario(cfgs[k])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+    finally:
+        for thread in threads:
+            thread.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 4 * len(cfgs)
+    wrong = [(cfgs[k].controller, cfgs[k].arte_mode, f.name)
+             for (i, k), trace in sorted(got.items())
+             for f in fields(SimTrace)
+             if getattr(trace, f.name).tobytes()
+             != getattr(want[k], f.name).tobytes()]
+    assert wrong == []
 
 
 def test_plant_python_calls_scale_with_spans_not_steps():

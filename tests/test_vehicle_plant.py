@@ -1,6 +1,7 @@
 import math
 import os
 import subprocess
+import threading
 
 import numpy as np
 import pytest
@@ -220,6 +221,38 @@ def test_a_kernel_build_removes_stale_builds(tmp_path, monkeypatch):
     built, = os.listdir(cache)
     assert built != "_kernel-0000.so"
     assert built.startswith("_kernel-") and built.endswith(".so")
+
+
+def test_threads_loading_a_cold_kernel_build_it_once(tmp_path,
+                                                     monkeypatch):
+    # four threads ask for the kernel at once: one builds it, and all
+    # four get that one library
+    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(tmp_path))
+    monkeypatch.setattr(vehicle_plant, "_kernel", None)
+    builds = []
+    build = vehicle_plant._build_kernel
+
+    def counted(source, path):
+        builds.append(path)
+        build(source, path)
+
+    monkeypatch.setattr(vehicle_plant, "_build_kernel", counted)
+    start = threading.Barrier(4)
+    loaded = [None] * 4
+
+    def load(i):
+        start.wait()
+        loaded[i] = vehicle_plant._load_kernel()
+
+    threads = [threading.Thread(target=load, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1
+    assert loaded[0] is not None
+    assert all(kernel is loaded[0] for kernel in loaded)
 
 
 def test_failed_kernel_build_names_gcc(tmp_path, monkeypatch):
