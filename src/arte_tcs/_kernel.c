@@ -10,7 +10,7 @@
    symmetric form of the Levinson recursion in scipy's solve_toeplitz,
    with its bytes (`arte_dsp`).  One RK4 stage (`stage`) serves the four
    of a plant step, and one slip (`slip`) the plant and the SRC law.
-   `vehicle_plant` builds this file with gcc -O2 -ffp-contract=off and
+   `_kernel.py` builds this file with gcc -O2 -ffp-contract=off and
    calls it through ctypes.
 
    Every expression does the IEEE operations of the Python or scipy code
@@ -208,6 +208,7 @@ long long arte_run_span(const double *p, int kind, const double *lc,
 
 /* bytes per trace cell or road name, separator included, at most */
 enum { CELL_MAX = 17, NAME_SLOT = 8 };
+const int arte_cell_max = CELL_MAX, arte_name_slot = NAME_SLOT;
 
 /* format_cell stores a cell from an integer, first character lowest */
 #if __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernel import levinson
 from .errors import AudioFormatError, ConfigError
-from .vehicle_plant import _load_kernel
 
 SUPPORTED_RATES = (16000, 44100)
 FRAME_SECONDS = 0.1
@@ -121,24 +121,7 @@ def _lpc(frame):
         raise ConfigError("all-zero frame has no LPC model")
     r /= r[0]  # finite r[0] bounds all r[k], so r is a finite float64
     r[0] *= 1.0 + 1e-9  # keeps the normal equations strictly positive definite
-    return _levinson(r, LPC_ORDER)
-
-
-def _levinson(r, order):
-    """The x with T x = r[1:order + 1], T the symmetric Toeplitz matrix of
-    r[:order], r a float64 array: the kernel's `arte_levinson`, Durbin's
-    symmetric form of the recursion inside scipy's `solve_toeplitz`, bit
-    for bit.  ConfigError for an order beyond the kernel's bound or a
-    singular principal minor."""
-    kernel = _load_kernel()
-    if not 0 < order <= kernel.max_taps or len(r) <= order:
-        raise ConfigError("Levinson takes 1 to %d equations and their "
-                          "right-hand side" % kernel.max_taps)
-    x = np.empty(order)
-    if kernel.levinson(r.ctypes.data, order, x.ctypes.data):
-        raise ConfigError("LPC normal equations have a singular principal "
-                          "minor")
-    return x
+    return levinson(r, LPC_ORDER)
 
 
 def reflection_coefficients(coeffs):

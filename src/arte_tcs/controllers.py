@@ -170,7 +170,7 @@ class SlipRatioControl(Controller):
 class MaxTransmissibleTorque(Controller):
     fd_hat = _slot(2)
 
-    def __init__(self, params, alpha=MTTE_ALPHA_DEFAULT, fd_hat0=0.0):
+    def __init__(self, params, alpha=MTTE_ALPHA_DEFAULT):
         # the observer's time constant is the motor lag's
         if params.tau_motor <= 0.0:
             raise ConfigError("observer time constant must be positive")
@@ -179,7 +179,6 @@ class MaxTransmissibleTorque(Controller):
         self.params = params
         self.alpha = alpha
         self.state = [0.0, 0.0, 0.0]  # has_prev, w_prev, fd_hat
-        self.fd_hat = fd_hat0
         self.fd_peak = None
         inertia = (params.m_vehicle / 4.0) * params.r * params.r
         if not inertia > 0.0:

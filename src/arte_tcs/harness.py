@@ -30,7 +30,7 @@ single steps would record.  `SimTrace.road_true`/`road_est` decode the
 roads to `RoadType`/None and `write_trace_csv` maps them to names.
 
 `write_trace_csv` prints the same bytes as "%.9g" per float cell: the C
-kernel (`_kernel.c`, loaded through `vehicle_plant` before the file is
+kernel (`_kernel.c`, loaded through `_kernel` before the file is
 opened, so a missing gcc leaves no file) formats chunks of
 TRACE_CHUNK_ROWS rows into one reused buffer, which is written out.
 
@@ -48,6 +48,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import _kernel
 from .arte_classifier import SelectionMask, arte_estimate, load_model
 from .controllers import (CONTROLLERS, MaxTransmissibleTorque,
                           ModelFollowingControl, OpenLoop, SlipRatioControl)
@@ -57,8 +58,7 @@ from .robustness import FAMILY_BOXES, nu_gap, plant_family
 from .synth_corpus import SAMPLE_RATE, RoadStream, class_clip
 from .tire_road import DEFAULT_CURVES, MuLambdaCurve, RoadType, peak_friction
 # plant_step is not called here: bench/layertrace.py looks it up here
-from .vehicle_plant import (VehicleParams, _load_kernel, make_plant_run,
-                            plant_step)
+from .vehicle_plant import VehicleParams, make_plant_run, plant_step
 
 ARTE_MODES = ("off", "oracle", "classifier")
 ARTE_PERIOD_MIN = 0.1
@@ -66,22 +66,16 @@ ARTE_PERIOD_MIN = 0.1
 MAX_STEPS = 10_000_000
 
 TRACE_HEADER = "t,V,Vw,lambda,T_cmd,T_applied,mu,road_true,road_est"
-# rows formatted per write, into one buffer of TRACE_CHUNK_ROWS rows of at
-# most _TRACE_ROW_MAX bytes: seven cells of up to 16 bytes and two road
-# names of up to 7, each with its separator (CELL_MAX and NAME_SLOT in
-# _kernel.c)
+# rows formatted per write, into one reused buffer
 TRACE_CHUNK_ROWS = 2048
-_TRACE_ROW_MAX = 7 * 17 + 2 * 8
 
 # road index <-> road; index -1 (no estimate) selects the last entry
 ROADS = tuple(RoadType)
 ROAD_INDEX = {road: k for k, road in enumerate(ROADS)}
 NO_ESTIMATE = -1
 _ROAD_OBJECTS = np.array(ROADS + (None,), dtype=object)
-# by road index + 1: the name in 8 bytes, NUL-padded, "none" (index -1)
-# first
-_ROAD_NAME_SLOTS = b"".join(name.encode().ljust(8, b"\0") for name in
-                            ("none",) + tuple(road.value for road in ROADS))
+# road names by road index + 1, "none" (index -1) first
+_ROAD_NAMES = ("none",) + tuple(road.value for road in ROADS)
 SCENARIO_FLOAT_KEYS = ("duration_s", "dt", "torque_demand", "arte_period_s",
                        "v0", "fd_hat0")
 
@@ -188,7 +182,9 @@ def _build_controller(cfg):
     if cfg.controller == "src":
         return SlipRatioControl(p)
     if cfg.controller == "mtte":
-        return MaxTransmissibleTorque(p, fd_hat0=cfg.fd_hat0)
+        ctrl = MaxTransmissibleTorque(p)
+        ctrl.reset(fd_hat0=cfg.fd_hat0)
+        return ctrl
     return OpenLoop(p)
 
 
@@ -404,7 +400,7 @@ def write_trace_csv(path, trace):
     """The trace as CSV: TRACE_HEADER, then per step seven "%.9g" cells
     and the true and estimated road names.  OSError naming gcc, and no
     file, if the kernel cannot be built."""
-    kernel = _load_kernel()
+    kernel = _kernel.load()
     columns = [np.ascontiguousarray(col, dtype=np.float64) for col in (
         trace.t, trace.v, trace.vw, trace.lam, trace.t_cmd,
         trace.t_applied, trace.mu)]
@@ -417,9 +413,13 @@ def write_trace_csv(path, trace):
                     for idx in roads):
         raise ValueError("trace road index out of range")
     cells = np.array([col.ctypes.data for col in columns], dtype=np.uintp)
-    out = np.empty(min(rows, TRACE_CHUNK_ROWS) * _TRACE_ROW_MAX, np.uint8)
+    # a row is at most seven cells and two names in NUL-padded slots
+    row_max = 7 * kernel.cell_max + 2 * kernel.name_slot
+    out = np.empty(min(rows, TRACE_CHUNK_ROWS) * row_max, np.uint8)
+    names = b"".join(name.encode().ljust(kernel.name_slot, b"\0")
+                     for name in _ROAD_NAMES)
     sources = (cells.ctypes.data, roads[0].ctypes.data, roads[1].ctypes.data,
-               _ROAD_NAME_SLOTS)
+               names)
     with open(path, "wb") as fh:
         fh.write(TRACE_HEADER.encode() + b"\n")
         for lo in range(0, rows, TRACE_CHUNK_ROWS):

@@ -19,15 +19,14 @@ import os
 
 import numpy as np
 
+from ._kernel import ar_filter
 from .arte_dsp import (AudioClip, extract_raw, frame_length,
                        sample_frames, write_wav)
 from .arte_classifier import FeatureDataset
-from .errors import ConfigError
 from .tire_road import RoadType
-from .vehicle_plant import _load_kernel
 
 SAMPLE_RATE = 16000
-DEFAULT_DURATION_S = 3.5
+CLIP_SAMPLES = 56000  # 3.5 s: every corpus clip and noise bed
 FRAMES_PER_CLASS = 30
 OVERLAP_SNR_DB = 10.0
 
@@ -58,11 +57,9 @@ ROAD_SOUNDS = {
 }
 
 
-def synth_clip(road, duration_s=DEFAULT_DURATION_S, seed=0):
+def synth_clip(road, seed=0):
     """The road's AR-filtered excitation, peak-normalized to 0.9."""
-    if duration_s < 0.5:
-        raise ConfigError("clip duration must be at least 0.5 s")
-    x = _ar_output(road, int(round(duration_s * SAMPLE_RATE)), seed)
+    x = _ar_output(road, CLIP_SAMPLES, seed)
     x *= 0.9 / _peak(x)
     return AudioClip(samples=x, sample_rate=SAMPLE_RATE)
 
@@ -79,23 +76,8 @@ def _ar_output(road, n, seed):
         count = int(hits.sum())
         drive[hits] += (rng.uniform(3.0, 6.0, count)
                         * rng.choice((-1.0, 1.0), count))
-    _ar_filter(1.0, den, drive, np.zeros(len(den) - 1))
+    ar_filter(1.0, den, drive, np.zeros(len(den) - 1))
     return drive
-
-
-def _ar_filter(gain, den, x, z):
-    """scipy's lfilter([gain], den, x, zi=z) in place, through the
-    kernel's `arte_ar_filter`, bit for bit: den, x and z are contiguous
-    float64 arrays, and x and z become the output and the final state.
-    ConfigError for a filter beyond the kernel's bound or a state of the
-    wrong length."""
-    kernel = _load_kernel()
-    if not 1 < len(den) <= kernel.max_taps or len(z) != len(den) - 1:
-        raise ConfigError("an AR filter takes 2 to %d taps and one state "
-                          "value fewer" % kernel.max_taps)
-    if kernel.ar_filter(gain, den.ctypes.data, len(den), x.ctypes.data,
-                        len(x), z.ctypes.data):
-        raise ConfigError("an AR filter needs a[0] not 0")
 
 
 def _peak(x):
@@ -104,21 +86,21 @@ def _peak(x):
 
 
 @functools.lru_cache(maxsize=1)
-def _noise_bed(seed, duration_s=DEFAULT_DURATION_S):
+def _noise_bed(seed):
     """The broadband bed `class_clip` mixes in at seed, peak 0.9, and its
     mean square; the last one drawn is kept for the next road's clip."""
-    n = int(round(duration_s * SAMPLE_RATE))
-    noise = np.random.default_rng(1000 * seed + 999).standard_normal(n)
+    noise = np.random.default_rng(1000 * seed + 999).standard_normal(
+        CLIP_SAMPLES)
     noise *= 0.9 / _peak(noise)
     noise.flags.writeable = False  # shared by every clip of the seed
     return noise, np.mean(noise ** 2)
 
 
-def class_clip(road, seed=0, duration_s=DEFAULT_DURATION_S):
+def class_clip(road, seed=0):
     """One clip for a road class under the shared noise bed at
     OVERLAP_SNR_DB, deterministic in seed; peak at most 1."""
-    clean = synth_clip(road, duration_s, seed=_clean_seed(road, seed)).samples
-    noise, noise_ms = _noise_bed(seed, duration_s)
+    clean = synth_clip(road, seed=_clean_seed(road, seed)).samples
+    noise, noise_ms = _noise_bed(seed)
     mixed = np.square(clean)  # its buffer then takes the mix
     gain = math.sqrt(np.mean(mixed)
                      / (noise_ms * 10.0 ** (OVERLAP_SNR_DB / 10.0)))
@@ -185,11 +167,10 @@ def _stream_levels():
     levels of its corpus clip of seed 0, `class_clip(road, 0)`.  That clip
     is its AR output peak-normalized to 0.9, plus a bed OVERLAP_SNR_DB
     below that in mean square, the mix divided by its peak if above 1."""
-    n = int(round(DEFAULT_DURATION_S * SAMPLE_RATE))
     noise, noise_ms = _noise_bed(0)
     levels = {}
     for road in RoadType:
-        ref = _ar_output(road, n, _clean_seed(road, 0))
+        ref = _ar_output(road, CLIP_SAMPLES, _clean_seed(road, 0))
         gain = 0.9 / _peak(ref)
         ref *= gain
         bed_gain = math.sqrt(np.mean(np.square(ref))
@@ -231,7 +212,7 @@ def _stream_blocks(segments, seed):
                 # (-6, -3] or [3, 6), as the corpus's hits
                 kicks = kick[lo:hi][hits]
                 x[hits] += kicks + np.copysign(3.0, kicks)
-            _ar_filter(gain, den, x, zi)
+            ar_filter(gain, den, x, zi)
             part = out[lo:hi]
             part *= bed_gain
             part += x

@@ -33,28 +33,14 @@ right-hand side inlines `slip_ratio`, `mu_scalar`, `drive_force` and
 `driving_resistance` with the same IEEE operations in the same order
 (the same libm atan and sin, no fused multiply-add), so its results are
 bit-identical to theirs.  `law_step` runs a law alone for one step, and
-`plant_step` is a one-step call of the kernel at a constant command.  The
-same library formats the trace CSV's rows for `harness.write_trace_csv`
-(`arte_trace_rows`), runs the road audio's AR filter for `synth_corpus`
-(`arte_ar_filter`, scipy's lfilter bit for bit) and solves the LPC
-normal equations for `arte_dsp` (`arte_levinson`, Durbin's recursion: the
-Levinson recursion of scipy's solve_toeplitz in its symmetric form, where
-the forward, backward and solution vectors are one, bit for bit).
-
-The kernel is built with gcc (`KERNEL_CFLAGS`) on the first call that
-needs it, never at import, into `__pycache__/_kernel-<digest>.so` beside
-this file (digest of source, flags and machine; other builds there are
-removed), or a temporary directory if that one cannot be written, and
-loaded through ctypes; a lock makes it one build and one load per
-process, however many threads ask at once.  Without gcc, or if the build
-fails, the call raises OSError naming gcc (exit 4 at the CLI).
+`plant_step` is a one-step call of the kernel at a constant command;
+`_kernel` builds and loads the library.
 """
 
 import math
-import os
-import threading
 from dataclasses import dataclass, fields
 
+from . import _kernel
 from .errors import ConfigError, SimulationDiverged
 
 
@@ -119,134 +105,6 @@ def _diverged(what, k, dt):
 LAW_CONSTANT, LAW_MFC, LAW_SRC, LAW_MTTE = range(4)
 _DIVERGED = ("non-finite state or command entering step",
              "state became non-finite during step")
-_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                              "_kernel.c")
-KERNEL_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-# where built kernels are kept, one file per digest of source, flags and
-# machine; a temporary directory stands in if this one cannot be written
-_KERNEL_DIR = os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__")
-_kernel = None  # the loaded kernel, once the first call has built it
-_kernel_lock = threading.Lock()  # held while the kernel is built and loaded
-
-
-class _Kernel:
-    """The loaded library and its five entries, typed.  Every entry works
-    on buffers its caller owns and calls no Python, and ctypes releases
-    the GIL for each call, so calls from several threads run at once."""
-
-    def __init__(self, path):
-        import ctypes
-
-        lib = ctypes.CDLL(path)
-        doubles = ctypes.POINTER(ctypes.c_double)
-        self.run_span = lib.arte_run_span
-        self.run_span.argtypes = ((doubles, ctypes.c_int, doubles, doubles,
-                                   doubles, ctypes.c_longlong,
-                                   ctypes.c_longlong)
-                                  + (ctypes.c_void_p,) * 5)
-        self.run_span.restype = ctypes.c_longlong
-        self.law_step = lib.arte_law_step
-        self.law_step.argtypes = (ctypes.c_int, doubles, doubles,
-                                  ctypes.c_double, ctypes.c_double,
-                                  ctypes.c_double)
-        self.law_step.restype = ctypes.c_double
-        self.trace_rows = lib.arte_trace_rows
-        self.trace_rows.argtypes = ((ctypes.c_void_p,) * 3
-                                    + (ctypes.c_char_p, ctypes.c_longlong,
-                                       ctypes.c_longlong, ctypes.c_void_p))
-        self.trace_rows.restype = ctypes.c_longlong
-        address, size = ctypes.c_void_p, ctypes.c_int
-        self.ar_filter = lib.arte_ar_filter
-        self.ar_filter.argtypes = (ctypes.c_double, address, size, address,
-                                   ctypes.c_longlong, address)
-        self.ar_filter.restype = ctypes.c_int
-        self.levinson = lib.arte_levinson
-        self.levinson.argtypes = (address, size, address)
-        self.levinson.restype = ctypes.c_int
-        # the most taps of a filter, and the largest Levinson system
-        self.max_taps = size.in_dll(lib, "arte_max_taps").value
-        self.double = ctypes.c_double
-
-
-def _build_kernel(source, path):
-    """Compile `source` to `path` with gcc, through a temporary file in
-    the same directory that replaces `path` whole, so that two processes
-    building at once each load a complete library."""
-    import subprocess
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                               prefix=".kernel-", suffix=".tmp")
-    os.close(fd)
-    try:
-        try:
-            out = subprocess.run(
-                ["gcc", *KERNEL_CFLAGS, "-o", tmp, source, "-lm"],
-                capture_output=True, text=True)
-        except FileNotFoundError:
-            raise OSError("cannot build the compiled kernel: gcc is not "
-                          "on PATH") from None
-        if out.returncode != 0:
-            first = (out.stderr.strip().splitlines() or ["no message"])[0]
-            raise OSError("gcc failed to build the compiled kernel %s: %s"
-                          % (source, first))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _load_kernel():
-    """The kernel library, built on the first call of the process (into
-    `_KERNEL_DIR`, unless a build for this source is there) and loaded,
-    under `_kernel_lock`, so threads that ask at once share one build.
-    OSError naming gcc if it cannot be built."""
-    global _kernel
-    if _kernel is not None:
-        return _kernel
-    with _kernel_lock:
-        if _kernel is None:
-            _kernel = _Kernel(_kernel_path())
-        return _kernel
-
-
-def _kernel_path():
-    """The path of the kernel built from `_KERNEL_SOURCE`, built there
-    first if it is not."""
-    import contextlib
-    import glob
-    import hashlib
-    import platform
-
-    with open(_KERNEL_SOURCE, "rb") as fh:
-        key = hashlib.sha256(fh.read())
-    key.update(" ".join(KERNEL_CFLAGS).encode() + b"\0"
-               + platform.machine().encode())
-    name = "_kernel-%s.so" % key.hexdigest()
-    path = os.path.join(_KERNEL_DIR, name)
-    if not os.path.exists(path):
-        directory = _KERNEL_DIR
-        try:
-            os.makedirs(directory, exist_ok=True)
-            writable = os.access(directory, os.W_OK | os.X_OK)
-        except OSError:
-            writable = False
-        if not writable:
-            import atexit
-            import shutil
-            import tempfile
-
-            directory = tempfile.mkdtemp(prefix="arte_tcs-kernel-")
-            atexit.register(shutil.rmtree, directory, True)
-        path = os.path.join(directory, name)
-        _build_kernel(_KERNEL_SOURCE, path)
-        # drop the builds of other sources (a process that has loaded one
-        # keeps it)
-        stale = glob.glob(os.path.join(glob.escape(directory), "_kernel-*.so"))
-        for old in set(stale) - {path}:
-            with contextlib.suppress(OSError):
-                os.remove(old)
-    return path
 
 
 def make_plant_run(curve, params, dt):
@@ -273,7 +131,7 @@ def make_plant_run(curve, params, dt):
     """
     if not 0.0 < dt <= 5e-3:
         raise ConfigError("plant step size must lie in (0, 5e-3] s")
-    kernel = _kernel or _load_kernel()
+    kernel = _kernel.load()
     double = kernel.double
     values = (curve.b, curve.c, curve.d, curve.e, params.r,
               params.m_vehicle, params.jw, params.normal_load(),
@@ -304,7 +162,7 @@ def make_plant_run(curve, params, dt):
 def law_step(law, state, v, w, t_applied):
     """One step of a controller law (kind, constants): the command at
     (v, w, t_applied); `state` is read and written back in place."""
-    kernel = _kernel or _load_kernel()
+    kernel = _kernel.load()
     kind, constants = law
     double = kernel.double
     held = (double * 3)(*state)
@@ -320,6 +178,6 @@ def plant_step(v, w, t_applied, t_cmd, dt, curve, params):
     t + dt."""
     run = make_plant_run(curve, params, dt)
     # the step's records, written and never read
-    sink = (_kernel.double * 1)()
+    sink = (_kernel.load().double * 1)()
     return run((LAW_CONSTANT, (t_cmd,)), [], v, w, t_applied, 0, 1,
                (sink,) * 5)

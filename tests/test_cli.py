@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arte_tcs
+import arte_tcs._kernel as _kernel
 import arte_tcs.cli as cli
 import arte_tcs.errors as errors
 import arte_tcs.harness as harness
-import arte_tcs.vehicle_plant as vehicle_plant
 from arte_tcs.tire_road import DEFAULT_CURVES, RoadType, peak_friction
 
 
@@ -573,8 +573,8 @@ def test_cli_import_loads_no_scipy_submodule(tmp_path, model_path):
                      " if m.partition('.')[0] == 'scipy')")
     probe = ("import sys, arte_tcs.cli\n"
              "print(*%s, *(m for m in sys.modules if m == 'fractions'))\n"
-             "import arte_tcs.vehicle_plant as vp\n"
-             "print(vp._kernel is not None or '_kernel-' in "
+             "import arte_tcs._kernel as kernel\n"
+             "print(kernel._loaded is not None or '_kernel-' in "
              "open('/proc/self/maps').read())" % scipy_modules)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
@@ -599,8 +599,8 @@ def exits_four_without_gcc(tmp_path, capsys, monkeypatch, argv, out):
     """With an empty kernel cache and no gcc on PATH, `argv` exits 4 with
     one line naming gcc, no traceback and nothing at `out`."""
     cache = tmp_path / "cache"
-    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(cache))
-    monkeypatch.setattr(vehicle_plant, "_kernel", None)
+    monkeypatch.setattr(_kernel, "_CACHE_DIR", str(cache))
+    monkeypatch.setattr(_kernel, "_loaded", None)
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
     assert cli.main(argv) == 4
     err = capsys.readouterr().err
@@ -628,31 +628,3 @@ def test_audio_command_without_gcc_exits_four(tmp_path, capsys, monkeypatch,
                          os.path.join(wav_tree, "snow", "0_0.wav")],
             "synth": ["synth", "--out", str(out)]}[command]
     exits_four_without_gcc(tmp_path, capsys, monkeypatch, argv, out)
-
-
-def test_two_processes_build_one_kernel(tmp_path):
-    # two interpreters build into one empty cache at once: each loads a
-    # whole library and takes the same step, and one library is left
-    src = os.path.dirname(os.path.dirname(os.path.abspath(arte_tcs.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys\n"
-            "import arte_tcs.vehicle_plant as vp\n"
-            "from arte_tcs.tire_road import DEFAULT_CURVES, RoadType\n"
-            "vp._KERNEL_DIR = sys.argv[1]\n"
-            "print(vp.plant_step(1.0, 4.0, 0.0, 100.0, 1e-4,"
-            " DEFAULT_CURVES[RoadType.SNOW], vp.VehicleParams()))")
-    cache = tmp_path / "cache"
-    procs = [subprocess.Popen([sys.executable, "-c", code, str(cache)],
-                              env=env, stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, text=True)
-             for _ in range(2)]
-    outs = [proc.communicate(timeout=300) for proc in procs]
-    assert [proc.returncode for proc in procs] == [0, 0], outs
-    assert [stdout for stdout, _ in outs] == [
-        "(1.0002551561714126, 3.9559334964928254, 0.19980013326669166)\n"
-    ] * 2
-    left = os.listdir(cache)
-    assert len(left) == 1 and left[0].startswith("_kernel-")
-    assert left[0].endswith(".so")

@@ -180,10 +180,16 @@ def test_mtte_coupling_constant():
     assert m.c == pytest.approx(0.0218659, abs=1e-6)
 
 
+def mtte_from(params, fd_hat0, **kw):
+    """An MTTE controller whose observer starts at fd_hat0."""
+    m = MaxTransmissibleTorque(params, **kw)
+    m.reset(fd_hat0=fd_hat0)
+    return m
+
+
 def test_mtte_cap_formula():
     # huge observer time constant pins fd_hat at its prior
-    m = MaxTransmissibleTorque(dataclasses.replace(P, tau_motor=1e12),
-                               alpha=0.8, fd_hat0=500.0)
+    m = mtte_from(dataclasses.replace(P, tau_motor=1e12), 500.0, alpha=0.8)
     tc = m.update(0.0, 0.0, 0.0, 700.0, 1e-3)
     assert tc == pytest.approx((1.0 + m.c / 0.8) * P.r * 500.0, rel=1e-9)
 
@@ -213,8 +219,7 @@ def test_mtte_observer_settles_in_five_time_constants():
 
 def test_mtte_grip_ceiling():
     # snow: relaxation 0.9, and a peak friction that carries 1000 N
-    m = MaxTransmissibleTorque(dataclasses.replace(P, tau_motor=1e12),
-                               fd_hat0=1e6)
+    m = mtte_from(dataclasses.replace(P, tau_motor=1e12), 1e6)
     m.set_estimate(RoadType.SNOW, 0.05, 1000.0 / P.normal_load())
     assert m.alpha == MTTE_ROAD_ALPHA[RoadType.SNOW] == 0.9
     tc = m.update(0.0, 0.0, 0.0, 700.0, 1e-3)
@@ -296,7 +301,7 @@ def test_replay_reproduces_outputs_bit_exactly():
 
 @pytest.mark.parametrize("make,names", [
     (lambda: SlipRatioControl(P), ("integ",)),
-    (lambda: MaxTransmissibleTorque(P, fd_hat0=3000.0), ("fd_hat", "_w_prev")),
+    (lambda: mtte_from(P, 3000.0), ("fd_hat", "_w_prev")),
 ], ids=["src", "mtte"])
 def test_a_span_leaves_its_state_on_the_controller(make, names):
     # 200 steps of the snow launch, with the snow peak installed, as one

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from arte_tcs import vehicle_plant
+from arte_tcs import _kernel
 from arte_tcs.arte_dsp import (EPS_FLOOR, LPC_ORDER, N_BANDS, BAND_LOW_HZ,
-                               Frame, _levinson, band_edges, band_energies,
-                               cepstrum, extract_raw, lpc)
+                               Frame, band_edges, band_energies, cepstrum,
+                               extract_raw, lpc)
 from arte_tcs.errors import AudioFormatError, ConfigError
 
 MIN_LEN, MAX_LEN = 21, 4410
@@ -142,7 +142,7 @@ def toeplitz_systems(draw):
     the recursion rests on symmetry alone: random signs and scales, or
     values rounded to one decimal, which makes some principal minors
     exactly singular."""
-    n = draw(st.integers(1, vehicle_plant._load_kernel().max_taps))
+    n = draw(st.integers(1, _kernel.load().max_taps))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     form = draw(st.sampled_from(("lpc", "scaled", "rounded")))
     if form == "scaled":
@@ -175,9 +175,9 @@ def test_levinson_is_scipys_bit_for_bit(system):
                             r[1:n + 1])[0]
     except LinAlgError:
         with pytest.raises(ConfigError, match="singular"):
-            _levinson(r, n)
+            _kernel.levinson(r, n)
         return
-    assert _levinson(r, n).tobytes() == expected.tobytes()
+    assert _kernel.levinson(r, n).tobytes() == expected.tobytes()
     assert (solve_toeplitz((r[:n], r[:n]), r[1:n + 1]).tobytes()
             == expected.tobytes())
 

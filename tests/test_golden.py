@@ -10,6 +10,7 @@ alters behaviour and must say so, not regenerate the file.
 """
 
 import hashlib
+import math
 import os
 from dataclasses import replace
 
@@ -21,7 +22,9 @@ import arte_tcs.harness as harness
 from arte_tcs.arte_dsp import AudioClip, extract_raw, sample_frames
 from arte_tcs.harness import (ScenarioConfig, compare, compare_lines,
                               run_scenario, write_trace_csv)
-from arte_tcs.synth_corpus import build_corpus, class_clip, export_wavs
+from arte_tcs.synth_corpus import (OVERLAP_SNR_DB, SAMPLE_RATE, _ar_output,
+                                   _clean_seed, _peak, build_corpus,
+                                   export_wavs)
 from arte_tcs.tire_road import RoadType
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
@@ -81,11 +84,31 @@ def sha(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+def one_second_clip(road, seed):
+    """`class_clip(road, seed)` as it is made, but 1 s long: the road's AR
+    output and the seed's noise bed, each peak-normalized to 0.9, mixed
+    OVERLAP_SNR_DB apart and scaled back to peak 1 if above it."""
+    clean = _ar_output(road, SAMPLE_RATE, _clean_seed(road, seed))
+    clean *= 0.9 / _peak(clean)
+    noise = np.random.default_rng(1000 * seed + 999).standard_normal(
+        SAMPLE_RATE)
+    noise *= 0.9 / _peak(noise)
+    mixed = np.square(clean)
+    gain = math.sqrt(np.mean(mixed) / (np.mean(noise ** 2)
+                                       * 10.0 ** (OVERLAP_SNR_DB / 10.0)))
+    np.multiply(noise, gain, out=mixed)
+    mixed += clean
+    peak = _peak(mixed)
+    if peak > 1.0:
+        mixed /= peak
+    return AudioClip(mixed, SAMPLE_RATE)
+
+
 def road_clips(rate):
-    """One 16 kHz class clip per road, linearly resampled to `rate`."""
+    """One 1 s 16 kHz class clip per road, linearly resampled to `rate`."""
     clips = []
     for road in RoadType:
-        clip = class_clip(road, seed=2, duration_s=1.0)
+        clip = one_second_clip(road, seed=2)
         t_in = np.arange(len(clip.samples)) / clip.sample_rate
         t_out = np.arange(int(round(t_in[-1] * rate)) + 1) / rate
         clips.append(AudioClip(np.interp(t_out, t_in, clip.samples), rate))

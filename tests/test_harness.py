@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import arte_tcs._kernel as _kernel
 import arte_tcs.cli as cli
 import arte_tcs.controllers as controllers
 import arte_tcs.harness as harness
@@ -272,16 +273,16 @@ def test_a_classifier_run_builds_the_kernel_once(model_path, monkeypatch,
     # the spans and the worker forming the beliefs both need the kernel,
     # and whichever thread asks first builds it; the other waits for that
     # build and loads no second one
-    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(tmp_path))
-    monkeypatch.setattr(vehicle_plant, "_kernel", None)
+    monkeypatch.setattr(_kernel, "_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(_kernel, "_loaded", None)
     builds = []
-    build = vehicle_plant._build_kernel
+    build = _kernel._build
 
     def counted(source, path):
         builds.append(path)
         build(source, path)
 
-    monkeypatch.setattr(vehicle_plant, "_build_kernel", counted)
+    monkeypatch.setattr(_kernel, "_build", counted)
     run_scenario(ScenarioConfig(duration_s=0.5, arte_mode="classifier",
                                 model_path=model_path))
     assert len(builds) == 1
@@ -348,7 +349,7 @@ def test_plant_python_calls_scale_with_spans_not_steps():
             law_calls.append(frame.f_code.co_name)
 
     # the kernel is built and loaded once per process, not per run
-    vehicle_plant._load_kernel()
+    _kernel.load()
     sys.setprofile(profile)
     try:
         tr = run_scenario(cfg)
@@ -387,8 +388,8 @@ def test_trace_csv_layout(tmp_path):
 def test_trace_written_without_gcc_leaves_no_file(tmp_path, monkeypatch):
     # the kernel formats the rows, so it is loaded before the file is
     # opened: with an empty kernel cache and no gcc on PATH, no file
-    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(vehicle_plant, "_kernel", None)
+    monkeypatch.setattr(_kernel, "_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(_kernel, "_loaded", None)
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
     roads = np.full(3, NO_ESTIMATE, dtype=np.int8)
     trace = SimTrace(*np.zeros((7, 3)), road_true_idx=roads,

@@ -8,10 +8,11 @@ from arte_tcs.arte_classifier import (ROAD_ORDER, bootstrap_intra, kl_distance,
                                       prune_features, split_dataset)
 from arte_tcs.arte_dsp import lpc, load_wav, reflection_coefficients, sample_frames
 from arte_tcs.errors import ConfigError
-from arte_tcs import vehicle_plant
-from arte_tcs.synth_corpus import (OVERLAP_SNR_DB, ROAD_SOUNDS, _ar_filter,
-                                   _noise_bed, build_corpus, class_clip,
-                                   export_wavs, synth_clip)
+from arte_tcs import _kernel
+from arte_tcs._kernel import ar_filter
+from arte_tcs.synth_corpus import (OVERLAP_SNR_DB, ROAD_SOUNDS, _noise_bed,
+                                   build_corpus, class_clip, export_wavs,
+                                   synth_clip)
 from arte_tcs.tire_road import RoadType
 
 
@@ -33,11 +34,6 @@ def test_clip_length_and_peak():
     assert len(clip.samples) == 56000
     assert clip.sample_rate == 16000
     assert np.max(np.abs(clip.samples)) == pytest.approx(0.9)
-
-
-def test_clip_rejects_short_duration():
-    with pytest.raises(ConfigError):
-        synth_clip(RoadType.SNOW, duration_s=0.4)
 
 
 def test_road_sounds_are_stable_fourth_order_filters():
@@ -71,7 +67,7 @@ def test_ar_filter_in_chunks_is_one_lfilter_call(road, gain, seed, n, cuts,
     z = zi.copy()
     bounds = [0, *sorted(c % (n + 1) for c in cuts), n]
     for lo, hi in zip(bounds, bounds[1:]):
-        _ar_filter(gain, den, x[lo:hi], z)
+        ar_filter(gain, den, x[lo:hi], z)
     assert x.tobytes() == y.tobytes()
     assert z.tobytes() == zf.tobytes()
 
@@ -94,29 +90,29 @@ def test_gain_only_ar_filter_is_lfilter_bit_for_bit(seed, negative_lead, gain,
     # not 1, with +-0 in x, zi and the gain: the kernel's 0 / a[0] taps
     # keep scipy's signed zeros
     rng = np.random.default_rng(seed)
-    taps = int(rng.integers(2, vehicle_plant._load_kernel().max_taps + 1))
+    taps = int(rng.integers(2, _kernel.load().max_taps + 1))
     den = signed_zeros(rng, rng.standard_normal(taps), 0.1)
     den[0] = rng.uniform(0.25, 4.0) * (-1.0 if negative_lead else 1.0)
     x = signed_zeros(rng, rng.standard_normal(n), zero_share)
     zi = signed_zeros(rng, rng.standard_normal(taps - 1), zero_share)
     y, zf = lfilter([gain], den, x, zi=zi)
     z = zi.copy()
-    _ar_filter(gain, den, x, z)
+    ar_filter(gain, den, x, z)
     assert x.tobytes() == y.tobytes()
     assert z.tobytes() == zf.tobytes()
 
 
 def test_ar_filter_rejects_what_the_kernel_cannot_hold():
     # the kernel keeps at most max_taps coefficients on its stack
-    taps = vehicle_plant._load_kernel().max_taps
+    taps = _kernel.load().max_taps
     x = np.ones(8)
     for den, z in ((np.ones(taps + 1), np.zeros(taps)),
                    (np.ones(1), np.zeros(0)),
                    (np.ones(5), np.zeros(5))):
         with pytest.raises(ConfigError, match="taps"):
-            _ar_filter(1.0, den, x, z)
+            ar_filter(1.0, den, x, z)
     with pytest.raises(ConfigError, match=r"a\[0\]"):
-        _ar_filter(1.0, np.array([0.0, 1.0]), x, np.zeros(1))
+        ar_filter(1.0, np.array([0.0, 1.0]), x, np.zeros(1))
     assert x.tobytes() == np.ones(8).tobytes()
 
 
@@ -140,13 +136,13 @@ def test_class_clip_noise_bed_and_peak():
 
 
 @settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**20), duration_s=st.sampled_from((0.5, 3.5)))
-def test_class_clip_on_a_shared_bed_is_the_same_clip(seed, duration_s):
-    class_clip(RoadType.ASPHALT, seed, duration_s)  # keeps the seed's bed
+@given(seed=st.integers(0, 2**20))
+def test_class_clip_on_a_shared_bed_is_the_same_clip(seed):
+    class_clip(RoadType.ASPHALT, seed)  # keeps the seed's bed
     for road in RoadType:
-        shared = class_clip(road, seed, duration_s)
+        shared = class_clip(road, seed)
         _noise_bed.cache_clear()
-        alone = class_clip(road, seed, duration_s)
+        alone = class_clip(road, seed)
         assert shared.samples.tobytes() == alone.samples.tobytes()
 
 

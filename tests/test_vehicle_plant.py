@@ -1,12 +1,10 @@
 import math
 import os
-import subprocess
-import threading
 
 import numpy as np
 import pytest
 
-import arte_tcs.vehicle_plant as vehicle_plant
+import arte_tcs._kernel as _kernel
 from arte_tcs.errors import ConfigError, SimulationDiverged
 from arte_tcs.tire_road import DEFAULT_CURVES, MuLambdaCurve, RoadType
 from arte_tcs.vehicle_plant import (
@@ -182,88 +180,16 @@ def test_launch_from_rest_speeds_increase():
     assert v > 0.1 and w * P.r > v
 
 
-def test_kernel_source_compiles_without_warnings(tmp_path):
-    # the run-time build does not use -Werror, so that a new compiler's
-    # warning cannot stop a run; this keeps the source clean instead
-    out = subprocess.run(
-        ["gcc", "-Wall", "-Wextra", "-Werror", *vehicle_plant.KERNEL_CFLAGS,
-         "-o", str(tmp_path / "kernel.so"), vehicle_plant._KERNEL_SOURCE,
-         "-lm"], capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-
-
 def test_kernel_builds_elsewhere_when_its_cache_cannot_be_made(tmp_path,
                                                                monkeypatch):
     # a file where the cache directory should be: the build goes to a
     # temporary directory, and the step is the one the Python kernel took
     (tmp_path / "file").write_text("")
-    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR",
+    monkeypatch.setattr(_kernel, "_CACHE_DIR",
                         str(tmp_path / "file" / "cache"))
-    monkeypatch.setattr(vehicle_plant, "_kernel", None)
+    monkeypatch.setattr(_kernel, "_loaded", None)
     curve = DEFAULT_CURVES[RoadType.SNOW]
     assert plant_step(1.0, 4.0, 0.0, 100.0, 1e-4, curve, P) == (
         1.0002551561714126, 3.9559334964928254, 0.19980013326669166)
-    assert vehicle_plant._kernel is not None
+    assert _kernel._loaded is not None
     assert os.listdir(tmp_path) == ["file"]
-
-
-def test_a_kernel_build_removes_stale_builds(tmp_path, monkeypatch):
-    # the build of another source version goes once this one is built,
-    # and this one loads
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "_kernel-0000.so").write_bytes(b"a stale build")
-    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(cache))
-    monkeypatch.setattr(vehicle_plant, "_kernel", None)
-    curve = DEFAULT_CURVES[RoadType.SNOW]
-    assert plant_step(1.0, 4.0, 0.0, 100.0, 1e-4, curve, P) == (
-        1.0002551561714126, 3.9559334964928254, 0.19980013326669166)
-    built, = os.listdir(cache)
-    assert built != "_kernel-0000.so"
-    assert built.startswith("_kernel-") and built.endswith(".so")
-
-
-def test_threads_loading_a_cold_kernel_build_it_once(tmp_path,
-                                                     monkeypatch):
-    # four threads ask for the kernel at once: one builds it, and all
-    # four get that one library
-    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(tmp_path))
-    monkeypatch.setattr(vehicle_plant, "_kernel", None)
-    builds = []
-    build = vehicle_plant._build_kernel
-
-    def counted(source, path):
-        builds.append(path)
-        build(source, path)
-
-    monkeypatch.setattr(vehicle_plant, "_build_kernel", counted)
-    start = threading.Barrier(4)
-    loaded = [None] * 4
-
-    def load(i):
-        start.wait()
-        loaded[i] = vehicle_plant._load_kernel()
-
-    threads = [threading.Thread(target=load, args=(i,)) for i in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(builds) == 1
-    assert loaded[0] is not None
-    assert all(kernel is loaded[0] for kernel in loaded)
-
-
-def test_failed_kernel_build_names_gcc(tmp_path, monkeypatch):
-    broken = tmp_path / "_kernel.c"
-    broken.write_text("this is not C\n")
-    monkeypatch.setattr(vehicle_plant, "_KERNEL_SOURCE", str(broken))
-    monkeypatch.setattr(vehicle_plant, "_KERNEL_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(vehicle_plant, "_kernel", None)
-    with pytest.raises(OSError, match=r"^gcc failed to build the compiled "
-                       r"kernel .*_kernel\.c: "):
-        plant_step(1.0, 4.0, 0.0, 100.0, 1e-4, DEFAULT_CURVES[RoadType.SNOW],
-                   P)
-    # the temporary output is gone with the failed build
-    assert os.listdir(tmp_path / "cache") == []
