@@ -14,9 +14,8 @@ import numpy as np
 
 from .arte_dsp import extract_raw, frame_length, Frame
 from .errors import ConfigError, ModelFormatError, SimulationDiverged
-from .tire_road import DEFAULT_CURVES, RoadType, peak_friction
+from .tire_road import DEFAULT_CURVES, ROAD_INDEX, ROAD_ORDER, peak_friction
 
-ROAD_ORDER = tuple(RoadType)
 RAW_DIM = 20
 # feature families inside a raw vector: [start, stop, kept]
 FAMILIES = ((0, 10, 3), (10, 15, 2), (15, 20, 2))
@@ -254,10 +253,7 @@ def _init_model(seed, norm_mean, norm_scale, mask_indices):
 
 
 def one_hot(labels):
-    out = np.zeros((len(labels), len(ROAD_ORDER)))
-    for i, lab in enumerate(labels):
-        out[i, ROAD_ORDER.index(lab)] = 1.0
-    return out
+    return np.eye(len(ROAD_ORDER))[[ROAD_INDEX[lab] for lab in labels]]
 
 
 def train_mlp(ds, mask, seed=0, max_epochs=MAX_EPOCHS):
@@ -360,7 +356,7 @@ def confusion_matrix(model, test):
     counts = np.zeros((len(ROAD_ORDER), len(ROAD_ORDER)), dtype=int)
     for x, lab in zip(test.features, test.labels):
         pred, _ = classify(model, x)
-        counts[ROAD_ORDER.index(pred), ROAD_ORDER.index(lab)] += 1
+        counts[ROAD_INDEX[pred], ROAD_INDEX[lab]] += 1
     accuracy = np.trace(counts) / counts.sum()
     return counts, float(accuracy)
 

@@ -7,7 +7,8 @@ calls,
     law(dt, t_demand) -> (kind, constants)
     update(v, w, t_applied, t_demand, dt) -> commanded torque
 
-so the simulation loop can swap them freely.  `set_estimate` hands over
+so the simulation loop can swap them freely; `CONTROLLERS` maps the tag
+a scenario names to its class.  `set_estimate` hands over
 the road estimator's belief: the recognized road and the peak
 (lambda_opt, mu_peak) of its friction curve.  `law` computes, once per
 step size, demand and installed estimate, the constants of the per-step
@@ -62,9 +63,6 @@ import math
 from .errors import ConfigError
 from .tire_road import DEFAULT_CURVES, RoadType
 from .vehicle_plant import LAW_CONSTANT, LAW_MFC, LAW_MTTE, LAW_SRC, law_step
-
-# the controller tags a scenario can name
-CONTROLLERS = ("mfc", "src", "mtte", "open")
 
 MFC_GAIN = 50.0
 MFC_LAMBDA_NOMINAL = 0.1
@@ -238,3 +236,8 @@ class OpenLoop(Controller):
     def law(self, dt, t_demand):
         return LAW_CONSTANT, (min(max(t_demand, 0.0),
                                   self.params.torque_limit),)
+
+
+# the controller tags a scenario can name, each with its class
+CONTROLLERS = {"mfc": ModelFollowingControl, "src": SlipRatioControl,
+               "mtte": MaxTransmissibleTorque, "open": OpenLoop}

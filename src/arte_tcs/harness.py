@@ -24,10 +24,11 @@ The kernel writes V, w, T_cmd, T_applied and mu (at the start state, from
 its first RK4 stage) straight into the five numpy columns it is given.
 The other columns are derived with the IEEE operations of their per-step
 definitions: t = k*dt, Vw = w*r and lambda as `slip_ratio`; the road
-columns, int8 indices into `ROADS` with -1 for "no estimate", are held
+columns, int8 indices into `ROAD_ORDER` with -1 for "no estimate", are held
 from the plan's steps.  So every column is bit-identical to what a loop of
-single steps would record.  `SimTrace.road_true`/`road_est` decode the
-roads to `RoadType`/None and `write_trace_csv` maps them to names.
+single steps would record.  `_ROAD_SLOTS`, None then `ROAD_ORDER`, read at
+index + 1, decodes them for `SimTrace.road_true`/`road_est` and
+`write_trace_csv`.
 
 `write_trace_csv` prints the same bytes as "%.9g" per float cell: the C
 kernel (`_kernel.c`, loaded through `_kernel` before the file is
@@ -51,12 +52,13 @@ import numpy as np
 from . import _kernel
 from .arte_classifier import SelectionMask, arte_estimate, load_model
 from .controllers import (CONTROLLERS, MaxTransmissibleTorque,
-                          ModelFollowingControl, OpenLoop, SlipRatioControl)
+                          ModelFollowingControl)
 from .errors import ConfigError
 from .robustness import FAMILY_BOXES, nu_gap, plant_family
 # class_clip is not called here: bench/layertrace.py looks it up here
 from .synth_corpus import SAMPLE_RATE, RoadStream, class_clip
-from .tire_road import DEFAULT_CURVES, MuLambdaCurve, RoadType, peak_friction
+from .tire_road import (DEFAULT_CURVES, ROAD_INDEX, ROAD_ORDER, MuLambdaCurve,
+                        RoadType, peak_friction)
 # plant_step is not called here: bench/layertrace.py looks it up here
 from .vehicle_plant import VehicleParams, make_plant_run, plant_step
 
@@ -69,13 +71,9 @@ TRACE_HEADER = "t,V,Vw,lambda,T_cmd,T_applied,mu,road_true,road_est"
 # rows formatted per write, into one reused buffer
 TRACE_CHUNK_ROWS = 2048
 
-# road index <-> road; index -1 (no estimate) selects the last entry
-ROADS = tuple(RoadType)
-ROAD_INDEX = {road: k for k, road in enumerate(ROADS)}
 NO_ESTIMATE = -1
-_ROAD_OBJECTS = np.array(ROADS + (None,), dtype=object)
-# road names by road index + 1, "none" (index -1) first
-_ROAD_NAMES = ("none",) + tuple(road.value for road in ROADS)
+# a trace's road at road index + 1: None (no estimate), then ROAD_ORDER
+_ROAD_SLOTS = np.array((None,) + ROAD_ORDER, dtype=object)
 SCENARIO_FLOAT_KEYS = ("duration_s", "dt", "torque_demand", "arte_period_s",
                        "v0", "fd_hat0")
 
@@ -144,7 +142,7 @@ class ScenarioConfig:
 
 @dataclass
 class SimTrace:
-    """Per-step columns; the roads as int8 indices into `ROADS`."""
+    """Per-step columns; the roads as int8 indices into `ROAD_ORDER`."""
 
     t: np.ndarray
     v: np.ndarray
@@ -158,11 +156,11 @@ class SimTrace:
 
     @property
     def road_true(self):
-        return _ROAD_OBJECTS[self.road_true_idx].tolist()
+        return _ROAD_SLOTS[self.road_true_idx + 1].tolist()
 
     @property
     def road_est(self):
-        return _ROAD_OBJECTS[self.road_est_idx].tolist()
+        return _ROAD_SLOTS[self.road_est_idx + 1].tolist()
 
 
 @dataclass(frozen=True)
@@ -174,18 +172,12 @@ class MetricsReport:
 
 
 def _build_controller(cfg):
-    p = cfg.params
-    if cfg.controller == "mfc":
-        ctrl = ModelFollowingControl(p)
-        ctrl.reset(w0=cfg.v0 / p.r)
-        return ctrl
-    if cfg.controller == "src":
-        return SlipRatioControl(p)
-    if cfg.controller == "mtte":
-        ctrl = MaxTransmissibleTorque(p)
+    ctrl = CONTROLLERS[cfg.controller](cfg.params)
+    if isinstance(ctrl, ModelFollowingControl):
+        ctrl.reset(w0=cfg.v0 / cfg.params.r)
+    elif isinstance(ctrl, MaxTransmissibleTorque):
         ctrl.reset(fd_hat0=cfg.fd_hat0)
-        return ctrl
-    return OpenLoop(p)
+    return ctrl
 
 
 def _held_column(changes, n):
@@ -311,7 +303,7 @@ def run_scenario(cfg):
     ctrl = _build_controller(cfg)
     n_steps = int(round(cfg.duration_s / dt))
     segments, ticks, beliefs = _plan(cfg, n_steps)
-    roads = dict(segments)
+    roads = {k: ROAD_ORDER[index] for k, index in segments}
     tick_set = set(ticks)
     bounds = sorted(roads.keys() | tick_set) + [n_steps]
     held = []  # (first step, road index) of each belief installed
@@ -324,7 +316,7 @@ def run_scenario(cfg):
     try:
         for lo, hi in zip(bounds, bounds[1:]):
             if lo in roads:
-                run = make_plant_run(DEFAULT_CURVES[ROADS[roads[lo]]], p, dt)
+                run = make_plant_run(DEFAULT_CURVES[roads[lo]], p, dt)
             if lo in tick_set:
                 belief = next(beliefs)
                 held.append((lo, ROAD_INDEX[belief[0]]))
@@ -379,12 +371,15 @@ def metrics(trace, gap=None):
 def compare(tcs_list, arte_modes, base_cfg):
     """Cross-product of controllers and estimation modes, same scenario.
 
-    Every row's config is checked and its controller built before the
-    first row runs, so a row that cannot run fails before any work."""
+    Each row's config, controller, law (at the scenario's step and
+    demand) and classifier model are checked before the first row runs,
+    so a row that cannot run fails before any work."""
     cfgs = [replace(base_cfg, controller=tag, arte_mode=mode)
             for tag in tcs_list for mode in arte_modes]
     for cfg in cfgs:
-        _build_controller(cfg.validate())
+        _build_controller(cfg.validate()).law(cfg.dt, cfg.torque_demand)
+    if "classifier" in arte_modes:
+        load_model(base_cfg.model_path)
     rows = []
     for cfg in cfgs:
         tag, mode = cfg.controller, cfg.arte_mode
@@ -409,15 +404,15 @@ def write_trace_csv(path, trace):
     rows = len(columns[0])
     if any(len(col) != rows for col in columns + roads):
         raise ValueError("trace columns differ in length")
-    if rows and any(idx.min() < NO_ESTIMATE or idx.max() >= len(ROADS)
+    if rows and any(idx.min() < NO_ESTIMATE or idx.max() >= len(ROAD_ORDER)
                     for idx in roads):
         raise ValueError("trace road index out of range")
     cells = np.array([col.ctypes.data for col in columns], dtype=np.uintp)
     # a row is at most seven cells and two names in NUL-padded slots
     row_max = 7 * kernel.cell_max + 2 * kernel.name_slot
     out = np.empty(min(rows, TRACE_CHUNK_ROWS) * row_max, np.uint8)
-    names = b"".join(name.encode().ljust(kernel.name_slot, b"\0")
-                     for name in _ROAD_NAMES)
+    names = b"".join(("none" if road is None else road.value).encode()
+                     .ljust(kernel.name_slot, b"\0") for road in _ROAD_SLOTS)
     sources = (cells.ctypes.data, roads[0].ctypes.data, roads[1].ctypes.data,
                names)
     with open(path, "wb") as fh:

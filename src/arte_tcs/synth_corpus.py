@@ -23,7 +23,7 @@ from ._kernel import ar_filter
 from .arte_dsp import (AudioClip, extract_raw, frame_length,
                        sample_frames, write_wav)
 from .arte_classifier import FeatureDataset
-from .tire_road import RoadType
+from .tire_road import ROAD_INDEX, ROAD_ORDER, RoadType
 
 SAMPLE_RATE = 16000
 CLIP_SAMPLES = 56000  # 3.5 s: every corpus clip and noise bed
@@ -114,13 +114,13 @@ def class_clip(road, seed=0):
 
 def _clean_seed(road, seed):
     """The seed of the `synth_clip` inside `class_clip(road, seed)`."""
-    return 1000 * seed + list(RoadType).index(road)
+    return 1000 * seed + ROAD_INDEX[road]
 
 
 def build_corpus(seed=0):
     """Labeled 20-dim feature rows, FRAMES_PER_CLASS per road."""
     rows, labels = [], []
-    for k, road in enumerate(RoadType):
+    for k, road in enumerate(ROAD_ORDER):
         clip = class_clip(road, seed)
         frames = sample_frames(clip, FRAMES_PER_CLASS,
                                seed=1000 * seed + 500 + k)
@@ -136,11 +136,10 @@ def export_wavs(root, seed=0, clips_per_class=1):
     written index by index, one noise bed each.  A road's directory is
     made once its first clip is synthesized, so a kernel that cannot be
     built leaves none."""
-    roads = list(RoadType)
     paths = [os.path.join(root, road.value, "%d_%d.wav" % (seed, i))
-             for road in roads for i in range(clips_per_class)]
+             for road in ROAD_ORDER for i in range(clips_per_class)]
     for i in range(clips_per_class):
-        for road, path in zip(roads, paths[i::clips_per_class]):
+        for road, path in zip(ROAD_ORDER, paths[i::clips_per_class]):
             clip = class_clip(road, seed + i)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             write_wav(path, clip)
@@ -169,7 +168,7 @@ def _stream_levels():
     below that in mean square, the mix divided by its peak if above 1."""
     noise, noise_ms = _noise_bed(0)
     levels = {}
-    for road in RoadType:
+    for road in ROAD_ORDER:
         ref = _ar_output(road, CLIP_SAMPLES, _clean_seed(road, 0))
         gain = 0.9 / _peak(ref)
         ref *= gain

@@ -7,7 +7,8 @@ four-parameter magic formula
 
 with one (B, C, D, E) set per road surface.  D is the peak friction
 level, B*C*D the stiffness at zero slip.  The module also provides the
-peak (lambda_opt, mu_peak) of each curve, computed once per curve.
+peak (lambda_opt, mu_peak) of each curve, computed once per curve, and
+the one road table every module keys roads by: `ROAD_ORDER`/`ROAD_INDEX`.
 Curve files are read by `harness.load_curve_overrides`.
 """
 
@@ -33,6 +34,10 @@ class RoadType(enum.Enum):
             return cls(name.strip().lower())
         except ValueError:
             raise ConfigError("unknown road type: %r" % (name,)) from None
+
+
+ROAD_ORDER = tuple(RoadType)
+ROAD_INDEX = {road: k for k, road in enumerate(ROAD_ORDER)}
 
 
 @dataclass(frozen=True)

@@ -487,20 +487,33 @@ def test_failed_run_leaves_an_existing_out_as_it_was(tmp_path, capsys,
 
 
 # (scenario file, extra compare options): one row of the table cannot run
+# (scenario file, extra options, exit code, stderr prefix); "{tmp}" in a
+# file stands for the test's temporary directory
 LATE_BAD_ROWS = {
     # only MTTE rejects a vehicle whose m/4*r^2 underflows, and the MFC and
     # SRC rows come first
-    "mtte_wheel_radius_underflow": (b"[vehicle]\nr = 1e-300\n", []),
+    "mtte_wheel_radius_underflow": (b"[vehicle]\nr = 1e-300\n", [], 2,
+                                    "error: "),
     "classifier_without_model": (b"[scenario]\nduration_s = 0.5\n",
-                                 ["--modes", "off", "classifier"]),
+                                 ["--modes", "off", "classifier"], 2,
+                                 "error: "),
+    # only MTTE's law needs dt <= tau_motor / 5
+    "mtte_step_too_coarse": (b"[scenario]\nduration_s = 0.5\ndt = 5e-4\n"
+                             b"[vehicle]\ntau_motor = 0.002\n", [], 2,
+                             "error: "),
+    # the model is loaded by the classifier row, after the off row
+    "classifier_model_missing": (b"[scenario]\nduration_s = 0.5\n"
+                                 b"model = {tmp}/no_model.txt\n",
+                                 ["--modes", "off", "classifier"], 4,
+                                 "i/o error: "),
 }
 
 
-@pytest.mark.parametrize("body,extra", LATE_BAD_ROWS.values(),
+@pytest.mark.parametrize("body,extra,code,prefix", LATE_BAD_ROWS.values(),
                          ids=LATE_BAD_ROWS)
 def test_compare_rejects_a_bad_row_before_running_any(tmp_path, capsys,
                                                       monkeypatch, body,
-                                                      extra):
+                                                      extra, code, prefix):
     built = []
     real = harness.make_plant_run
 
@@ -510,12 +523,12 @@ def test_compare_rejects_a_bad_row_before_running_any(tmp_path, capsys,
 
     monkeypatch.setattr(harness, "make_plant_run", counted)
     cfg = tmp_path / "scenario.ini"
-    cfg.write_bytes(body)
+    cfg.write_bytes(body.replace(b"{tmp}", str(tmp_path).encode()))
     out = str(tmp_path / "cmp.csv")
     argv = ["compare", "--config", str(cfg), "--out", out] + extra
-    assert cli.main(argv) == 2
+    assert cli.main(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert built == []
     assert not os.path.exists(out)
 

@@ -17,14 +17,14 @@ from arte_tcs.arte_classifier import prune_features, split_dataset, train_mlp, s
 from arte_tcs.controllers import CONTROLLERS
 from arte_tcs.errors import AudioFormatError, ConfigError, SimulationDiverged
 from arte_tcs.harness import (ARTE_MODES, MAX_STEPS, NO_ESTIMATE,
-                              ROAD_INDEX, ROADS, ScenarioConfig, SimTrace,
+                              ScenarioConfig, SimTrace,
                               _build_controller, compare, compare_lines,
                               load_curve_overrides, load_scenario,
                               max_torque, metrics, run_scenario,
                               slip_deviation, torque_area, write_trace_csv)
 from arte_tcs.synth_corpus import build_corpus
-from arte_tcs.tire_road import (DEFAULT_CURVES, MuLambdaCurve, RoadType,
-                                peak_friction)
+from arte_tcs.tire_road import (DEFAULT_CURVES, ROAD_INDEX, ROAD_ORDER,
+                                MuLambdaCurve, RoadType, peak_friction)
 from arte_tcs.vehicle_plant import LAW_CONSTANT, VehicleParams
 
 _cache = {}
@@ -123,6 +123,12 @@ def test_identical_configs_reproduce_bit_identical_metrics():
     assert m1.slip_deviation == m2.slip_deviation
     assert m1.max_torque == m2.max_torque
     assert m1.torque_area == m2.torque_area
+
+
+@pytest.mark.parametrize("tag", CONTROLLERS)
+def test_build_controller_builds_the_class_of_each_tag(tag):
+    ctrl = _build_controller(replace(ScenarioConfig(), controller=tag))
+    assert type(ctrl) is CONTROLLERS[tag]
 
 
 def test_wrong_road_estimates_never_crash_controllers():
@@ -400,7 +406,7 @@ def test_trace_written_without_gcc_leaves_no_file(tmp_path, monkeypatch):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("road", [NO_ESTIMATE - 1, len(ROADS)])
+@pytest.mark.parametrize("road", [NO_ESTIMATE - 1, len(ROAD_ORDER)])
 def test_trace_road_index_out_of_range_leaves_no_file(tmp_path, road):
     # the kernel reads a road's name at its index, so the writer checks
     # the indices before it opens the file
@@ -479,7 +485,7 @@ SCENARIO_KEYS = {
     "duration_s": ("duration_s", st.floats(1e-3, 60.0)),
     "dt": ("dt", st.floats(1e-5, 5e-3)),
     "torque_demand": ("torque_demand", st.floats(0.0, 1e4)),
-    "controller": ("controller", st.sampled_from(CONTROLLERS)),
+    "controller": ("controller", st.sampled_from(tuple(CONTROLLERS))),
     "arte_mode": ("arte_mode", st.sampled_from(ARTE_MODES)),
     "arte_period_s": ("arte_period_s", st.floats(0.1, 10.0)),
     "seed": ("seed", st.integers(0, 2**63)),
@@ -506,7 +512,8 @@ def scenario_files(draw):
     if draw(st.booleans()):
         times = draw(st.lists(st.floats(0.0, 1e3, exclude_min=True),
                               unique=True, max_size=4))
-        entries = [(t, draw(st.sampled_from(ROADS))) for t in [0.0] + times]
+        entries = [(t, draw(st.sampled_from(ROAD_ORDER)))
+                   for t in [0.0] + times]
         lines.append("[schedule]")
         lines += ["%r = %s" % (t, road.value)
                   for t, road in draw(st.permutations(entries))]

@@ -25,10 +25,10 @@ from hypothesis import strategies as st
 
 from arte_tcs.errors import ConfigError, SimulationDiverged
 from arte_tcs.controllers import CONTROLLERS
-from arte_tcs.harness import (MAX_STEPS, ROAD_INDEX, ScenarioConfig,
+from arte_tcs.harness import (MAX_STEPS, ScenarioConfig,
                               _build_controller, _plan, run_scenario)
-from arte_tcs.tire_road import (DEFAULT_CURVES, MuLambdaCurve, RoadType,
-                                peak_friction)
+from arte_tcs.tire_road import (DEFAULT_CURVES, ROAD_INDEX, MuLambdaCurve,
+                                RoadType, peak_friction)
 from arte_tcs.vehicle_plant import (LAW_CONSTANT, VehicleParams,
                                     drive_force, driving_resistance,
                                     make_plant_run, plant_step, slip_ratio)
@@ -173,7 +173,7 @@ def test_plant_step_keeps_state_finite_and_non_negative(v, w, t_applied,
 
 
 @settings(max_examples=400, deadline=None)
-@given(tag=st.sampled_from(CONTROLLERS), estimate=st.none() | roads,
+@given(tag=st.sampled_from(tuple(CONTROLLERS)), estimate=st.none() | roads,
        inputs=st.lists(st.tuples(speeds | any_finite,
                                  wheel_speeds | any_finite,
                                  finite(0.0, LIMIT) | any_finite,
@@ -206,7 +206,7 @@ def scenarios(draw):
                          draw(st.lists(roads, min_size=len(times) + 1,
                                        max_size=len(times) + 1))))
     return ScenarioConfig(duration_s=duration, dt=dt, road_schedule=schedule,
-                          controller=draw(st.sampled_from(CONTROLLERS)),
+                          controller=draw(st.sampled_from(tuple(CONTROLLERS))),
                           arte_mode=draw(st.sampled_from(("off", "oracle"))),
                           v0=draw(finite(0.0, 30.0)),
                           torque_demand=draw(finite(0.0, LIMIT)))
@@ -303,7 +303,7 @@ def span_scenarios(draw):
     ticks = draw(st.integers(math.ceil(0.1 / dt), math.ceil(0.3 / dt)))
     period = (ticks + draw(finite(0.05, 0.95))) * dt
     return ScenarioConfig(duration_s=duration, dt=dt, road_schedule=schedule,
-                          controller=draw(st.sampled_from(CONTROLLERS)),
+                          controller=draw(st.sampled_from(tuple(CONTROLLERS))),
                           arte_mode=draw(st.sampled_from(("off", "oracle"))),
                           arte_period_s=period, v0=draw(finite(0.0, 30.0)),
                           torque_demand=draw(finite(0.0, LIMIT)))
@@ -420,7 +420,7 @@ any_vehicle = st.builds(
 
 
 @settings(max_examples=250, deadline=None)
-@given(params=any_vehicle, tag=st.sampled_from(CONTROLLERS),
+@given(params=any_vehicle, tag=st.sampled_from(tuple(CONTROLLERS)),
        mode=st.sampled_from(("off", "oracle")))
 def test_any_valid_vehicle_runs_or_fails_with_a_documented_error(params, tag,
                                                                  mode):

@@ -20,12 +20,12 @@ from arte_tcs.arte_classifier import (SelectionMask, arte_estimate,
                                       load_model, prune_features, save_model,
                                       split_dataset, train_mlp)
 from arte_tcs.arte_dsp import Frame, extract_raw, frame_length
-from arte_tcs.harness import (NO_ESTIMATE, ROAD_INDEX, ScenarioConfig,
+from arte_tcs.harness import (NO_ESTIMATE, ScenarioConfig,
                               _build_controller, _first_step, run_scenario)
 from arte_tcs.synth_corpus import (SAMPLE_RATE, RoadStream, _ar_output,
                                    _noise_bed, _stream_levels, build_corpus,
                                    class_clip)
-from arte_tcs.tire_road import DEFAULT_CURVES, RoadType
+from arte_tcs.tire_road import DEFAULT_CURVES, ROAD_INDEX, RoadType
 from arte_tcs.vehicle_plant import make_plant_run, slip_ratio
 
 WINDOW = frame_length(SAMPLE_RATE)

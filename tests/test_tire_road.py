@@ -1,15 +1,26 @@
+import ast
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
 
+import arte_tcs
 from arte_tcs.errors import ConfigError
 from arte_tcs.tire_road import (
     DEFAULT_CURVES,
+    ROAD_INDEX,
+    ROAD_ORDER,
     MuLambdaCurve,
     RoadType,
     peak_friction,
 )
+
+# builtins that iterate an argument
+ITERATING_CALLS = {"all", "any", "dict", "enumerate", "filter", "frozenset",
+                   "iter", "list", "map", "max", "min", "reversed", "set",
+                   "sorted", "sum", "tuple", "zip"}
 
 # Peak locations frozen from a 2e6-point brute-force grid scan.
 EXPECTED_PEAKS = {
@@ -95,3 +106,39 @@ def test_curve_validation_rejects_bad_params():
     with pytest.raises(ConfigError):
         MuLambdaCurve(b=math.inf, c=2.0, d=0.5, e=1.0).validate()
 
+
+def test_road_table_indexes_every_road_once():
+    assert set(ROAD_ORDER) == set(RoadType)
+    assert all(ROAD_ORDER[ROAD_INDEX[road]] is road for road in RoadType)
+
+
+def _road_type_iterated(node):
+    """The lines at which an AST node iterates the name RoadType: as the
+    iterable of a loop or comprehension, starred, or as an argument of an
+    iterating builtin."""
+    if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+        iterated = [node.iter]
+    elif isinstance(node, ast.Starred):
+        iterated = [node.value]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in ITERATING_CALLS):
+        iterated = node.args
+    else:
+        iterated = []
+    return [expr.lineno for expr in iterated
+            if isinstance(expr, ast.Name) and expr.id == "RoadType"]
+
+
+def test_only_tire_road_iterates_road_type():
+    # every other module keys roads through ROAD_ORDER and ROAD_INDEX
+    package = os.path.dirname(os.path.abspath(arte_tcs.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        if os.path.basename(path) == "tire_road.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += ["%s:%d" % (os.path.basename(path), line)
+                  for node in ast.walk(tree)
+                  for line in _road_type_iterated(node)]
+    assert found == []

@@ -21,11 +21,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arte_tcs.harness import (ROADS, TRACE_CHUNK_ROWS, TRACE_HEADER,
-                              SimTrace, write_trace_csv)
+from arte_tcs.harness import (TRACE_CHUNK_ROWS, TRACE_HEADER, SimTrace,
+                              write_trace_csv)
+from arte_tcs.tire_road import ROAD_ORDER
 
 TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s\n"
-ROAD_NAMES = [road.value for road in ROADS] + ["none"]
+ROAD_NAMES = [road.value for road in ROAD_ORDER] + ["none"]
 
 # a nan with its sign bit set, which glibc's printf prints as "-nan"
 SIGNED_NAN = struct.unpack("<d", struct.pack("<Q", 0xfff8000000000001))[0]
